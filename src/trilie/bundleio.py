@@ -66,17 +66,16 @@ def _enc_mat(mat: MatrixQ) -> list:
     return out
 
 
+def _enc_table(table: dict) -> list:
+    """[i, j, vector] rows of a sparse product table, None kept."""
+    return [[i, j, None if vec is None else _enc_sv(vec)]
+            for (i, j), vec in sorted(table.items())]
+
+
 def bundle_to_obj(B: RinehartBundle) -> dict:
     sc = B.L.sc
     bracket = [[i, j, k, _enc_sv(vec)]
                for (i, j, k), vec in sorted(sc.table.items())]
-    mult = []
-    for (i, j), vec in sorted(B.A.table.items(),
-                              key=lambda kv: kv[0]):
-        mult.append([i, j, None if vec is None else _enc_sv(vec)])
-    action = []
-    for (a, x), vec in sorted(B.act.table.items()):
-        action.append([a, x, None if vec is None else _enc_sv(vec)])
     rho = []
     for (i, j), cols in sorted(B.rho.ops.items()):
         rho.append([i, j, [None if col is None else _enc_sv(col)
@@ -95,11 +94,11 @@ def bundle_to_obj(B: RinehartBundle) -> dict:
         },
         "A": {
             "dim": B.A.dim,
-            "mult": mult,
+            "mult": _enc_table(B.A.table),
             "phi": _enc_mat(B.A.phi),
             "unit": None if B.A.unit is None else _enc_sv(B.A.unit),
         },
-        "action": action,
+        "action": _enc_table(B.act.table),
         "rho": rho,
         "flags": dict(flags),
         "metadata": meta,

@@ -9,7 +9,9 @@ connect PATH     connection classes of roots, or one src/dst query
 construct ...    twist or tensor-extend, writing the resulting bundle
 
 Exit codes: 0 every asserted property held, 1 at least one checked
-property failed, 2 input or validation error.  Reports are emitted as
+property failed, 2 input or validation error, 141 standard output was
+closed before the report was written (as in `trilie ... | head`), so
+no verdict was delivered.  Reports are emitted as
 canonical JSON (deterministic for identical inputs and seed) or
 human-readable text; timing lines appear only in text reports so the
 JSON form stays byte-stable.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from itertools import combinations_with_replacement
@@ -65,6 +68,7 @@ from .split import (
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_ERROR = 2
+EXIT_CLOSED_STDOUT = 141    # 128 + SIGPIPE, as a shell reports it
 
 # evaluated, reported, but never an assertion by themselves
 HYPOTHESIS_CHECKS = frozenset({"center-trivial", "H-generated"})
@@ -267,22 +271,20 @@ def _split_sections(B: RinehartBundle, h_spec, want_classes: bool):
     except SplitError as exc:
         status.tick()
         status.record({"code": exc.code, "detail": exc.detail})
-        return suites, None
+        return suites
     status.tick()
     status.detail = (f"{len(dec.gamma)} roots, {len(wdec.lam)} weights, "
                      f"dim H = {H.dim}")
     suites.append(check_thm1_properties(B, dec, wdec))
-    bundleC = (dec, wdec)
     if want_classes:
         partition = root_classes(dec.gamma, wdec.lam, dec.AH)
-        laws, ideals = check_class_ideal_laws(B, dec, wdec, partition)
+        laws, _ = check_class_ideal_laws(B, dec, wdec, partition)
         suites.append(laws)
         ds, _ = direct_sum_decompose(B, dec, wdec, partition)
         suites.append(ds)
-        wsuite, wpart, _ = weight_class_decompose(B, dec, wdec)
+        wsuite, _, _ = weight_class_decompose(B, dec, wdec)
         suites.append(wsuite)
-        bundleC = (dec, wdec, partition, ideals, wpart)
-    return suites, bundleC
+    return suites
 
 
 def cmd_check(args) -> int:
@@ -301,7 +303,7 @@ def cmd_check(args) -> int:
         elif name == "identities":
             suites.append(check_identity_suite(B))
         elif name in ("split", "classes"):
-            sub, _ = _split_sections(B, args.H, name == "classes")
+            sub = _split_sections(B, args.H, name == "classes")
             suites.extend(sub)
     failures = _suite_failures(suites, ignore=HYPOTHESIS_CHECKS)
     t0 = args._t0
@@ -593,14 +595,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args._t0 = time.monotonic()
     try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except BundleLoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the exit flush would raise again on the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    except (CliError, ValueError) as exc:
+        # BundleLoadError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -20,11 +20,12 @@ from itertools import combinations
 
 from .core3lie import Hom3Lie, StructureConstants3, check_multiplicative
 from .exactq import MatrixQ, SVec, mat_apply_sv, mat_columns_sv, sv_axpy
-from .report import MAX_FAILURES, CheckReport, SuiteReport
+from .report import CheckReport, SuiteReport
 from .repmod import HomRepresentation, PairAction, _compare_columns, \
     check_hom_rep, op_compose
 from .rinehart import CommAlgebra, ModuleAction, RinehartBundle, \
-    _derivation_into, check_commutative_associative, check_phi_multiplicative
+    check_commutative_associative, check_phi_multiplicative, \
+    check_rho_derivations
 
 
 class ConstructionError(ValueError):
@@ -84,24 +85,16 @@ def twist_preconditions(inp: TwistInput) -> SuiteReport:
     if base.A.phi != MatrixQ.identity(m):
         plain.record({"side": "A", "why": "carried phi is not Id"})
 
-    acols = mat_columns_sv(alpha)
-    endo = suite.add(CheckReport("alpha-bracket-endo"))
-    sc = base.L.sc
-    for i, j, k in combinations(range(n), 3):
-        vec, _ = sc.lookup(i, j, k)
-        rhs = sc.trilinear(acols[i], acols[j], acols[k])
-        if vec is None or rhs is None:
-            endo.skip()
-            continue
-        endo.tick()
-        if mat_apply_sv(acols, vec) != rhs:
-            endo.record({"triple": [i, j, k]})
+    endo = check_multiplicative(Hom3Lie(base.L.sc, alpha))
+    endo.name = "alpha-bracket-endo"
+    suite.add(endo)
 
     probe = CommAlgebra(m, base.A.table, phi, base.A.unit)
     hom = check_phi_multiplicative(probe)
     hom.name = "phi-algebra-endo"
     suite.add(hom)
 
+    acols = mat_columns_sv(alpha)
     pcols = mat_columns_sv(phi)
     anchor = suite.add(CheckReport("anchor-compat"))
     for i, j in combinations(range(n), 2):
@@ -175,21 +168,7 @@ def tensor_preconditions(L: Hom3Lie, A: CommAlgebra,
     suite.add(check_commutative_associative(A))
     suite.add(check_phi_multiplicative(A))
     suite.extend(check_hom_rep(L, HomRepresentation(rho, A.phi)))
-
-    der = CheckReport("rho-derivation")
-    hd1, hd2 = CheckReport("hd1"), CheckReport("hd2")
-    for key, cols in sorted(rho.ops.items()):
-        _derivation_into(A, cols, hd1, hd2, key)
-    for part in (hd1, hd2):
-        der.checked += part.checked
-        der.skipped += part.skipped
-        der.failure_count += part.failure_count
-        for wit in part.failures:
-            if len(der.failures) < MAX_FAILURES:
-                der.failures.append({"law": part.name, **wit})
-        if part.passed is False:
-            der.passed = False
-    suite.add(der)
+    suite.add(check_rho_derivations(A, rho))
     return suite
 
 

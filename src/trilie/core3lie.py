@@ -265,25 +265,9 @@ def check_hom_jacobi(alg: Hom3Lie) -> CheckReport:
 
     # AA[i][j][m] = [alpha e_i, alpha e_j, e_m]; by the even cyclic shift
     # this same table gives [e_m, alpha e_i, alpha e_j].
-    aa: dict = {}
-    for i, j in combinations(range(n), 2):
-        row = []
-        ci, cj = acols[i], acols[j]
-        for m in range(n):
-            acc: SVec | None = {}
-            for p, cp in ci.items():
-                if acc is None:
-                    break
-                for q, cq in cj.items():
-                    if p == q or p == m or q == m:
-                        continue
-                    vec, sign = sc.lookup(p, q, m)
-                    if vec is None:
-                        acc = None
-                        break
-                    sv_axpy(acc, cp * cq * sign, vec)
-            row.append(acc)
-        aa[(i, j)] = row
+    aa = {(i, j): [sc.trilinear(acols[i], acols[j], {m: 1})
+                   for m in range(n)]
+          for i, j in combinations(range(n), 2)}
 
     def aa_at(i, j):
         if i < j:

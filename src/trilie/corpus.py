@@ -85,15 +85,7 @@ def _function_bundle(name: str, l_polys, a_polys, alpha_sign: int,
     lb, ab = _Basis(l_polys), _Basis(a_polys)
     n, m = len(lb), len(ab)
 
-    table, missing = {}, []
-    for i, j, k in combinations(range(n), 3):
-        vec = lb.coords(jacobian_bracket(lb.polys[i], lb.polys[j],
-                                         lb.polys[k]))
-        if vec is None:
-            missing.append((i, j, k))
-        elif vec:
-            table[(i, j, k)] = vec
-    sc = StructureConstants3(n, table, missing)
+    sc = _bracket_table(lb)
     alpha = MatrixQ.identity(n).scale(alpha_sign)
 
     prod = {}
@@ -127,6 +119,32 @@ def _function_bundle(name: str, l_polys, a_polys, alpha_sign: int,
     return RinehartBundle(Hom3Lie(sc, alpha), A, rho, act, name=name,
                           L_labels=lb.labels, A_labels=ab.labels,
                           meta=meta)
+
+
+def _bracket_table(lb: _Basis) -> StructureConstants3:
+    """Jacobian brackets of the basis triples; those leaving the window
+    are missing."""
+    table, missing = {}, []
+    for i, j, k in combinations(range(len(lb)), 3):
+        vec = lb.coords(jacobian_bracket(lb.polys[i], lb.polys[j],
+                                         lb.polys[k]))
+        if vec is None:
+            missing.append((i, j, k))
+        elif vec:
+            table[(i, j, k)] = vec
+    return StructureConstants3(len(lb), table, missing)
+
+
+def _exp_bases(K: int):
+    """L-basis x, y, then x e^{kz}, y e^{kz}, x e^{-kz}, y e^{-kz} for
+    k = 1..K; A-basis 1, e^{z}, e^{-z}, ..., e^{-Kz}."""
+    l_polys, a_polys = [X, Y], [ONE]
+    for k in range(1, K + 1):
+        for s in (k, -k):
+            e = ExpPoly.exp(s)
+            l_polys += [X * e, Y * e]
+            a_polys.append(e)
+    return l_polys, a_polys
 
 
 def _check_bounds(value: int, cap: int, what: str) -> int:
@@ -207,16 +225,7 @@ def l1_hom(degree_cap: int = 1, window: int = 1) -> RinehartBundle:
                 polys.append(ExpPoly({(a, total - a, 0, k): 1}))
     lb = _Basis(polys)
     n = len(lb)
-    table, missing = {}, []
-    for i, j, k in combinations(range(n), 3):
-        vec = lb.coords(jacobian_bracket(lb.polys[i], lb.polys[j],
-                                         lb.polys[k]))
-        if vec is None:
-            missing.append((i, j, k))
-        elif vec:
-            table[(i, j, k)] = vec
-    sc = StructureConstants3(n, table, missing)
-    alg = Hom3Lie(sc, MatrixQ.identity(n).scale(-1))
+    alg = Hom3Lie(_bracket_table(lb), MatrixQ.identity(n).scale(-1))
     A = CommAlgebra(1, {(0, 0): {0: 1}}, MatrixQ.identity(1), {0: 1})
     rho = PairAction(n, 1, {})
     act = ModuleAction(1, n, {(0, i): {i: 1} for i in range(n)})
@@ -266,13 +275,8 @@ def tprime_split(window: int = 3) -> RinehartBundle:
     K = _check_bounds(window, MAX_WINDOW, "window")
     if K < 1:
         raise ValueError("window 0 leaves no graded part")
-    l_polys = [X, Y, ONE]
-    for k in range(1, K + 1):
-        for s in (k, -k):
-            l_polys.append(X * ExpPoly.exp(s))
-            l_polys.append(Y * ExpPoly.exp(s))
-    a_polys = [ONE] + [ExpPoly.exp(s) for k in range(1, K + 1)
-                       for s in (k, -k)]
+    l_polys, a_polys = _exp_bases(K)
+    l_polys.insert(2, ONE)
     meta = {"window": K,
             "H": [[1 if c == r else 0 for c in range(3 + 4 * K)]
                   for r in range(3)],
@@ -305,13 +309,7 @@ def toy_split(window: int = 0) -> RinehartBundle:
         return RinehartBundle(alg, A, rho, act, name="toy-split",
                               L_labels=("h1", "h2", "u"),
                               A_labels=("1",), meta=meta)
-    l_polys = [X, Y]
-    for k in range(1, K + 1):
-        for s in (k, -k):
-            l_polys.append(X * ExpPoly.exp(s))
-            l_polys.append(Y * ExpPoly.exp(s))
-    a_polys = [ONE] + [ExpPoly.exp(s) for k in range(1, K + 1)
-                       for s in (k, -k)]
+    l_polys, a_polys = _exp_bases(K)
     n = 2 + 4 * K
     meta = {"window": K,
             "H": [[1 if c == r else 0 for c in range(n)]
@@ -376,26 +374,10 @@ def _toy_factor_over(A: CommAlgebra, K: int, a_offset: int, a_span: int,
     e^{-z}, ... of this factor; the other factor multiplies to zero on
     this summand.
     """
-    l_polys = [X, Y]
-    for k in range(1, K + 1):
-        for s in (k, -k):
-            l_polys.append(X * ExpPoly.exp(s))
-            l_polys.append(Y * ExpPoly.exp(s))
-    a_polys = [ONE] + [ExpPoly.exp(s) for k in range(1, K + 1)
-                       for s in (k, -k)]
+    l_polys, a_polys = _exp_bases(K)
     lb, ab = _Basis(l_polys), _Basis(a_polys)
     n = len(lb)
-
-    table, missing = {}, []
-    for i, j, k in combinations(range(n), 3):
-        vec = lb.coords(jacobian_bracket(lb.polys[i], lb.polys[j],
-                                         lb.polys[k]))
-        if vec is None:
-            missing.append((i, j, k))
-        elif vec:
-            table[(i, j, k)] = vec
-    alg = Hom3Lie(StructureConstants3(n, table, missing),
-                  MatrixQ.identity(n))
+    alg = Hom3Lie(_bracket_table(lb), MatrixQ.identity(n))
 
     ops = {}
     for i, j in combinations(range(n), 2):
@@ -440,8 +422,7 @@ def two_block(window: int = 1) -> RinehartBundle:
     if K < 1:
         raise ValueError("two-block needs window >= 1")
     span = 1 + 2 * K
-    a_polys = [ONE] + [ExpPoly.exp(s) for k in range(1, K + 1)
-                       for s in (k, -k)]
+    _, a_polys = _exp_bases(K)
     ab = _Basis(a_polys)
     m = 2 * span
     prod = {}

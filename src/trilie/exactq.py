@@ -76,10 +76,6 @@ def vscale(c, v):
     return tuple(qnorm(c * a) for a in v)
 
 
-def vzero(n: int):
-    return (0,) * n
-
-
 def viszero(v) -> bool:
     return all(a == 0 for a in v)
 
@@ -485,15 +481,49 @@ def sv_scale(vec: dict, scalar) -> dict:
     return {idx: qnorm(scalar * coeff) for idx, coeff in vec.items()}
 
 
-def sv_add(u: dict, v: dict) -> dict:
-    out = dict(u)
-    sv_axpy(out, 1, v)
+# A sparse table maps a pair of basis indices to the sparse vector of
+# their product.  An absent key is a zero product; a None entry is a
+# product outside the representable window, and whatever is computed
+# from it is None as well.
+
+_EMPTY: dict = {}
+
+
+def sv_table(table, key_ok, dim_out: int, what: str) -> dict:
+    """Validated copy of a sparse table, in the form the evaluators expect.
+
+    A key rejected by key_ok(i, j), or an output coordinate outside
+    0..dim_out-1, raises ValueError.  None entries are kept; zero
+    coefficients, and the entries they leave empty, are dropped, so two
+    tables describe the same map exactly when they compare equal.
+    """
+    out: dict = {}
+    for key, vec in (table or {}).items():
+        if not key_ok(*key):
+            raise ValueError(f"{what} key {key} out of range")
+        if vec is None:
+            out[key] = None
+            continue
+        vec = {p: c for p, c in vec.items() if c != 0}
+        if any(not 0 <= p < dim_out for p in vec):
+            raise ValueError(f"{what} coordinate out of range")
+        if vec:
+            out[key] = vec
     return out
 
 
-def sv_sub(u: dict, v: dict) -> dict:
-    out = dict(u)
-    sv_axpy(out, -1, v)
+def sv_bilinear(table: dict, u, v):
+    """Sum of u_i v_j table[(i, j)]; None if u, v or a needed entry is None."""
+    if u is None or v is None:
+        return None
+    out: dict = {}
+    for i, ci in u.items():
+        for j, cj in v.items():
+            vec = table.get((i, j), _EMPTY)
+            if vec is None:
+                return None
+            if vec:
+                sv_axpy(out, ci * cj, vec)
     return out
 
 

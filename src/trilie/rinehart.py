@@ -17,10 +17,18 @@ from .exactq import (
     kernel_basis,
     mat_columns_sv,
     sv_axpy,
+    sv_bilinear,
     sv_scale,
+    sv_table,
     sv_to_tuple,
 )
-from .core3lie import Hom3Lie, center, check_hom_jacobi, check_multiplicative
+from .core3lie import (
+    Hom3Lie,
+    center,
+    check_hom_jacobi,
+    check_multiplicative,
+    sort3,
+)
 from .repmod import (
     Columns,
     HomRepresentation,
@@ -44,26 +52,18 @@ class CommAlgebra:
     bundle; unit, when declared, is the coordinate vector of 1.
     """
 
-    __slots__ = ("dim", "table", "phi", "unit", "_phi_cols")
+    __slots__ = ("dim", "table", "phi", "unit", "_phi_cols", "_lookup")
 
     def __init__(self, dim: int, table: dict | None = None,
                  phi: MatrixQ | None = None, unit: SVec | None = None):
         if dim <= 0:
             raise ValueError("dimension must be positive")
         self.dim = dim
-        self.table: dict = {}
-        for (i, j), vec in (table or {}).items():
-            if not (0 <= i <= j < dim):
-                raise ValueError(f"product key {(i, j)} is not ordered")
-            if vec is None:
-                self.table[(i, j)] = None
-            else:
-                vec = {m: c for m, c in vec.items() if c != 0}
-                for m in vec:
-                    if not 0 <= m < dim:
-                        raise ValueError("product coordinate out of range")
-                if vec:
-                    self.table[(i, j)] = vec
+        self.table = sv_table(table, lambda i, j: 0 <= i <= j < dim, dim,
+                              "product")
+        # the same products under both key orders, for sv_bilinear
+        self._lookup = {(j, i): vec for (i, j), vec in self.table.items()}
+        self._lookup.update(self.table)
         self.phi = phi if phi is not None else MatrixQ.identity(dim)
         if self.phi.nrows != dim or self.phi.ncols != dim:
             raise ValueError("phi shape mismatch")
@@ -71,24 +71,11 @@ class CommAlgebra:
         self._phi_cols = mat_columns_sv(self.phi)
 
     def basis_product(self, i: int, j: int):
-        if i > j:
-            i, j = j, i
-        return self.table.get((i, j), _EMPTY)
+        return self._lookup.get((i, j), _EMPTY)
 
     def product(self, u, v):
         """u * v for sparse vectors; None when a needed entry is missing."""
-        if u is None or v is None:
-            return None
-        out: SVec = {}
-        table = self.table
-        for i, ci in u.items():
-            for j, cj in v.items():
-                vec = table.get((i, j) if i <= j else (j, i), _EMPTY)
-                if vec is None:
-                    return None
-                if vec:
-                    sv_axpy(out, ci * cj, vec)
-        return out
+        return sv_bilinear(self._lookup, u, v)
 
     def phi_apply(self, vec):
         if vec is None:
@@ -102,11 +89,7 @@ class CommAlgebra:
             return False
         if (self.unit or {}) != (other.unit or {}):
             return False
-        keys = set(self.table) | set(other.table)
-        return all(
-            self.table.get(k, _EMPTY) == other.table.get(k, _EMPTY)
-            for k in keys
-        )
+        return self.table == other.table
 
     def __repr__(self):
         return f"CommAlgebra(dim={self.dim}, products={len(self.table)})"
@@ -243,45 +226,23 @@ class ModuleAction:
     def __init__(self, dim_a: int, dim_l: int, table: dict | None = None):
         self.dim_a = dim_a
         self.dim_l = dim_l
-        self.table: dict = {}
-        for (a, m), vec in (table or {}).items():
-            if not (0 <= a < dim_a and 0 <= m < dim_l):
-                raise ValueError(f"action key {(a, m)} out of range")
-            if vec is None:
-                self.table[(a, m)] = None
-            else:
-                vec = {p: c for p, c in vec.items() if c != 0}
-                if vec:
-                    self.table[(a, m)] = vec
+        self.table = sv_table(
+            table, lambda a, m: 0 <= a < dim_a and 0 <= m < dim_l, dim_l,
+            "action")
 
     def basis_act(self, a: int, m: int):
         return self.table.get((a, m), _EMPTY)
 
     def act(self, avec, lvec):
         """(sum a) * (sum x); None when any needed entry is missing."""
-        if avec is None or lvec is None:
-            return None
-        out: SVec = {}
-        table = self.table
-        for a, ca in avec.items():
-            for m, cm in lvec.items():
-                vec = table.get((a, m), _EMPTY)
-                if vec is None:
-                    return None
-                if vec:
-                    sv_axpy(out, ca * cm, vec)
-        return out
+        return sv_bilinear(self.table, avec, lvec)
 
     def __eq__(self, other):
         if not isinstance(other, ModuleAction):
             return NotImplemented
         if (self.dim_a, self.dim_l) != (other.dim_a, other.dim_l):
             return False
-        keys = set(self.table) | set(other.table)
-        return all(
-            self.table.get(k, _EMPTY) == other.table.get(k, _EMPTY)
-            for k in keys
-        )
+        return self.table == other.table
 
     def __repr__(self):
         return f"ModuleAction({self.dim_a} on {self.dim_l})"
@@ -324,11 +285,19 @@ class RinehartBundle:
 
 def check_anchor_derivations(B: RinehartBundle) -> CheckReport:
     """Every rho(e_i, e_j) lands in the twisted derivations of A."""
+    return check_rho_derivations(B.A, B.rho)
+
+
+def check_rho_derivations(A: CommAlgebra, rho: PairAction) -> CheckReport:
+    """hd1 and hd2 for every stored rho(e_i, e_j), merged into one report.
+
+    Witnesses carry the law they break and the pair they come from.
+    """
     rep = CheckReport("rho-derivation")
     hd1 = CheckReport("hd1")
     hd2 = CheckReport("hd2")
-    for (i, j), cols in sorted(B.rho.ops.items()):
-        _derivation_into(B.A, cols, hd1, hd2, (i, j))
+    for (i, j), cols in sorted(rho.ops.items()):
+        _derivation_into(A, cols, hd1, hd2, (i, j))
     for part in (hd1, hd2):
         rep.checked += part.checked
         rep.skipped += part.skipped
@@ -520,15 +489,16 @@ def check_full_rinehart(B: RinehartBundle) -> SuiteReport:
 
 
 class _IdentityContext:
-    __slots__ = ("B", "n", "m", "act_table", "alpha2", "phi2", "ab",
-                 "pr", "rho_ops", "prods")
+    __slots__ = ("B", "n", "m", "act", "prod", "alpha2", "phi2", "ab",
+                 "pr", "rho_ops")
 
     def __init__(self, B: RinehartBundle):
         self.B = B
         L, A = B.L, B.A
         self.n = L.n
         self.m = A.dim
-        self.act_table = B.act.table
+        self.act = B.act.act
+        self.prod = A.product
         acols = mat_columns_sv(L.alpha)
         self.alpha2 = op_compose(acols, acols)
         pc = A._phi_cols
@@ -548,20 +518,6 @@ class _IdentityContext:
         for (i, j), cols in B.rho.ops.items():
             self.rho_ops[(i, j)] = cols
             self.pr[(i, j)] = op_compose(pc, cols)
-        self.prods = A.table
-
-    def ab_at(self, i: int, j: int, k: int):
-        """(alpha[e_i,e_j,e_k], sign); (None, 0) for repeats."""
-        if i == j or j == k or i == k:
-            return _EMPTY, 0
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -sign
-        if j > k:
-            j, k, sign = k, j, -sign
-            if i > j:
-                i, j, sign = j, i, -sign
-        return self.ab[(i, j, k)], sign
 
     def op_at(self, table, i, j):
         if i == j:
@@ -570,30 +526,6 @@ class _IdentityContext:
             return table.get((i, j)), 1
         return table.get((j, i)), -1
 
-    def act_sv(self, avec: SVec, lvec: SVec):
-        """avec * lvec through the module action; None when missing."""
-        out: SVec = {}
-        table = self.act_table
-        for a, ca in avec.items():
-            for m, cm in lvec.items():
-                vec = table.get((a, m), _EMPTY)
-                if vec is None:
-                    return None
-                if vec:
-                    sv_axpy(out, ca * cm, vec)
-        return out
-
-    def prod_sv(self, u: SVec, v: SVec):
-        out: SVec = {}
-        table = self.prods
-        for i, ci in u.items():
-            for j, cj in v.items():
-                vec = table.get((i, j) if i <= j else (j, i), _EMPTY)
-                if vec is None:
-                    return None
-                if vec:
-                    sv_axpy(out, ci * cj, vec)
-        return out
 
 
 _HO1_TERMS = (
@@ -632,9 +564,10 @@ def _inner_sum(ctx: _IdentityContext, terms, xs, a: int):
         cols, sign = ctx.op_at(ctx.pr, xs[p], xs[q])
         if sign == 0:
             continue
-        bvec, bsign = ctx.ab_at(xs[r], xs[s], xs[t])
+        key, bsign = sort3(xs[r], xs[s], xs[t])
         if bsign == 0:
             continue
+        bvec = ctx.ab[key]
         if cols is None:
             # absent operator means the zero map, not a gap
             continue
@@ -643,7 +576,7 @@ def _inner_sum(ctx: _IdentityContext, terms, xs, a: int):
             return None
         if not avec or not bvec:
             continue
-        term = ctx.act_sv(avec, bvec)
+        term = ctx.act(avec, bvec)
         if term is None:
             return None
         sv_axpy(acc, sign * bsign, term)
@@ -677,7 +610,7 @@ def _check_ho_bracket(ctx: _IdentityContext, name: str, terms,
                                 rep.tick(m)
                                 continue
                             for b in range(m):
-                                out = ctx.act_sv(phi2[b], s)
+                                out = ctx.act(phi2[b], s)
                                 if out is None:
                                     rep.skip()
                                 elif out:
@@ -710,7 +643,7 @@ def _pair_product_sum(ctx: _IdentityContext, combos, xs, a: int, b: int):
             return None
         if not u or not v:
             continue
-        term = ctx.prod_sv(u, v)
+        term = ctx.prod(u, v)
         if term is None:
             return None
         sv_axpy(acc, 1, term)
@@ -730,7 +663,7 @@ def _act_on_alpha2(ctx: _IdentityContext, rep: CheckReport, u: SVec, xs,
         rep.tick(ctx.n)
         return
     for x5 in range(ctx.n):
-        out = ctx.act_sv(u, ctx.alpha2[x5])
+        out = ctx.act(u, ctx.alpha2[x5])
         if out is None:
             rep.skip()
         elif out:
@@ -762,19 +695,25 @@ def _check_ho4(ctx: _IdentityContext) -> CheckReport:
     return rep
 
 
-def _check_ho5(ctx: _IdentityContext) -> CheckReport:
-    rep = CheckReport("identity-5")
+def _check_ho_pairs(ctx: _IdentityContext, name: str, combos,
+                    x3_after_x2: bool, b_after_a: bool) -> CheckReport:
+    """ho5/ho6 shape: phi^2(c) phi(sum of pair products) on alpha^2 L.
+
+    The two flags are the enumeration each identity's proven symmetry
+    allows: x3 > x2 for identity 5, b > a for identity 6.
+    """
+    rep = CheckReport(name)
     n, m = ctx.n, ctx.m
     A = ctx.B.A
     phi2 = ctx.phi2
     for x1 in range(n):
         for x2 in range(x1 + 1, n):
-            for x3 in range(x2 + 1, n):
+            for x3 in range(x2 + 1 if x3_after_x2 else 0, n):
                 for x4 in range(n):
                     xs = (x1, x2, x3, x4)
                     for a in range(m):
-                        for b in range(m):
-                            s = _pair_product_sum(ctx, _HO5_COMBOS, xs, a, b)
+                        for b in range(a + 1 if b_after_a else 0, m):
+                            s = _pair_product_sum(ctx, combos, xs, a, b)
                             if s is None:
                                 rep.skip(n * m)
                                 continue
@@ -783,36 +722,7 @@ def _check_ho5(ctx: _IdentityContext) -> CheckReport:
                                 rep.tick(n * m)
                                 continue
                             for c in range(m):
-                                u = ctx.prod_sv(phi2[c], t)
-                                if u is None:
-                                    rep.skip(n)
-                                    continue
-                                _act_on_alpha2(ctx, rep, u, xs, a, b, c)
-    return rep
-
-
-def _check_ho6(ctx: _IdentityContext) -> CheckReport:
-    rep = CheckReport("identity-6")
-    n, m = ctx.n, ctx.m
-    A = ctx.B.A
-    phi2 = ctx.phi2
-    for x1 in range(n):
-        for x2 in range(x1 + 1, n):
-            for x3 in range(n):
-                for x4 in range(n):
-                    xs = (x1, x2, x3, x4)
-                    for a in range(m):
-                        for b in range(a + 1, m):
-                            s = _pair_product_sum(ctx, _HO6_COMBOS, xs, a, b)
-                            if s is None:
-                                rep.skip(n * m)
-                                continue
-                            t = A.phi_apply(s)
-                            if not t:
-                                rep.tick(n * m)
-                                continue
-                            for c in range(m):
-                                u = ctx.prod_sv(phi2[c], t)
+                                u = ctx.prod(phi2[c], t)
                                 if u is None:
                                     rep.skip(n)
                                     continue
@@ -829,8 +739,10 @@ def check_identity_suite(B: RinehartBundle) -> SuiteReport:
     suite.add(_check_ho_bracket(ctx, "identity-2", _HO2_TERMS, outer=True))
     suite.add(_check_ho_bracket(ctx, "identity-3", _HO3_TERMS, outer=True))
     suite.add(_check_ho4(ctx))
-    suite.add(_check_ho5(ctx))
-    suite.add(_check_ho6(ctx))
+    suite.add(_check_ho_pairs(ctx, "identity-5", _HO5_COMBOS,
+                              x3_after_x2=True, b_after_a=False))
+    suite.add(_check_ho_pairs(ctx, "identity-6", _HO6_COMBOS,
+                              x3_after_x2=False, b_after_a=True))
     return suite
 
 
@@ -918,7 +830,7 @@ def centers(B: RinehartBundle) -> dict:
 
     # annihilator of L inside A: rows indexed by usable (x, out-coord)
     usable_l = [x for x in range(n)
-                if all(act.table.get((a, x), _EMPTY) is not None
+                if all(act.basis_act(a, x) is not None
                        for a in range(m))]
     rows = []
     for x in usable_l:

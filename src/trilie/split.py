@@ -126,16 +126,15 @@ def pullback_root(form: RootForm, AH: MatrixQ, k: int) -> RootForm:
 class RootDecomposition:
     """H plus the graded pieces of L, all exact subspaces."""
 
-    __slots__ = ("H", "basis", "AH", "roots", "index", "zero", "residual_ok")
+    __slots__ = ("H", "basis", "AH", "roots", "index", "zero")
 
-    def __init__(self, H, basis, AH, roots, zero, residual_ok):
+    def __init__(self, H, basis, AH, roots, zero):
         self.H = H
         self.basis = basis
         self.AH = AH
         self.roots = tuple(roots)
         self.index = {form: space for form, space in self.roots}
         self.zero = zero
-        self.residual_ok = residual_ok
 
     @property
     def gamma(self):
@@ -276,7 +275,7 @@ def root_decompose(B: RinehartBundle, H: SubspaceQ) -> RootDecomposition:
                                      " root identity")
 
     graded.sort(key=lambda item: item[0].key())
-    return RootDecomposition(H, basis, AH, graded, zero, True)
+    return RootDecomposition(H, basis, AH, graded, zero)
 
 
 def _pairs_of(form: RootForm):

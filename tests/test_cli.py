@@ -270,6 +270,30 @@ def test_module_entry_point_runs():
     assert json.loads(proc.stdout)["name"] == "d4"
 
 
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_exits_quietly_without_a_verdict(tmp_path, buffered):
+    """A report that cannot be written is neither a pass (0) nor a
+    failure (1): main returns 141 and prints no traceback, whether the
+    write fails in print or in the flush of a buffered stdout."""
+    bundle = tmp_path / "d4.json"
+    bundle.write_text(dumps_bundle(d4_bundle()))
+    env = source_env(PYTHONUNBUFFERED="1")
+    if buffered:
+        del env["PYTHONUNBUFFERED"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "trilie", "decompose", str(bundle),
+             "--report", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert proc.stderr == ""
+
+
 def test_console_script_runs(tmp_path):
     """The declared console script, from a generated wrapper, no install."""
     tomllib = pytest.importorskip("tomllib")

@@ -21,13 +21,14 @@ from trilie.corpus import (
     _truncated_poly_algebra,
     d4_bundle,
     d4_structure,
+    tb_rinehart,
     tensor_family,
     toy_split,
     twist_family,
 )
-from trilie.exactq import MatrixQ, sv_axpy
+from trilie.exactq import MatrixQ, sv_axpy, sv_scale
 from trilie.repmod import PairAction
-from trilie.rinehart import check_full_rinehart
+from trilie.rinehart import check_full_rinehart, check_identity_suite
 
 
 def trunc(m, coeffs=(1,)):
@@ -71,6 +72,25 @@ def test_twist_family_outputs_pass_full_suite():
         assert check_full_rinehart(out).passed is True, seed
 
 
+def test_basis_swap_undoes_the_sign_twist():
+    """Swapping x z^i and y z^i in the (-Id)-twisted tb bundle gives back
+    the plain bracket table, with alpha = -Id and the anchor negated."""
+    tb = tb_rinehart(2)
+    n, m = tb.L.n, tb.A.dim
+    neg = MatrixQ.identity(n).scale(-1)
+    tw = twist(TwistInput(tb, neg, MatrixQ.identity(m)))
+    # basis order x, y, x z, y z, ...: partners differ in the lowest bit
+    swap = MatrixQ([[1 if c == r ^ 1 else 0 for c in range(n)]
+                    for r in range(n)])
+    out = change_basis(tw, swap)
+    assert out.L.sc == tb.L.sc
+    assert out.L.alpha == neg
+    negated = {key: [None if c is None else sv_scale(c, -1) for c in cols]
+               for key, cols in tb.rho.ops.items()}
+    assert out.rho == PairAction(n, m, negated)
+    assert out.act == tb.act
+
+
 def test_twist_composition_matches_composite():
     base = d4_bundle(1)
     a1 = MatrixQ.diagonal([-1, -1, 1, 1])
@@ -100,6 +120,30 @@ def test_tensor_refuses_shift_action_on_simple_algebra():
     assert failed & {"hr2", "hr3"}
     with pytest.raises(ConstructionError):
         tensor_extension(alg, A, rho)
+
+
+def test_tensor_with_euler_anchor():
+    """Abelian <u, v> over Q[z]/(z^4) with rho(u, v) = z d/dz, which
+    descends to the quotient (d/dz does not): every bracket comes from
+    the anchor term, as in [1 u, 1 v, z u] = rho(u, v)(z) u = z u."""
+    L = Hom3Lie(StructureConstants3(2, {}), MatrixQ.identity(2))
+    rho = PairAction(2, 4, {(0, 1): [{}, {1: 1}, {2: 2}, {3: 3}]})
+    A = trunc(4)
+    assert tensor_preconditions(L, A, rho).passed is True
+    G = tensor_extension(L, A, rho)
+    assert check_full_rinehart(G).passed is True
+    assert check_identity_suite(G).passed is True
+    # basis index a * dim L + x: 1 u, 1 v, z u are 0, 1, 2
+    assert G.L.sc.lookup(0, 1, 2) == ({2: 1}, 1)
+
+
+def test_tensor_of_d4_passes_full_and_identity_suites():
+    L = Hom3Lie(StructureConstants3(4, d4_structure()),
+                MatrixQ.identity(4).scale(-1))
+    G = tensor_extension(L, trunc(3), PairAction(4, 3, {}))
+    assert G.L.n == 12
+    assert check_full_rinehart(G).passed is True
+    assert check_identity_suite(G).passed is True
 
 
 def test_tensor_rejects_shape_mismatch():

@@ -14,7 +14,12 @@ from trilie.corpus import (
 from trilie.construct import tensor_extension
 from trilie.exactq import MatrixQ
 from trilie.rinehart import (
+    _HO1_TERMS,
+    _HO3_TERMS,
     CommAlgebra,
+    ModuleAction,
+    _check_ho_bracket,
+    _IdentityContext,
     centers,
     check_anchor_derivations,
     check_commutative_associative,
@@ -49,6 +54,13 @@ def test_broken_product_table_detected():
     assert rep.passed is False
 
 
+def test_tables_reject_out_of_range_output_coordinates():
+    with pytest.raises(ValueError):
+        CommAlgebra(2, {(0, 0): {5: 1}})
+    with pytest.raises(ValueError):
+        ModuleAction(1, 2, {(0, 0): {5: 1}})
+
+
 def test_scaled_euler_is_phi_derivation():
     A = trunc(3)
     good = check_phi_derivation(A, [{}, {1: 1}, {2: 2}])
@@ -76,6 +88,22 @@ def test_tb_bundle_passes_everything():
     assert check_full_rinehart(B).passed is True
     assert check_identity_suite(B).passed is True
     assert check_anchor_derivations(B).passed is True
+
+
+def test_printed_identity_indices_fail():
+    """Negative control: the paper prints (x2, x4, x1) as the last bracket
+    of identity 1 and the third of identity 3; with those term lists
+    tb-rinehart(2) fails, with the corrected ones it passes."""
+    ctx = _IdentityContext(tb_rinehart(2))
+    misprint = ((1, 4), (1, 3, 0))
+    printed1 = _HO1_TERMS[:5] + (misprint,)
+    printed3 = _HO3_TERMS[:2] + (misprint,) + _HO3_TERMS[3:]
+    for terms, printed, outer, failures in ((_HO1_TERMS, printed1, False, 27),
+                                            (_HO3_TERMS, printed3, True, 31)):
+        assert _check_ho_bracket(ctx, "ho", terms, outer).passed is True
+        rep = _check_ho_bracket(ctx, "ho", printed, outer)
+        assert rep.passed is False
+        assert rep.failure_count == failures
 
 
 def test_weak_full_separation():
