@@ -9,7 +9,9 @@ file and saving it again is byte-identical.
 Loading trusts nothing: shapes and index ranges are validated entry by
 entry, and every flag declared in the file is re-verified against the
 reconstructed bundle, including negative flags, which must fail their
-suite exactly as declared.
+suite exactly as declared.  The reports behind those verdicts stay on
+the loaded bundle (see `report.stored_on`): the suites run on it later
+reuse them rather than checking the same laws a second time.
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ connect PATH     connection classes of roots, or one src/dst query
 construct ...    twist or tensor-extend, writing the resulting bundle
 
 Exit codes: 0 every asserted property held, 1 at least one checked
-property failed, 2 input or validation error, 141 standard output was
-closed before the report was written (as in `trilie ... | head`), so
-no verdict was delivered.  Reports are emitted as
+property failed, 2 input or validation error, 3 internal error: a
+computed result broke an invariant the theory guarantees, which is a
+bug in trilie and says nothing about the input, 141 standard output
+was closed before the report was written (as in `trilie ... | head`),
+so no verdict was delivered.  Reports are emitted as
 canonical JSON (deterministic for identical inputs and seed) or
 human-readable text; timing lines appear only in text reports so the
 JSON form stays byte-stable.
@@ -35,7 +37,6 @@ from .bundleio import (
     BundleLoadError,
     dumps_bundle,
     load_bundle,
-    save_bundle,
 )
 from .construct import ConstructionError, TwistInput, tensor_extension, twist
 from .core3lie import check_hom_jacobi, check_multiplicative
@@ -53,6 +54,7 @@ from .rinehart import (
     check_weak_rinehart,
 )
 from .split import (
+    InternalError,
     SplitError,
     check_class_ideal_laws,
     check_thm1_properties,
@@ -68,6 +70,7 @@ from .split import (
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 EXIT_CLOSED_STDOUT = 141    # 128 + SIGPIPE, as a shell reports it
 
 # evaluated, reported, but never an assertion by themselves
@@ -244,10 +247,10 @@ def _core_suite(B: RinehartBundle) -> SuiteReport:
 
 
 def _rep_suite(B: RinehartBundle) -> SuiteReport:
-    suite = check_hom_rep(B.L, B.rep)
-    suite.add(check_hr4(B.L, B.rep))
-    suite.add(check_hr4_equivalence(B.L, B.rep))
-    return suite
+    hom_rep = check_hom_rep(B.L, B.rep)
+    return SuiteReport(hom_rep.name, [*hom_rep.checks,
+                                      check_hr4(B.L, B.rep),
+                                      check_hr4_equivalence(B.L, B.rep)])
 
 
 def _rinehart_suite(B: RinehartBundle):
@@ -607,6 +610,10 @@ def main(argv=None) -> int:
         # BundleLoadError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except InternalError as exc:
+        print(f"internal error (a bug in trilie, not in the input): {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .exactq import (
     sv_from_seq,
     sv_to_tuple,
 )
-from .report import CheckReport
+from .report import CheckReport, stored_on
 
 SVec = dict
 
@@ -124,9 +124,14 @@ class StructureConstants3:
 
 
 class Hom3Lie:
-    """A bracket table together with a linear twist map alpha."""
+    """A bracket table together with a linear twist map alpha.
 
-    __slots__ = ("sc", "alpha", "_alpha_cols")
+    The last three fields hold the reports of check_jacobi,
+    check_hom_jacobi and check_multiplicative once they have run.
+    """
+
+    __slots__ = ("sc", "alpha", "_alpha_cols",
+                 "_jacobi", "_hom_jacobi", "_multiplicative")
 
     def __init__(self, sc: StructureConstants3, alpha: MatrixQ):
         if alpha.nrows != sc.n or alpha.ncols != sc.n:
@@ -201,6 +206,7 @@ def ad(alg: Hom3Lie, x, y) -> MatrixQ:
 # -- axiom checkers ----------------------------------------------------
 
 
+@stored_on("_jacobi")
 def check_jacobi(alg: Hom3Lie) -> CheckReport:
     """Fundamental identity on all basis tuples x1<x2<x3, y2<y3.
 
@@ -251,6 +257,7 @@ def check_jacobi(alg: Hom3Lie) -> CheckReport:
     return rep
 
 
+@stored_on("_hom_jacobi")
 def check_hom_jacobi(alg: Hom3Lie) -> CheckReport:
     """Hom-Jacobi identity on all basis tuples x1<x2, x3<x4<x5.
 
@@ -324,6 +331,7 @@ def check_hom_jacobi(alg: Hom3Lie) -> CheckReport:
     return rep
 
 
+@stored_on("_multiplicative")
 def check_multiplicative(alg: Hom3Lie) -> CheckReport:
     """alpha([x,y,z]) = [alpha x, alpha y, alpha z] on basis triples."""
     rep = CheckReport("multiplicative")

@@ -365,26 +365,18 @@ def d4_bundle(window: int = 2) -> RinehartBundle:
                           meta={"window": K, "flags": flags})
 
 
-def _toy_factor_over(A: CommAlgebra, K: int, a_offset: int, a_span: int,
-                     tag: str) -> RinehartBundle:
-    """The window-K toy bundle acting through one factor of a product
-    algebra.
-
-    Basis indices a_offset..a_offset+a_span-1 of A are 1, e^{z},
-    e^{-z}, ... of this factor; the other factor multiplies to zero on
-    this summand.
-    """
-    l_polys, a_polys = _exp_bases(K)
-    lb, ab = _Basis(l_polys), _Basis(a_polys)
-    n = len(lb)
-    alg = Hom3Lie(_bracket_table(lb), MatrixQ.identity(n))
-
+def _toy_factor_over(A: CommAlgebra, alg: Hom3Lie, lb: _Basis,
+                     ab: _Basis, a_offset: int, tag: str) -> RinehartBundle:
+    """The toy bundle on alg acting through one factor of the product
+    algebra A: basis indices a_offset.. of A are the basis ab of this
+    factor, and the other factor multiplies to zero on this summand."""
+    n, span = len(lb), len(ab)
     ops = {}
     for i, j in combinations(range(n), 2):
         cols = []
         for a in range(A.dim):
             local = a - a_offset
-            if not 0 <= local < a_span:
+            if not 0 <= local < span:
                 cols.append({})
                 continue
             val = jacobian_bracket(lb.polys[i], lb.polys[j],
@@ -399,7 +391,7 @@ def _toy_factor_over(A: CommAlgebra, K: int, a_offset: int, a_span: int,
     act_table = {}
     for a in range(A.dim):
         local = a - a_offset
-        if not 0 <= local < a_span:
+        if not 0 <= local < span:
             continue
         for x in range(n):
             vec = lb.coords(ab.polys[local] * lb.polys[x])
@@ -410,20 +402,22 @@ def _toy_factor_over(A: CommAlgebra, K: int, a_offset: int, a_span: int,
                           L_labels=tuple(f"{s}{tag}" for s in lb.labels))
 
 
-def two_block(window: int = 1) -> RinehartBundle:
-    """Two window-K toy blocks over the product of their coefficient
-    algebras.
+def two_block_factors(window: int = 1
+                      ) -> tuple[RinehartBundle, RinehartBundle]:
+    """The two blocks of two-block: window-K toy bundles over the
+    product A = A1 x A2 of their coefficient algebras.
 
-    A = A1 x A2 with componentwise product and unit (1, 1); block j
-    acts through factor j only, so the annihilator of the action is
-    zero and the split of the sum must recover the blocks.
+    A has the componentwise product and unit (1, 1).  Its basis is 1,
+    e^{z}, e^{-z}, ..., e^{-Kz} of the first factor, then the same of
+    the second; block j acts through factor j only, so the annihilator
+    of the action of A on the sum of the blocks is zero.
     """
     K = _check_bounds(window, MAX_WINDOW, "window")
     if K < 1:
         raise ValueError("two-block needs window >= 1")
-    span = 1 + 2 * K
-    _, a_polys = _exp_bases(K)
-    ab = _Basis(a_polys)
+    l_polys, a_polys = _exp_bases(K)
+    lb, ab = _Basis(l_polys), _Basis(a_polys)
+    span = len(ab)
     m = 2 * span
     prod = {}
     for offset in (0, span):
@@ -436,16 +430,22 @@ def two_block(window: int = 1) -> RinehartBundle:
                 else:
                     prod[key] = {p + offset: c for p, c in vec.items()}
     A = CommAlgebra(m, prod, MatrixQ.identity(m), {0: 1, span: 1})
+    alg = Hom3Lie(_bracket_table(lb), MatrixQ.identity(len(lb)))
+    return (_toy_factor_over(A, alg, lb, ab, 0, "'"),
+            _toy_factor_over(A, alg, lb, ab, span, "''"))
 
-    B1 = _toy_factor_over(A, K, 0, span, "'")
-    B2 = _toy_factor_over(A, K, span, span, "''")
+
+def two_block(window: int = 1) -> RinehartBundle:
+    """The direct sum of the two blocks of `two_block_factors`; the
+    split of the sum must recover the blocks."""
+    B1, B2 = two_block_factors(window)
     B = bundle_direct_sum(B1, B2, name="two-block")
     n1 = B1.L.n
     n = B.L.n
     h_rows = []
     for r in (0, 1, n1, n1 + 1):
         h_rows.append([1 if c == r else 0 for c in range(n)])
-    B.meta.update({"window": K, "H": h_rows,
+    B.meta.update({"window": int(window), "H": h_rows,
                    "A_labels_note": "factor one then factor two",
                    "flags": {"jacobi": True, "hom_jacobi": True,
                              "multiplicative": True,

@@ -12,7 +12,7 @@ Fraction arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterable, Sequence
 
 Q = int | Fraction

@@ -17,11 +17,10 @@ from .exactq import (
     kernel_basis,
     mat_columns_sv,
     sv_axpy,
-    sv_from_seq,
     sv_scale,
 )
 from .core3lie import Hom3Lie
-from .report import CheckReport, SuiteReport
+from .report import CheckReport, SuiteReport, stored_on
 
 SVec = dict
 
@@ -152,9 +151,13 @@ class PairAction:
 
 
 class HomRepresentation:
-    """A pair action together with the module twist phi."""
+    """A pair action together with the module twist phi.
 
-    __slots__ = ("action", "phi", "_phi_cols")
+    `_hom_rep` and `_hr4` hold the reports of check_hom_rep and
+    check_hr4 once they have run, with the algebra they ran against.
+    """
+
+    __slots__ = ("action", "phi", "_phi_cols", "_hom_rep", "_hr4")
 
     def __init__(self, action: PairAction, phi: MatrixQ):
         if phi.nrows != action.dim_v or phi.ncols != action.dim_v:
@@ -273,6 +276,7 @@ def _ra(table: dict, i: int, j: int):
     return table[(j, i)], -1
 
 
+@stored_on("_hom_rep", owner=1)
 def check_hom_rep(alg: Hom3Lie, rep: HomRepresentation) -> SuiteReport:
     """hr1 on basis pairs, hr2 and hr3 on basis 4-tuples."""
     act = rep.action
@@ -345,6 +349,7 @@ def check_hom_rep(alg: Hom3Lie, rep: HomRepresentation) -> SuiteReport:
     return SuiteReport("hom-rep", [r1, r2, r3])
 
 
+@stored_on("_hr4", owner=1)
 def check_hr4(alg: Hom3Lie, rep: HomRepresentation) -> CheckReport:
     """The symmetric six-term identity equivalent to hr3 under hr2:
 

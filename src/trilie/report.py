@@ -5,10 +5,21 @@ the caller gets the number of instances checked, the number skipped because a
 table entry was missing, and a capped list of concrete counterexamples. A
 check whose status is None was not run (its precondition failed); the report
 says why.
+
+A report is computed once per checked object and shared from then on.
+The checks decorated with `stored_on` keep their report in a field of
+the object they check, and every later call on that object returns the
+same report, so the flag check on load, the command line suites and
+the flags written after a construction all reuse one verdict.  This is
+sound because bundles, algebras and representations are never changed
+after construction.  A report is never mutated after it is returned:
+a caller that wants another name or more checks builds a new report
+(`dataclasses.replace`, or a new SuiteReport over `list(suite.checks)`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 MAX_FAILURES = 5
@@ -112,3 +123,28 @@ class SuiteReport:
         lines = [f"suite {self.name}: {'pass' if self.passed else 'FAIL'}"]
         lines.extend("  " + c.line() for c in self.checks)
         return "\n".join(lines)
+
+
+def stored_on(slot: str, owner: int = 0):
+    """Compute a check once per object: keep its report in `slot`.
+
+    `slot` is a `__slots__` field of the check's argument at position
+    `owner`; it is unset until the first call.  The report is stored
+    with the other arguments and reused while they are the same
+    objects, so a check of two objects (an algebra and a
+    representation of it) is recomputed only for a new partner.
+    """
+    def decorate(check):
+        @functools.wraps(check)
+        def stored(*args):
+            obj = args[owner]
+            others = args[:owner] + args[owner + 1:]
+            hit = getattr(obj, slot, None)
+            if hit is not None and all(
+                    a is b for a, b in zip(hit[0], others)):
+                return hit[1]
+            report = check(*args)
+            setattr(obj, slot, (others, report))
+            return report
+        return stored
+    return decorate

@@ -37,10 +37,9 @@ from .repmod import (
     kernel_of_rep,
     op_apply,
     op_compose,
-    op_zero,
     _rho_on_vec_left,
 )
-from .report import MAX_FAILURES, CheckReport, SuiteReport
+from .report import MAX_FAILURES, CheckReport, SuiteReport, stored_on
 
 
 class CommAlgebra:
@@ -249,10 +248,16 @@ class ModuleAction:
 
 
 class RinehartBundle:
-    """All the data of a (candidate) Hom 3-Lie-Rinehart algebra."""
+    """All the data of a (candidate) Hom 3-Lie-Rinehart algebra.
 
-    __slots__ = ("L", "A", "rho", "act", "name", "L_labels", "A_labels",
-                 "meta")
+    rep is the Hom representation (rho, phi), built once so that its
+    stored reports are shared by every suite.  The last three fields
+    hold the reports of check_anchor_derivations, check_weak_rinehart
+    and check_full_rinehart once they have run.
+    """
+
+    __slots__ = ("L", "A", "rho", "act", "rep", "name", "L_labels",
+                 "A_labels", "meta", "_anchor", "_weak", "_full")
 
     def __init__(self, L: Hom3Lie, A: CommAlgebra, rho: PairAction,
                  act: ModuleAction, name: str = "",
@@ -265,6 +270,7 @@ class RinehartBundle:
         self.A = A
         self.rho = rho
         self.act = act
+        self.rep = HomRepresentation(rho, A.phi)
         self.name = name
         self.L_labels = tuple(L_labels) if L_labels else tuple(
             f"e{m}" for m in range(L.n))
@@ -274,15 +280,12 @@ class RinehartBundle:
         if len(self.L_labels) != L.n or len(self.A_labels) != A.dim:
             raise ValueError("label count mismatch")
 
-    @property
-    def rep(self) -> HomRepresentation:
-        return HomRepresentation(self.rho, self.A.phi)
-
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"RinehartBundle(dim L={self.L.n}, dim A={self.A.dim}{tag})"
 
 
+@stored_on("_anchor")
 def check_anchor_derivations(B: RinehartBundle) -> CheckReport:
     """Every rho(e_i, e_j) lands in the twisted derivations of A."""
     return check_rho_derivations(B.A, B.rho)
@@ -405,6 +408,7 @@ def check_bracket_action_leibniz(B: RinehartBundle) -> CheckReport:
     return rep
 
 
+@stored_on("_weak")
 def check_weak_rinehart(B: RinehartBundle) -> SuiteReport:
     """The weak Hom 3-Lie-Rinehart axiom suite."""
     suite = SuiteReport("weak-rinehart")
@@ -468,11 +472,12 @@ def check_action_rho_compat(B: RinehartBundle) -> CheckReport:
     return rep
 
 
+@stored_on("_full")
 def check_full_rinehart(B: RinehartBundle) -> SuiteReport:
     """Weak suite plus the A-linearity of the anchor."""
-    suite = check_weak_rinehart(B)
-    suite.name = "full-rinehart"
-    if suite.passed:
+    weak = check_weak_rinehart(B)
+    suite = SuiteReport("full-rinehart", list(weak.checks))
+    if weak.passed:
         suite.add(check_action_rho_compat(B))
     else:
         blocked = CheckReport("action-rho-compat")

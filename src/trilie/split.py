@@ -10,7 +10,10 @@ the two direct-sum theorems, and the weight-side mirror.
 
 All arithmetic is exact.  Failure to split over Q is reported, never
 patched: the decomposition either exhausts the space with rational
-eigenvalues or raises SplitError with the failing condition.
+eigenvalues or raises SplitError with the failing condition.  A
+computed result that breaks an invariant the theory guarantees (an
+eigenvector off its eigenvalue, a connection relation that is not an
+equivalence) raises InternalError: that is a bug here, not bad input.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .core3lie import ad, center as bracket_center
 from .exactq import (
     MatrixQ,
     SubspaceQ,
-    SVec,
     eigenspace,
     qstr,
     rational_spectrum,
@@ -43,6 +45,14 @@ class SplitError(ValueError):
         super().__init__(code if not detail else f"{code}: {detail}")
         self.code = code
         self.detail = detail
+
+
+class InternalError(Exception):
+    """A result the kernel has just computed breaks a proven invariant.
+
+    This is a bug in trilie, never a property of the input, so it is
+    deliberately not a ValueError: no input-error handler catches it.
+    """
 
 
 # -- roots and weights as bilinear forms --------------------------------
@@ -271,8 +281,8 @@ def root_decompose(B: RinehartBundle, H: SubspaceQ) -> RootDecomposition:
                         "bracket window leaves [H,H,L_gamma] undetermined")
                 want = tuple(lam * c for c in image)
                 if sv_to_tuple(got, n) != want:
-                    raise ValueError("internal: eigenvector fails the"
-                                     " root identity")
+                    raise InternalError("eigenvector fails the"
+                                        " root identity")
 
     graded.sort(key=lambda item: item[0].key())
     return RootDecomposition(H, basis, AH, graded, zero)
@@ -324,8 +334,8 @@ def weight_decompose(B: RinehartBundle, H: SubspaceQ) -> WeightDecomposition:
                 got = op_apply(B.rho.bilinear(svs[a], svs[b]), vs)
                 want = tuple(lam * c for c in image)
                 if sv_to_tuple(got, m) != want:
-                    raise ValueError("internal: weight vector fails the"
-                                     " weight identity")
+                    raise InternalError("weight vector fails the"
+                                        " weight identity")
 
     weights.sort(key=lambda item: item[0].key())
     return WeightDecomposition(H, basis, AH, weights, zero)
@@ -611,17 +621,18 @@ def _partition(forms, gamma, lam, AH) -> RootClassPartition:
             for i in range(n)]
     for i in range(n):
         if not conn[i][i]:
-            raise ValueError("connection relation is not reflexive")
+            raise InternalError("connection relation is not reflexive")
         for j in range(n):
             if conn[i][j] != conn[j][i]:
-                raise ValueError("connection relation is not symmetric")
+                raise InternalError("connection relation is not symmetric")
     for i in range(n):
         for j in range(n):
             if not conn[i][j]:
                 continue
             for k in range(n):
                 if conn[j][k] and not conn[i][k]:
-                    raise ValueError("connection relation is not transitive")
+                    raise InternalError(
+                        "connection relation is not transitive")
     assigned = [-1] * n
     classes = []
     for i in range(n):
@@ -706,11 +717,11 @@ def class_ideal(B: RinehartBundle, dec: RootDecomposition,
     n = B.L.n
     zero_part = SubspaceQ(n, _zero_part_vectors(B, dec, wdec, roots))
     if not dec.H.contains_space(zero_part):
-        raise ValueError("internal: class zero part escapes H")
+        raise InternalError("class zero part escapes H")
     graded = SubspaceQ.sum_of([dec.index[f] for f in roots], n)
     space = zero_part.sum_with(graded)
     if space.dim != zero_part.dim + graded.dim:
-        raise ValueError("internal: class zero part meets the graded part")
+        raise InternalError("class zero part meets the graded part")
     return ClassIdeal(roots, zero_part, graded, space)
 
 
@@ -842,7 +853,7 @@ def direct_sum_decompose(B: RinehartBundle, dec: RootDecomposition,
     c2 = suite.add(CheckReport("H-generated"))
     gen = SubspaceQ(n, _zero_part_vectors(B, dec, wdec, list(dec.gamma)))
     if not dec.H.contains_space(gen):
-        raise ValueError("internal: generated space escapes H")
+        raise InternalError("generated space escapes H")
     c2.tick()
     if gen != dec.H:
         missing = [v for v in dec.H.basis if not gen.contains(v)]
@@ -1081,7 +1092,7 @@ def weight_class_decompose(B: RinehartBundle, dec: RootDecomposition,
             inside.record({"class": [f.key() for f in cls]})
         total = zero_part.sum_with(graded)
         if total.dim != zero_part.dim + graded.dim:
-            raise ValueError("internal: weight class sum is not direct")
+            raise InternalError("weight class sum is not direct")
         spaces.append(total)
 
     annih = suite.add(CheckReport("classes-annihilate"))

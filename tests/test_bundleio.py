@@ -1,17 +1,26 @@
 """Bundle serialization: canonical emission, strict loading."""
 
+import argparse
 import copy
 import json
 
 import pytest
 
+from trilie import cli, rinehart
 from trilie.bundleio import (
     BundleLoadError,
     bundle_to_obj,
     dumps_bundle,
+    load_bundle,
     loads_bundle,
 )
-from trilie.corpus import CORPUS_NAMES, generate, toy_split, tprime_split
+from trilie.core3lie import (
+    check_hom_jacobi,
+    check_jacobi,
+    check_multiplicative,
+)
+from trilie.corpus import generate, jacobian_weak, toy_split, tprime_split
+from trilie.repmod import check_hom_rep, check_hr4
 
 
 def reload_obj(obj):
@@ -146,3 +155,61 @@ def test_windowed_round_trip_preserves_missing():
     missing_actions = {k for k, v in B.act.table.items() if v is None}
     missing_actions2 = {k for k, v in B2.act.table.items() if v is None}
     assert missing_actions == missing_actions2
+
+
+# -- each law once per bundle ----------------------------------------------
+
+
+def stored_reports(B):
+    """Every report a bundle and its parts keep once computed."""
+    return {
+        "jacobi": check_jacobi(B.L),
+        "hom-jacobi": check_hom_jacobi(B.L),
+        "multiplicative": check_multiplicative(B.L),
+        "hom-rep": check_hom_rep(B.L, B.rep),
+        "hr4": check_hr4(B.L, B.rep),
+        "anchor": rinehart.check_anchor_derivations(B),
+        "weak": rinehart.check_weak_rinehart(B),
+        "full": rinehart.check_full_rinehart(B),
+    }
+
+
+def test_load_and_rinehart_suite_run_each_law_once(tmp_path, monkeypatch):
+    path = tmp_path / "jw2.json"
+    path.write_text(dumps_bundle(jacobian_weak(2)))
+    runs = []
+    body = rinehart.check_bracket_action_leibniz
+
+    def counted(B):
+        runs.append(B)
+        return body(B)
+
+    monkeypatch.setattr(rinehart, "check_bracket_action_leibniz", counted)
+    B = load_bundle(str(path))      # verifies weak_rinehart, full_rinehart
+    weak, full, anchor = cli._rinehart_suite(B)
+    assert len(runs) == 1
+    assert weak.passed is True and full.passed is False
+    assert anchor.checks == [rinehart.check_anchor_derivations(B)]
+
+
+@pytest.mark.parametrize("name", ("jacobian-weak", "tb-rinehart", "d4",
+                                  "two-block"))
+def test_warm_reports_equal_fresh_ones(name, tmp_path):
+    """Reports reused by the flag check, every suite and the flags of a
+    written bundle are the ones a cold bundle computes."""
+    params = {"degree_cap": 2} if name in ("jacobian-weak",
+                                           "tb-rinehart") else {}
+    text = dumps_bundle(generate(name, **params))
+    warm = loads_bundle(text)
+    cli._core_suite(warm)
+    cli._rep_suite(warm)
+    cli._rinehart_suite(warm)
+    args = argparse.Namespace(output=str(tmp_path / "out.json"),
+                              report="json")
+    assert cli._write_result(args, warm) == 0
+    hot = stored_reports(warm)
+    assert all(hot[key] is again
+               for key, again in stored_reports(warm).items())
+    cold = stored_reports(loads_bundle(text, verify=False))
+    for key, report in hot.items():
+        assert report.to_dict() == cold[key].to_dict(), key

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from trilie import split
 from trilie.bundleio import dumps_bundle, load_bundle
 from trilie.cli import main
 from trilie.corpus import d4_bundle
@@ -167,6 +168,22 @@ def test_connect_classes_and_query(tmp_path, capsys):
     assert code == 2 and "--src and --dst" in err
     code, _, err = run(capsys, "connect", path, "--src", "0", "--dst", "99")
     assert code == 2 and "out of range" in err
+
+
+def test_broken_invariant_is_an_internal_error_not_an_input_error(
+        tmp_path, capsys, monkeypatch):
+    path = corpus_file(tmp_path, capsys, "d4")
+    # a connection search that reaches nothing breaks reflexivity
+    monkeypatch.setattr(split, "_connect_search", lambda *args: set())
+    code, out, err = run(capsys, "decompose", path, "--report", "json")
+    assert code == 3 and out == ""
+    assert "internal error" in err and "not reflexive" in err
+    assert not issubclass(split.InternalError, ValueError)
+
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"format_version": "1", "L": {"dim": 0}}')
+    code, _, err = run(capsys, "decompose", str(malformed))
+    assert code == 2 and "L.dim" in err
 
 
 # -- construct ---------------------------------------------------------------

@@ -1,9 +1,6 @@
 """Structure-constant brackets, twisted Jacobi checks, centers."""
 
 import itertools
-import random
-
-import pytest
 
 from trilie.core3lie import (
     Hom3Lie,
@@ -21,7 +18,7 @@ from trilie.core3lie import (
     sort3,
 )
 from trilie.corpus import d4_structure, toy_split
-from trilie.exactq import MatrixQ, SubspaceQ, sv_to_tuple
+from trilie.exactq import MatrixQ, SubspaceQ
 
 
 def d4():

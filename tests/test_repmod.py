@@ -5,7 +5,7 @@ from itertools import combinations
 
 from trilie.core3lie import Hom3Lie, StructureConstants3, ad_columns
 from trilie.corpus import d4_structure, rep_family
-from trilie.exactq import MatrixQ, mat_apply_sv, sv_to_tuple
+from trilie.exactq import MatrixQ, sv_to_tuple
 from trilie.repmod import (
     HomRepresentation,
     PairAction,

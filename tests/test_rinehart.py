@@ -12,7 +12,9 @@ from trilie.corpus import (
     tprime_split,
 )
 from trilie.construct import tensor_extension
+from trilie.core3lie import Hom3Lie
 from trilie.exactq import MatrixQ
+from trilie.repmod import check_hom_rep
 from trilie.rinehart import (
     _HO1_TERMS,
     _HO3_TERMS,
@@ -30,7 +32,6 @@ from trilie.rinehart import (
     check_unit,
     check_weak_rinehart,
     ker_rho_ideal,
-    rinehart_ideal_check,
 )
 
 
@@ -114,6 +115,29 @@ def test_weak_full_separation():
     compat = full.find("action-rho-compat")
     assert compat.passed is False
     assert compat.failures[0]["leg"].startswith("rho(a*x,y)")
+
+
+def test_full_suite_leaves_the_stored_weak_suite_alone():
+    B = jacobian_weak(2)
+    full = check_full_rinehart(B)
+    weak = check_weak_rinehart(B)
+    assert full.name == "full-rinehart"
+    assert weak.name == "weak-rinehart"
+    assert "action-rho-compat" not in [c.name for c in weak.checks]
+    assert full.checks[:-1] == weak.checks
+    assert check_weak_rinehart(B) is weak
+    assert check_full_rinehart(B) is full
+
+
+def test_representation_reports_are_kept_per_algebra():
+    """check_hom_rep stores its report on the representation together
+    with the algebra it ran against; another algebra is checked anew."""
+    B = tb_rinehart(1)
+    doubled = Hom3Lie(B.L.sc, MatrixQ.diagonal([2] * B.L.n))
+    first = check_hom_rep(B.L, B.rep)
+    assert first.passed is True
+    assert check_hom_rep(doubled, B.rep).find("hr1").passed is False
+    assert check_hom_rep(B.L, B.rep).passed is True
 
 
 def test_weak_witness_is_the_scaling_defect():

@@ -11,18 +11,16 @@ import pytest
 
 from trilie.core3lie import Hom3Lie, StructureConstants3
 from trilie.corpus import (
-    _toy_factor_over,
-    _Basis,
-    ONE,
     d4_bundle,
     d4_structure,
     tb_rinehart,
     toy_split,
     tprime_split,
     two_block,
+    two_block_factors,
 )
 from trilie.exactq import MatrixQ, SubspaceQ
-from trilie.rinehart import CommAlgebra, RinehartBundle
+from trilie.rinehart import RinehartBundle
 from trilie.split import (
     RootForm,
     SplitError,
@@ -41,7 +39,6 @@ from trilie.split import (
     weight_decompose,
     zero_form,
 )
-from trilie.symfun import ExpPoly
 
 
 def h_space(B):
@@ -431,22 +428,7 @@ def test_direct_sum_vs_split_on_a_twin():
 
 
 def test_direct_sum_vs_split_recovers_two_block():
-    K, span = 1, 3
-    a_polys = [ONE] + [ExpPoly.exp(s) for k in range(1, K + 1)
-                       for s in (k, -k)]
-    ab = _Basis(a_polys)
-    prod = {}
-    for offset in (0, span):
-        for i in range(span):
-            for j in range(i, span):
-                vec = ab.coords(a_polys[i] * a_polys[j])
-                key = (i + offset, j + offset)
-                prod[key] = None if vec is None else {
-                    p + offset: c for p, c in vec.items()}
-    A = CommAlgebra(2 * span, prod, MatrixQ.identity(2 * span),
-                    {0: 1, span: 1})
-    F1 = _toy_factor_over(A, K, 0, span, "'")
-    F2 = _toy_factor_over(A, K, span, span, "''")
+    F1, F2 = two_block_factors(1)
     H = SubspaceQ(F1.L.n, [unit(F1.L.n, 0), unit(F1.L.n, 1)])
     suite, BB, dec, wdec = direct_sum_vs_split(F1, H, F2, H,
                                                name="two-block")
