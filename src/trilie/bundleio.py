@@ -120,11 +120,6 @@ def dumps_bundle(B: RinehartBundle) -> str:
                       separators=(",", ":")) + "\n"
 
 
-def save_bundle(B: RinehartBundle, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_bundle(B))
-
-
 # -- decoding -------------------------------------------------------------
 
 

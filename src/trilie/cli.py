@@ -426,9 +426,10 @@ def cmd_connect(args) -> int:
                                f"0..{len(dec.gamma) - 1}")
         src, dst = dec.gamma[args.src], dec.gamma[args.dst]
         ok, chain = connected(dec.gamma, wdec.lam, dec.AH, src, dst)
+        chain = chain or []  # None when dst is in another class
         valid = (connection_chain_valid(chain, dec.gamma, wdec.lam,
                                         dec.AH, src, dst)
-                 if ok and chain else ok)
+                 if chain else ok)
         obj = {"command": "connect", "bundle": B.name,
                "src": args.src, "dst": args.dst, "connected": ok,
                "chain": [_form_obj(f) for f in chain],

@@ -20,6 +20,7 @@ from .exactq import (
     SubspaceQ,
     mat_apply_sv,
     mat_columns_sv,
+    mat_from_columns_sv,
     qnorm,
     sv_axpy,
     sv_from_seq,
@@ -199,8 +200,7 @@ def ad(alg: Hom3Lie, x, y) -> MatrixQ:
     cols = ad_columns(alg, x, y)
     if any(c is None for c in cols):
         raise ValueError("ad matrix not determined: bracket window too small")
-    rows = [[cols[j].get(i, 0) for j in range(alg.n)] for i in range(alg.n)]
-    return MatrixQ(rows)
+    return mat_from_columns_sv(cols, alg.n)
 
 
 # -- axiom checkers ----------------------------------------------------

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .construct import TwistInput, bundle_direct_sum
 from .core3lie import Hom3Lie, StructureConstants3
-from .exactq import MatrixQ, qnorm
+from .exactq import MatrixQ, mat_from_columns_sv, qnorm
 from .repmod import PairAction
 from .rinehart import CommAlgebra, ModuleAction, RinehartBundle
 from .symfun import ONE, X, Y, ExpPoly, jacobian_bracket
@@ -504,8 +504,7 @@ def _phi_matrix(m: int, coeffs) -> MatrixQ:
                     nxt[p + q] = nxt.get(p + q, 0) + cp * cq
         power = {k: qnorm(v) for k, v in nxt.items() if v != 0}
         cols.append(dict(power))
-    rows = [[cols[j].get(i, 0) for j in range(m)] for i in range(m)]
-    return MatrixQ(rows)
+    return mat_from_columns_sv(cols, m)
 
 
 def twist_family(seed: int):

@@ -54,12 +54,6 @@ def qstr(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def qjson(x):
-    """JSON form: bare int when integral, "p/q" string otherwise."""
-    x = qnorm(x)
-    return x if isinstance(x, int) else qstr(x)
-
-
 # vectors are plain tuples of scalars
 
 def vadd(u, v):
@@ -546,6 +540,11 @@ def mat_columns_sv(mat: "MatrixQ") -> list:
             if coeff != 0:
                 cols[j][i] = coeff
     return cols
+
+
+def mat_from_columns_sv(cols: list, n: int) -> "MatrixQ":
+    """The n x n matrix whose j-th column is the sparse vector cols[j]."""
+    return MatrixQ([[cols[j].get(i, 0) for j in range(n)] for i in range(n)])
 
 
 def mat_apply_sv(cols: list, vec: dict) -> dict:

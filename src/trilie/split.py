@@ -10,7 +10,9 @@ the two direct-sum theorems, and the weight-side mirror.
 
 All arithmetic is exact.  Failure to split over Q is reported, never
 patched: the decomposition either exhausts the space with rational
-eigenvalues or raises SplitError with the failing condition.  A
+eigenvalues or raises SplitError with the failing condition, which
+includes a twist that is not invertible and a window that leaves an
+operator of H undetermined.  A
 computed result that breaks an invariant the theory guarantees (an
 eigenvector off its eigenvalue, a connection relation that is not an
 equivalence) raises InternalError: that is a bug here, not bad input.
@@ -21,16 +23,19 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations, combinations_with_replacement
 
-from .core3lie import ad, center as bracket_center
+from .core3lie import ad_columns, center as bracket_center
 from .exactq import (
     MatrixQ,
     SubspaceQ,
     eigenspace,
+    mat_from_columns_sv,
     qstr,
     rational_spectrum,
     sv_from_seq,
     sv_to_tuple,
+    vadd,
     viszero,
+    vsub,
 )
 from .report import CheckReport, SuiteReport
 from .repmod import op_apply
@@ -189,11 +194,13 @@ def _h_frame(B: RinehartBundle, H: SubspaceQ):
     for i, j, k in combinations_with_replacement(range(H.dim), 3):
         vec = B.L.sc.trilinear(svs[i], svs[j], svs[k])
         if vec is None:
-            raise ValueError("bracket window leaves [H,H,H] undetermined")
+            raise SplitError("bracket window too small",
+                             f"[H,H,H] undetermined at basis triple"
+                             f" {(i, j, k)}")
         if vec:
             raise SplitError("not abelian", f"basis triple {(i, j, k)}")
     if not B.L.alpha.is_invertible():
-        raise ValueError("alpha is not invertible")
+        raise SplitError("alpha not invertible")
     cols = []
     for v in basis:
         img = B.L.alpha.apply(v)
@@ -248,7 +255,11 @@ def root_decompose(B: RinehartBundle, H: SubspaceQ) -> RootDecomposition:
     alpha_inv = B.L.alpha.inverse()
     operators = []
     for a, b in combinations(range(h), 2):
-        operators.append(((a, b), alpha_inv @ ad(B.L, svs[a], svs[b])))
+        cols = ad_columns(B.L, svs[a], svs[b])
+        if any(c is None for c in cols):
+            raise SplitError("bracket window too small",
+                             f"ad(h_{a}, h_{b}) undetermined")
+        operators.append(((a, b), alpha_inv @ mat_from_columns_sv(cols, n)))
 
     cands = _simultaneous_eigenspaces(operators, n)
     total = sum(space.dim for space, _ in cands)
@@ -300,16 +311,16 @@ def weight_decompose(B: RinehartBundle, H: SubspaceQ) -> WeightDecomposition:
     basis, AH = _h_frame(B, H)
     m, h = B.A.dim, H.dim
     if not B.A.phi.is_invertible():
-        raise ValueError("phi is not invertible")
+        raise SplitError("phi not invertible")
     svs = [sv_from_seq(v) for v in basis]
     phi_inv = B.A.phi.inverse()
     operators = []
     for a, b in combinations(range(h), 2):
         cols = B.rho.bilinear(svs[a], svs[b])
         if any(c is None for c in cols):
-            raise ValueError("anchor window leaves rho(H,H) undetermined")
-        rows = [[cols[j].get(i, 0) for j in range(m)] for i in range(m)]
-        operators.append(((a, b), phi_inv @ MatrixQ(rows)))
+            raise SplitError("anchor window too small",
+                             f"rho(h_{a}, h_{b}) undetermined")
+        operators.append(((a, b), phi_inv @ mat_from_columns_sv(cols, m)))
 
     cands = _simultaneous_eigenspaces(operators, m)
     total = sum(space.dim for space, _ in cands)
@@ -476,57 +487,97 @@ def _alphabet(gamma, lam, h: int):
     return sorted(forms, key=lambda f: f.key())
 
 
-def _connect_search(states, gamma, lam, AH, src, dst=None):
-    """BFS over +-states from the orbit of src.
+class _StateTable:
+    """The finite state table of one connection search.
 
-    A transition from delta by an unordered pair (mu, beta) of letters
-    goes to (delta + mu + beta)(alpha^{-1}, alpha^{-1}); pairs with
-    mu = -delta or beta = -delta are not admitted (they would splice a
-    root against its own negative and connect everything).  With dst
-    given, returns (found, chain); otherwise returns the full
-    reachable set.
+    The states are the forms given and their negatives (roots, or
+    weights for the weight mirror), indexed once in key order; the
+    letters are those of `_alphabet`, and pair p is the p-th pair of
+    `combinations_with_replacement(letters, 2)`.  `steps[i]` lists
+    `(j, p)` for every state j reachable from state i in one step,
+    ordered by the first admitted pair p that reaches j: a pair
+    (mu, beta) is admitted unless a letter equals minus state i (that
+    would splice a root against its own negative and connect
+    everything), and it reaches j when
+    (state_i + mu + beta)(alpha^{-1}, alpha^{-1}) is state j.  That
+    holds exactly when state_i + mu + beta equals the image
+    state_j(alpha, alpha) = AH^T state_j AH, so the test is a lookup of
+    `image_j - state_i` among the letter pair sums, computed once; no
+    inverse is needed (a singular alpha|_H fails in `_orbit`, which
+    every caller runs first).  Forms are antisymmetric, so each is
+    compared by its strict upper triangle.  Arithmetic is exact.
     """
-    plus_minus = set()
-    for f in states:
-        plus_minus.add(f)
-        plus_minus.add(-f)
-    start = [f for f in _orbit(src, AH) if f in plus_minus]
-    accept = None
-    if dst is not None:
-        accept = set()
-        for f in _orbit(dst, AH):
-            accept.add(f)
-            accept.add(-f)
-        if accept.intersection(start):
-            return True, []
-    letters = _alphabet(gamma, lam, src.h)
-    parent = {f: None for f in start}
+
+    __slots__ = ("states", "index", "letters", "pairs", "steps")
+
+    def __init__(self, forms, letters, AH: MatrixQ):
+        self.states = sorted(_signed(forms), key=lambda f: f.key())
+        self.index = {f: i for i, f in enumerate(self.states)}
+        self.letters = letters
+        self.pairs = list(combinations_with_replacement(range(len(letters)),
+                                                        2))
+        flat = [_upper(f.mat) for f in letters]
+        by_sum = {}
+        for p, (a, b) in enumerate(self.pairs):
+            by_sum.setdefault(vadd(flat[a], flat[b]), []).append(p)
+        AHt = AH.transpose()
+        images = [_upper(AHt @ s.mat @ AH) for s in self.states]
+        letter_index = {f: i for i, f in enumerate(letters)}
+        self.steps = []
+        for s in self.states:
+            delta = _upper(s.mat)
+            neg = letter_index.get(-s)
+            found = []
+            for j, image in enumerate(images):
+                for p in by_sum.get(vsub(image, delta), ()):
+                    if neg not in self.pairs[p]:
+                        found.append((p, j))
+                        break
+            found.sort()
+            self.steps.append(tuple((j, p) for p, j in found))
+
+    def ids(self, forms):
+        """Indices of those forms that are states, in the given order."""
+        return [self.index[f] for f in forms if f in self.index]
+
+
+def _upper(mat: MatrixQ) -> tuple:
+    """The strict upper triangle of a square matrix, row by row."""
+    n = mat.nrows
+    return tuple(mat.rows[a][b] for a in range(n) for b in range(a + 1, n))
+
+
+def _signed(forms):
+    """The forms and their negatives."""
+    out = set(forms)
+    out.update(-f for f in forms)
+    return out
+
+
+def _connect_search(table: _StateTable, start, accept=frozenset()):
+    """BFS over state indices of `table` from the indices in `start`.
+
+    Returns the parent map, keyed by every state discovered (in
+    discovery order): None for a start state, else (previous state,
+    pair index).  With `accept` given, the search stops at the first
+    accepted state it discovers, which is then the last key.  Each
+    state's steps are stored in pair enumeration order, so the order of
+    discovery, and with it every witness chain, is fixed by the start
+    order and the order of `_alphabet`: the same as a search that
+    pulls back every admitted pair in turn.
+    """
+    parent = dict.fromkeys(start)
     queue = deque(start)
     while queue:
-        delta = queue.popleft()
-        neg = -delta
-        for mu, beta in combinations_with_replacement(letters, 2):
-            if mu == neg or beta == neg:
+        i = queue.popleft()
+        for j, p in table.steps[i]:
+            if j in parent:
                 continue
-            nxt = pullback_root(delta + mu + beta, AH, 1)
-            if nxt not in plus_minus or nxt in parent:
-                continue
-            parent[nxt] = (delta, mu, beta)
-            if accept is not None and nxt in accept:
-                chain = []
-                cur = nxt
-                while parent[cur] is not None:
-                    prev, m_, b_ = parent[cur]
-                    chain.append((m_, b_))
-                    cur = prev
-                out = [cur]
-                for m_, b_ in reversed(chain):
-                    out.extend((m_, b_))
-                return True, out
-            queue.append(nxt)
-    if dst is not None:
-        return False, None
-    return set(parent)
+            parent[j] = (i, p)
+            if j in accept:
+                return parent
+            queue.append(j)
+    return parent
 
 
 def connected(gamma, lam, AH: MatrixQ, src: RootForm, dst: RootForm):
@@ -534,12 +585,30 @@ def connected(gamma, lam, AH: MatrixQ, src: RootForm, dst: RootForm):
 
     The chain, when nonempty, is the odd-length sequence of forms
     whose pairwise-summed pullbacks walk from an orbit representative
-    of src to one of +-dst; an empty chain marks the orbit case.
+    of src to one of +-dst; an empty chain marks the orbit case, and
+    (False, None) the case that dst is not reached.
     """
     roots = set(gamma)
     if src not in roots or dst not in roots:
         raise ValueError("form is not in the root system")
-    return _connect_search(roots, gamma, lam, AH, src, dst)
+    src_orbit, dst_orbit = _orbit(src, AH), _orbit(dst, AH)
+    table = _StateTable(gamma, _alphabet(gamma, lam, AH.nrows), AH)
+    start = table.ids(src_orbit)
+    accept = set(table.ids(_signed(dst_orbit)))
+    if accept.intersection(start):
+        return True, []
+    parent = _connect_search(table, start, accept)
+    cur = next(reversed(parent))
+    if cur not in accept:
+        return False, None
+    pairs = []
+    while parent[cur] is not None:
+        cur, p = parent[cur]
+        pairs.append(p)
+    chain = [table.states[cur]]
+    for p in reversed(pairs):
+        chain.extend(table.letters[a] for a in table.pairs[p])
+    return True, chain
 
 
 def connection_chain_valid(chain, gamma, lam, AH: MatrixQ,
@@ -557,14 +626,8 @@ def connection_chain_valid(chain, gamma, lam, AH: MatrixQ,
         return False
     if chain[0] not in set(_orbit(src, AH)):
         return False
-    plus_minus = set()
-    for f in gamma:
-        plus_minus.add(f)
-        plus_minus.add(-f)
-    accept = set()
-    for f in _orbit(dst, AH):
-        accept.add(f)
-        accept.add(-f)
+    plus_minus = _signed(gamma)
+    accept = _signed(_orbit(dst, AH))
     n_steps = (len(chain) - 1) // 2
     for i in range(1, n_steps + 1):
         bar = pullback_root(chain[0], AH, i)
@@ -604,20 +667,23 @@ class RootClassPartition:
 
 
 def _partition(forms, gamma, lam, AH) -> RootClassPartition:
-    """Partition `forms` by connection, verifying the equivalence laws."""
+    """Partition `forms` by connection, verifying the equivalence laws.
+
+    One `_StateTable` over the +-forms serves every search.  Each
+    form's pullback orbit is computed once: its states start that
+    form's search, and its +-states are what another form's search
+    must reach for the two to be connected.  The reflexive, symmetric
+    and transitive laws are re-checked on the resulting relation (the
+    O(r^3) scan is cheap next to the searches) and a break raises
+    InternalError.
+    """
     forms = sorted(set(forms), key=lambda f: f.key())
     n = len(forms)
-    reach = []
-    for f in forms:
-        reach.append(_connect_search(set(forms), gamma, lam, AH, f))
-    orbits = []
-    for f in forms:
-        orb = set()
-        for g in _orbit(f, AH):
-            orb.add(g)
-            orb.add(-g)
-        orbits.append(orb)
-    conn = [[bool(reach[i].intersection(orbits[j])) for j in range(n)]
+    orbits = [_orbit(f, AH) for f in forms]
+    table = _StateTable(forms, _alphabet(gamma, lam, AH.nrows), AH)
+    reach = [_connect_search(table, table.ids(orb)) for orb in orbits]
+    targets = [set(table.ids(_signed(orb))) for orb in orbits]
+    conn = [[not targets[j].isdisjoint(reach[i]) for j in range(n)]
             for i in range(n)]
     for i in range(n):
         if not conn[i][i]:

@@ -170,6 +170,44 @@ def test_connect_classes_and_query(tmp_path, capsys):
     assert code == 2 and "out of range" in err
 
 
+def test_connect_query_across_classes(tmp_path, capsys):
+    # roots 0 and 1 of two-block lie in different classes; a query
+    # answered "no" is still an answer, so it exits 0
+    path = corpus_file(tmp_path, capsys, "two-block", "--window", "1")
+    code, out, _ = run(capsys, "connect", path, "--report", "json")
+    assert json.loads(out)["classes"] == [[0, 3], [1, 2]]
+    code, out, _ = run(capsys, "connect", path, "--src", "0", "--dst", "1",
+                       "--report", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["connected"] is False
+    assert obj["chain"] == [] and obj["chain_valid"] is False
+    code, out, _ = run(capsys, "connect", path, "--src", "0", "--dst", "1")
+    assert code == 0
+    assert ": False" in out and "chain length 0, valid: False" in out
+
+
+def test_window_holes_in_the_split_are_reported_not_raised(tmp_path,
+                                                           capsys):
+    # at degree cap 2 the bracket window leaves ad(h_a, h_b) undetermined
+    path = corpus_file(tmp_path, capsys, "jacobian-weak", "--degree-cap", "2")
+    code, out, _ = run(capsys, "decompose", path, "--report", "json")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["passed"] is False
+    assert obj["split_error"] == "bracket window too small"
+    assert obj["detail"].startswith("ad(h_") and "undetermined" in obj["detail"]
+
+    code, out, _ = run(capsys, "check", path, "--suite", "classes",
+                       "--report", "json")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["failures"] == ["decomposition.splits-over-H"]
+    gate = obj["sections"][0]["checks"][0]
+    assert gate["witnesses"][0]["code"] == "bracket window too small"
+    assert "undetermined" in gate["witnesses"][0]["detail"]
+
+
 def test_broken_invariant_is_an_internal_error_not_an_input_error(
         tmp_path, capsys, monkeypatch):
     path = corpus_file(tmp_path, capsys, "d4")

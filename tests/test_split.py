@@ -5,14 +5,18 @@ calculations on the corpus bundles; the connection checks are mirrored
 by a literal power-sum recurrence written here with plain Fractions.
 """
 
+from collections import deque
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+from trilie import split
 from trilie.core3lie import Hom3Lie, StructureConstants3
 from trilie.corpus import (
     d4_bundle,
     d4_structure,
+    generate,
     tb_rinehart,
     toy_split,
     tprime_split,
@@ -376,6 +380,102 @@ def test_connected_orbit_and_cross_class_cases():
         connected(dec.gamma, wdec.lam, dec.AH, classes[0][0],
                   RootForm(MatrixQ([[0, 7, 0], [-7, 0, 0], [0, 0, 0]])
                            if dec.AH.nrows == 3 else MatrixQ.zeros(4, 4)))
+
+
+def _matrix_bfs(states, gamma, lam, AH, src, dst=None):
+    """The connection search in matrix arithmetic, kept as the oracle
+    of the state-table search: every step pulls delta + mu + beta back
+    through alpha|_H and tests membership among the +-states."""
+    plus_minus = set()
+    for f in states:
+        plus_minus.add(f)
+        plus_minus.add(-f)
+    start = [f for f in split._orbit(src, AH) if f in plus_minus]
+    accept = None
+    if dst is not None:
+        accept = set()
+        for f in split._orbit(dst, AH):
+            accept.add(f)
+            accept.add(-f)
+        if accept.intersection(start):
+            return True, []
+    letters = split._alphabet(gamma, lam, src.h)
+    parent = {f: None for f in start}
+    queue = deque(start)
+    while queue:
+        delta = queue.popleft()
+        neg = -delta
+        for mu, beta in combinations_with_replacement(letters, 2):
+            if mu == neg or beta == neg:
+                continue
+            nxt = pullback_root(delta + mu + beta, AH, 1)
+            if nxt not in plus_minus or nxt in parent:
+                continue
+            parent[nxt] = (delta, mu, beta)
+            if accept is not None and nxt in accept:
+                chain = []
+                cur = nxt
+                while parent[cur] is not None:
+                    prev, m_, b_ = parent[cur]
+                    chain.append((m_, b_))
+                    cur = prev
+                out = [cur]
+                for m_, b_ in reversed(chain):
+                    out.extend((m_, b_))
+                return True, out
+            queue.append(nxt)
+    if dst is not None:
+        return False, None
+    return set(parent)
+
+
+@pytest.mark.parametrize("name,window", [
+    ("tprime-split", 2), ("tprime-split", 3), ("tprime-split", 4),
+    ("two-block", 1), ("two-block", 2), ("toy-split", 0), ("toy-split", 2),
+    ("d4", 2)])
+def test_state_table_search_matches_the_matrix_bfs(name, window):
+    B = generate(name, window=window)
+    H = (h_space(B) if "H" in B.meta
+         else SubspaceQ(B.L.n, [unit(B.L.n, 0), unit(B.L.n, 1)]))
+    dec, wdec = root_decompose(B, H), weight_decompose(B, H)
+    gamma, lam, AH = dec.gamma, wdec.lam, dec.AH
+    letters = split._alphabet(gamma, lam, AH.nrows)
+    for states in (gamma, lam):
+        table = split._StateTable(states, letters, AH)
+        for f in states:
+            start = table.ids(split._orbit(f, AH))
+            got = {table.states[i]
+                   for i in split._connect_search(table, start)}
+            assert got == _matrix_bfs(set(states), gamma, lam, AH, f)
+    for src in gamma:
+        for dst in gamma:
+            got = connected(gamma, lam, AH, src, dst)
+            assert got == _matrix_bfs(set(gamma), gamma, lam, AH, src, dst)
+            ok, chain = got
+            if ok and chain:
+                assert connection_chain_valid(chain, gamma, lam, AH,
+                                              src, dst)
+                assert _literal_chain_holds(chain, gamma, lam, AH,
+                                            src, dst)
+
+
+def test_root_classes_pull_back_only_the_orbits(monkeypatch):
+    """The search runs on integers: the matrix BFS made 1,152
+    pullbacks here, the orbits of the 8 roots need at most 16."""
+    B = two_block(2)
+    H = h_space(B)
+    dec, wdec = root_decompose(B, H), weight_decompose(B, H)
+    calls = []
+    real = split.pullback_root
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(split, "pullback_root", counted)
+    part = root_classes(dec.gamma, wdec.lam, dec.AH)
+    assert sum(len(c) for c in part) == len(dec.gamma) == 8
+    assert len(calls) <= 16
 
 
 # -- direct-sum theorems ---------------------------------------------------
