@@ -281,13 +281,32 @@ def _split_sections(B: RinehartBundle, h_spec, want_classes: bool):
     suites.append(check_thm1_properties(B, dec, wdec))
     if want_classes:
         partition = root_classes(dec.gamma, wdec.lam, dec.AH)
-        laws, _ = check_class_ideal_laws(B, dec, wdec, partition)
+        suites.extend(_class_stages(B, dec, wdec, partition)[0])
+    return suites
+
+
+def _class_stages(B: RinehartBundle, dec, wdec, partition):
+    """Class ideals, direct sum and weight classes, in that order.
+
+    Returns (suites, ideals, weight partition).  A SplitError (a window
+    hole met while building a class) ends the stages with a failed
+    class-stages check; the suites computed before it are kept.
+    """
+    suites, ideals, wpart = [], [], None
+    try:
+        laws, ideals = check_class_ideal_laws(B, dec, wdec, partition)
         suites.append(laws)
         ds, _ = direct_sum_decompose(B, dec, wdec, partition)
         suites.append(ds)
-        wsuite, _, _ = weight_class_decompose(B, dec, wdec)
+        wsuite, wpart, _ = weight_class_decompose(B, dec, wdec)
         suites.append(wsuite)
-    return suites
+    except SplitError as exc:
+        gate = SuiteReport("classes")
+        status = gate.add(CheckReport("class-stages"))
+        status.tick()
+        status.record({"code": exc.code, "detail": exc.detail})
+        suites.append(gate)
+    return suites, ideals, wpart
 
 
 def cmd_check(args) -> int:
@@ -348,16 +367,14 @@ def cmd_decompose(args) -> int:
 
     partition = root_classes(dec.gamma, wdec.lam, dec.AH)
     thm1 = check_thm1_properties(B, dec, wdec)
-    laws, ideals = check_class_ideal_laws(B, dec, wdec, partition)
-    ds, _ = direct_sum_decompose(B, dec, wdec, partition)
-    wsuite, wpart, wspaces = weight_class_decompose(B, dec, wdec)
-    suites = [thm1, laws, ds, wsuite]
+    stages, ideals, wpart = _class_stages(B, dec, wdec, partition)
+    suites = [thm1, *stages]
     failures = _suite_failures(suites, ignore=HYPOTHESIS_CHECKS)
 
     classes = [[dec.gamma.index(form) for form in cls]
                for cls in partition.classes]
-    wclasses = [[wdec.lam.index(form) for form in cls]
-                for cls in wpart.classes]
+    wclasses = [] if wpart is None else [
+        [wdec.lam.index(form) for form in cls] for cls in wpart.classes]
     obj = {
         "command": "decompose",
         "bundle": B.name,
@@ -413,7 +430,8 @@ def cmd_connect(args) -> int:
         wdec = weight_decompose(B, H)
     except SplitError as exc:
         obj = {"command": "connect", "bundle": B.name,
-               "passed": False, "split_error": exc.code}
+               "passed": False, "split_error": exc.code,
+               "detail": exc.detail}
         _emit(args, obj, [f"connect {B.name!r}: {exc}"])
         return EXIT_FAILED
 

@@ -10,6 +10,9 @@ window-missing data skipped and counted rather than guessed.
 
 from __future__ import annotations
 
+from itertools import combinations, permutations
+from operator import itemgetter
+
 from .exactq import (
     MatrixQ,
     SubspaceQ,
@@ -489,49 +492,135 @@ def check_full_rinehart(B: RinehartBundle) -> SuiteReport:
 # --- the six compatibility identities -------------------------------------
 #
 # Each identity is a multilinear equation mixing bracket, twist, anchor
-# and action.  Enumeration exploits proven formal symmetries; bulk slots
-# are evaluated only when the shared inner expression is nonzero.
+# and action, checked on basis tuples; enumeration exploits proven
+# formal symmetries.  A term of identities 1-3 is phi.rho(pair)(e_a)
+# acting on alpha of a bracket triple; a term of identities 4-6 is a
+# product rho(pair)(e_a) rho(pair')(e_b) of two anchor columns.
+#
+# _IdentityContext builds the operands once per suite call, signed and
+# keyed by ordered index tuples: an ordered pair with a stored anchor
+# operator maps to its signed columns, an ordered triple of distinct
+# indices to its signed alpha-bracket.  A repeated index or an absent
+# operator has no entry: that term is zero.  Each tuple looks its terms
+# up once.  A tuple with no live term holds for every (a, b), and one
+# whose live term has an undetermined bracket is undetermined for every
+# (a, b); both are counted, not evaluated.  Otherwise bit masks over a
+# (and b) say where a column is None (a skip, even when the other side
+# of the term is zero) and where it is nonzero; only the (a, b) with a
+# nonzero term are evaluated, and the check of a nonzero sum against
+# every b, c or basis vector runs once per distinct sum.
 
 
 class _IdentityContext:
-    __slots__ = ("B", "n", "m", "act", "prod", "alpha2", "phi2", "ab",
-                 "pr", "rho_ops")
+    """The operands of the six identities, built once per suite call.
+
+    pr and rho map an ordered pair (i, j) with a stored anchor operator
+    to (columns, None mask, nonzero mask) of phi.rho(e_i, e_j), resp.
+    rho(e_i, e_j), with the sign of the order applied.  ab maps an
+    ordered triple of distinct indices to alpha[e_i, e_j, e_k] (None
+    outside the window).  The seen_* dicts hold the per-sum verdicts.
+    """
+
+    __slots__ = ("n", "m", "act", "prod", "phi_apply", "alpha2", "phi2",
+                 "ab", "pr", "rho", "seen_b", "seen_c", "seen_x5")
 
     def __init__(self, B: RinehartBundle):
-        self.B = B
         L, A = B.L, B.A
         self.n = L.n
         self.m = A.dim
         self.act = B.act.act
         self.prod = A.product
+        self.phi_apply = A.phi_apply
         acols = mat_columns_sv(L.alpha)
         self.alpha2 = op_compose(acols, acols)
         pc = A._phi_cols
         self.phi2 = op_compose(pc, pc)
-        # alpha of every ordered basis bracket
         self.ab: dict = {}
-        sc = L.sc
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                for k in range(j + 1, self.n):
-                    vec, _ = sc.lookup(i, j, k)
-                    self.ab[(i, j, k)] = (None if vec is None
-                                          else op_apply(acols, vec))
-        # phi composed with every anchor operator
+        for key in combinations(range(self.n), 3):
+            vec, _ = L.sc.lookup(*key)
+            if vec is not None:
+                vec = op_apply(acols, vec)
+            signed = {1: vec, -1: None if vec is None else sv_scale(vec, -1)}
+            for perm in permutations(key):
+                self.ab[perm] = signed[sort3(*perm)[1]]
         self.pr: dict = {}
-        self.rho_ops: dict = {}
+        self.rho: dict = {}
         for (i, j), cols in B.rho.ops.items():
-            self.rho_ops[(i, j)] = cols
-            self.pr[(i, j)] = op_compose(pc, cols)
+            phi_rho = op_compose(pc, cols)
+            for key, sign in (((i, j), 1), ((j, i), -1)):
+                self.rho[key] = _signed_op(cols, sign)
+                self.pr[key] = _signed_op(phi_rho, sign)
+        self.seen_b: dict = {}
+        self.seen_c: dict = {}
+        self.seen_x5: dict = {}
 
-    def op_at(self, table, i, j):
-        if i == j:
-            return None, 0
-        if i < j:
-            return table.get((i, j)), 1
-        return table.get((j, i)), -1
+    def on_phi2_b(self, s: SVec):
+        """(checked, skipped, failing b's) of every phi^2(e_b) acting on s."""
+        return _once(self.seen_b, s, lambda: _tally(
+            self.act(vec, s) for vec in self.phi2))
+
+    def on_alpha2(self, u: SVec):
+        """(checked, skipped, failing x5's) of u acting on every alpha^2 e_x5."""
+        return _once(self.seen_x5, u, lambda: _tally(
+            self.act(u, vec) for vec in self.alpha2))
+
+    def on_phi2_c(self, t: SVec):
+        """The same for every phi^2(e_c) t; failures are (c, x5) pairs."""
+        def evaluate():
+            ok = gaps = 0
+            bad = []
+            for c, vec in enumerate(self.phi2):
+                u = self.prod(vec, t)
+                if u is None:
+                    gaps += self.n
+                elif not u:
+                    ok += self.n
+                else:
+                    u_ok, u_gaps, u_bad = self.on_alpha2(u)
+                    ok += u_ok
+                    gaps += u_gaps
+                    bad.extend((c, x5) for x5 in u_bad)
+            return ok, gaps, bad
+        return _once(self.seen_c, t, evaluate)
 
 
+def _once(seen: dict, vec: SVec, evaluate):
+    """evaluate(), computed once per distinct vector."""
+    key = frozenset(vec.items())
+    hit = seen.get(key)
+    if hit is None:
+        hit = seen[key] = evaluate()
+    return hit
+
+
+def _tally(outs):
+    """(zero count, None count, positions of the nonzero outcomes)."""
+    ok = gaps = 0
+    bad = []
+    for pos, out in enumerate(outs):
+        if out is None:
+            gaps += 1
+        elif out:
+            bad.append(pos)
+        else:
+            ok += 1
+    return ok, gaps, bad
+
+
+def _signed_op(cols, sign: int):
+    """(sign * cols, mask of the None columns, mask of the nonzero ones)."""
+    if sign != 1:
+        cols = [None if c is None else sv_scale(c, sign) for c in cols]
+    none = nonzero = 0
+    for a, col in enumerate(cols):
+        if col is None:
+            none |= 1 << a
+        elif col:
+            nonzero |= 1 << a
+    return cols, none, nonzero
+
+
+_NO_TERM = object()  # ab.get's answer for a triple with a repeated index
 
 _HO1_TERMS = (
     # (rho pair slots, bracket slots) over (x1..x5) as indices 0..4
@@ -562,97 +651,81 @@ _HO3_TERMS = (
 )
 
 
-def _inner_sum(ctx: _IdentityContext, terms, xs, a: int):
-    """Sum of phi.rho(pair)(e_a) acting on alpha-brackets; None on gaps."""
-    acc: SVec = {}
-    for (p, q), (r, s, t) in terms:
-        cols, sign = ctx.op_at(ctx.pr, xs[p], xs[q])
-        if sign == 0:
-            continue
-        key, bsign = sort3(xs[r], xs[s], xs[t])
-        if bsign == 0:
-            continue
-        bvec = ctx.ab[key]
-        if cols is None:
-            # absent operator means the zero map, not a gap
-            continue
-        avec = cols[a]
-        if avec is None or bvec is None:
-            return None
-        if not avec or not bvec:
-            continue
-        term = ctx.act(avec, bvec)
-        if term is None:
-            return None
-        sv_axpy(acc, sign * bsign, term)
-    return acc
-
-
 def _check_ho_bracket(ctx: _IdentityContext, name: str, terms,
                       outer: bool) -> CheckReport:
-    """ho1 shape (outer=False) or ho2/ho3 shape (outer=True)."""
+    """ho1 shape (outer=False) or ho2/ho3 shape (outer=True).
+
+    For each tuple and a, the sum of phi.rho(pair)(e_a) acting on
+    alpha[triple] over the terms must vanish (ho1), or be killed by
+    every phi^2(e_b) (ho2, ho3).
+    """
     rep = CheckReport(name)
     n, m = ctx.n, ctx.m
-    phi2 = ctx.phi2
+    per_a = m if outer else 1
+    pr, ab, act = ctx.pr, ctx.ab, ctx.act
+    looks = [(itemgetter(p, q), itemgetter(r, s, t))
+             for (p, q), (r, s, t) in terms]
+    checked = skipped = 0
+    zero = gap = 0  # tuples that hold, resp. are undetermined, for all a
     for x1 in range(n):
         for x2 in range(n):
-            for x3 in range(n):
-                for x4 in range(x3 + 1, n):
-                    for x5 in range(x4 + 1, n):
-                        xs = (x1, x2, x3, x4, x5)
-                        for a in range(m):
-                            s = _inner_sum(ctx, terms, xs, a)
-                            if s is None:
-                                rep.skip(m if outer else 1)
-                                continue
-                            if not outer:
-                                if s:
-                                    rep.record({"x": xs, "a": a})
-                                else:
-                                    rep.tick()
-                                continue
-                            if not s:
-                                rep.tick(m)
-                                continue
-                            for b in range(m):
-                                out = ctx.act(phi2[b], s)
-                                if out is None:
-                                    rep.skip()
-                                elif out:
-                                    rep.record({"x": xs, "a": a, "b": b})
-                                else:
-                                    rep.tick()
+            for x3, x4, x5 in combinations(range(n), 3):
+                xs = (x1, x2, x3, x4, x5)
+                none = nonzero = 0
+                live = []
+                undetermined = False
+                for pair, triple in looks:
+                    op = pr.get(pair(xs))
+                    if op is None:
+                        continue
+                    bvec = ab.get(triple(xs), _NO_TERM)
+                    if bvec is _NO_TERM:
+                        continue
+                    if bvec is None:
+                        undetermined = True
+                        break
+                    cols, op_none, op_nonzero = op
+                    none |= op_none
+                    if bvec:
+                        nonzero |= op_nonzero
+                        live.append((cols, bvec))
+                if undetermined:
+                    gap += 1
+                    continue
+                nonzero &= ~none
+                if not none and not nonzero:
+                    zero += 1
+                    continue
+                n_none = none.bit_count()
+                skipped += n_none * per_a
+                checked += (m - n_none - nonzero.bit_count()) * per_a
+                for a in range(m):
+                    if not nonzero >> a & 1:
+                        continue
+                    s: SVec | None = {}
+                    for cols, bvec in live:
+                        avec = cols[a]
+                        if avec:
+                            term = act(avec, bvec)
+                            if term is None:
+                                s = None
+                                break
+                            sv_axpy(s, 1, term)
+                    if s is None:
+                        skipped += per_a
+                    elif not s:
+                        checked += per_a
+                    elif not outer:
+                        rep.record({"x": xs, "a": a})
+                    else:
+                        ok, gaps, bad = ctx.on_phi2_b(s)
+                        checked += ok
+                        skipped += gaps
+                        for b in bad:
+                            rep.record({"x": xs, "a": a, "b": b})
+    rep.tick(checked + zero * m * per_a)
+    rep.skip(skipped + gap * m * per_a)
     return rep
-
-
-def _rho_col(ctx: _IdentityContext, i: int, j: int, a: int):
-    """rho(e_i, e_j)(e_a) as a sparse A-vector; None when windowed out."""
-    cols, sign = ctx.op_at(ctx.rho_ops, i, j)
-    if sign == 0 or cols is None:
-        return _EMPTY
-    col = cols[a]
-    if col is None:
-        return None
-    if not col:
-        return _EMPTY
-    return col if sign == 1 else sv_scale(col, sign)
-
-
-def _pair_product_sum(ctx: _IdentityContext, combos, xs, a: int, b: int):
-    """Sum over combos of rho(pair)(e_a) * rho(pair)(e_b) inside A."""
-    acc: SVec = {}
-    for (p, q), (r, s) in combos:
-        u = _rho_col(ctx, xs[p], xs[q], a)
-        v = _rho_col(ctx, xs[r], xs[s], b)
-        if u is None or v is None:
-            return None
-        if not u or not v:
-            continue
-        term = ctx.prod(u, v)
-        if term is None:
-            return None
-        sv_axpy(acc, 1, term)
-    return acc
 
 
 _HO4_COMBOS = (((0, 1), (2, 3)), ((0, 3), (1, 2)), ((1, 3), (2, 0)))
@@ -661,77 +734,105 @@ _HO6_COMBOS = (((0, 3), (1, 2)), ((1, 3), (2, 0)),
                ((1, 2), (3, 0)), ((2, 0), (3, 1)))
 
 
-def _act_on_alpha2(ctx: _IdentityContext, rep: CheckReport, u: SVec, xs,
-                   a: int, b: int, c=None) -> None:
-    """Check u acting on alpha^2 of every basis vector."""
-    if not u:
-        rep.tick(ctx.n)
-        return
-    for x5 in range(ctx.n):
-        out = ctx.act(u, ctx.alpha2[x5])
-        if out is None:
-            rep.skip()
-        elif out:
-            wit = {"x": xs, "x5": x5, "a": a, "b": b}
-            if c is not None:
-                wit["c"] = c
-            rep.record(wit)
-        else:
-            rep.tick()
-
-
-def _check_ho4(ctx: _IdentityContext) -> CheckReport:
-    rep = CheckReport("identity-4")
-    n, m = ctx.n, ctx.m
-    A = ctx.B.A
-    for x1 in range(n):
-        for x2 in range(x1 + 1, n):
-            for x3 in range(n):
-                for x4 in range(n):
-                    xs = (x1, x2, x3, x4)
-                    for a in range(m):
-                        for b in range(m):
-                            s = _pair_product_sum(ctx, _HO4_COMBOS, xs, a, b)
-                            if s is None:
-                                rep.skip(n)
-                                continue
-                            _act_on_alpha2(ctx, rep, A.phi_apply(s),
-                                           xs, a, b)
-    return rep
-
-
 def _check_ho_pairs(ctx: _IdentityContext, name: str, combos,
-                    x3_after_x2: bool, b_after_a: bool) -> CheckReport:
-    """ho5/ho6 shape: phi^2(c) phi(sum of pair products) on alpha^2 L.
+                    x3_after_x2: bool, b_after_a: bool,
+                    with_c: bool) -> CheckReport:
+    """ho4-ho6 shape: phi of a sum of anchor column products on alpha^2 L.
 
-    The two flags are the enumeration each identity's proven symmetry
-    allows: x3 > x2 for identity 5, b > a for identity 6.
+    s(a, b) is the sum over combos of rho(pair)(e_a) rho(pair')(e_b).
+    Identity 4 asks phi(s) to kill every alpha^2 e_x5; identities 5 and
+    6 (with_c) ask the same of every phi^2(e_c) phi(s).  The two other
+    flags are the enumeration each identity's proven symmetry allows:
+    x3 > x2 for identity 5, b > a for identity 6.
     """
     rep = CheckReport(name)
     n, m = ctx.n, ctx.m
-    A = ctx.B.A
-    phi2 = ctx.phi2
+    per_ab = n * m if with_c else n
+    rho, prod, phi_apply = ctx.rho, ctx.prod, ctx.phi_apply
+    on_t = ctx.on_phi2_c if with_c else ctx.on_alpha2
+    looks = [(itemgetter(p, q), itemgetter(r, s)) for (p, q), (r, s) in combos]
+    everything = (1 << m) - 1
+    # the b's each a is paired with, as bit masks
+    b_range = [everything & ~((2 << a) - 1) if b_after_a else everything
+               for a in range(m)]
+    n_pairs = sum(mask.bit_count() for mask in b_range)
+    gap_pairs: dict = {}  # (None mask of a, of b) -> pairs with a None
+    checked = skipped = 0
+    zero = 0  # tuples that hold for every (a, b)
     for x1 in range(n):
         for x2 in range(x1 + 1, n):
             for x3 in range(x2 + 1 if x3_after_x2 else 0, n):
                 for x4 in range(n):
                     xs = (x1, x2, x3, x4)
+                    none_a = none_b = active_a = 0
+                    live = []
+                    for left, right in looks:
+                        u = rho.get(left(xs))
+                        v = rho.get(right(xs))
+                        if u is not None:
+                            none_a |= u[1]
+                        if v is not None:
+                            none_b |= v[1]
+                            if u is not None:
+                                live.append((u, v))
+                                active_a |= u[2]
+                    if not none_a and not none_b and not active_a:
+                        zero += 1
+                        continue
+                    gaps = gap_pairs.get((none_a, none_b))
+                    if gaps is None:
+                        gaps = gap_pairs[none_a, none_b] = sum(
+                            (bs if none_a >> a & 1 else bs & none_b)
+                            .bit_count() for a, bs in enumerate(b_range))
+                    skipped += gaps * per_ab
+                    # the evaluated pairs are taken out again below and
+                    # counted by their outcome
+                    checked += (n_pairs - gaps) * per_ab
+                    active_a &= ~none_a
                     for a in range(m):
-                        for b in range(a + 1 if b_after_a else 0, m):
-                            s = _pair_product_sum(ctx, combos, xs, a, b)
+                        if not active_a >> a & 1:
+                            continue
+                        todo = 0
+                        terms = []
+                        for (ucols, _, u_nonzero), (vcols, _, v_nonzero) \
+                                in live:
+                            if u_nonzero >> a & 1:
+                                todo |= v_nonzero
+                                terms.append((ucols[a], vcols))
+                        todo &= b_range[a] & ~none_b
+                        checked -= todo.bit_count() * per_ab
+                        for b in range(m):
+                            if not todo >> b & 1:
+                                continue
+                            s: SVec | None = {}
+                            for u, vcols in terms:
+                                v = vcols[b]
+                                if v:
+                                    term = prod(u, v)
+                                    if term is None:
+                                        s = None
+                                        break
+                                    sv_axpy(s, 1, term)
                             if s is None:
-                                rep.skip(n * m)
+                                skipped += per_ab
                                 continue
-                            t = A.phi_apply(s)
+                            t = phi_apply(s)
                             if not t:
-                                rep.tick(n * m)
+                                checked += per_ab
                                 continue
-                            for c in range(m):
-                                u = ctx.prod(phi2[c], t)
-                                if u is None:
-                                    rep.skip(n)
-                                    continue
-                                _act_on_alpha2(ctx, rep, u, xs, a, b, c)
+                            ok, t_gaps, bad = on_t(t)
+                            checked += ok
+                            skipped += t_gaps
+                            for place in bad:
+                                if with_c:
+                                    c, x5 = place
+                                    rep.record({"x": xs, "x5": x5, "a": a,
+                                                "b": b, "c": c})
+                                else:
+                                    rep.record({"x": xs, "x5": place,
+                                                "a": a, "b": b})
+    rep.tick(checked + zero * n_pairs * per_ab)
+    rep.skip(skipped)
     return rep
 
 
@@ -739,15 +840,18 @@ def check_identity_suite(B: RinehartBundle) -> SuiteReport:
     """The six multilinear compatibility identities of a full bundle."""
     ctx = _IdentityContext(B)
     suite = SuiteReport("identities")
-    id1 = _check_ho_bracket(ctx, "identity-1", _HO1_TERMS, outer=False)
-    suite.add(id1)
+    suite.add(_check_ho_bracket(ctx, "identity-1", _HO1_TERMS, outer=False))
     suite.add(_check_ho_bracket(ctx, "identity-2", _HO2_TERMS, outer=True))
     suite.add(_check_ho_bracket(ctx, "identity-3", _HO3_TERMS, outer=True))
-    suite.add(_check_ho4(ctx))
+    suite.add(_check_ho_pairs(ctx, "identity-4", _HO4_COMBOS,
+                              x3_after_x2=False, b_after_a=False,
+                              with_c=False))
     suite.add(_check_ho_pairs(ctx, "identity-5", _HO5_COMBOS,
-                              x3_after_x2=True, b_after_a=False))
+                              x3_after_x2=True, b_after_a=False,
+                              with_c=True))
     suite.add(_check_ho_pairs(ctx, "identity-6", _HO6_COMBOS,
-                              x3_after_x2=False, b_after_a=True))
+                              x3_after_x2=False, b_after_a=True,
+                              with_c=True))
     return suite
 
 

@@ -288,8 +288,9 @@ def root_decompose(B: RinehartBundle, H: SubspaceQ) -> RootDecomposition:
             for (a, b), lam in _pairs_of(form):
                 got = B.L.sc.trilinear(svs[a], svs[b], vs)
                 if got is None:
-                    raise ValueError(
-                        "bracket window leaves [H,H,L_gamma] undetermined")
+                    raise SplitError("bracket window too small",
+                                     f"[h_{a}, h_{b}, L_gamma] undetermined"
+                                     f" for root {form!r}")
                 want = tuple(lam * c for c in image)
                 if sv_to_tuple(got, n) != want:
                     raise InternalError("eigenvector fails the"
@@ -749,8 +750,9 @@ def _zero_part_vectors(B: RinehartBundle, dec: RootDecomposition,
             for x in sp_l.basis:
                 out = B.act.act(sv_from_seq(a), sv_from_seq(x))
                 if out is None:
-                    raise ValueError(
-                        "action window leaves A_{-xi} L_xi undetermined")
+                    raise SplitError("action window too small",
+                                     f"A_(-xi) L_xi undetermined for root"
+                                     f" xi = {xi!r}")
                 vecs.append(sv_to_tuple(out, n))
     for xi, eta, delta in combinations_with_replacement(roots, 3):
         if not (xi + eta + delta).is_zero():
@@ -761,9 +763,10 @@ def _zero_part_vectors(B: RinehartBundle, dec: RootDecomposition,
                     out = B.L.sc.trilinear(sv_from_seq(x), sv_from_seq(y),
                                            sv_from_seq(z))
                     if out is None:
-                        raise ValueError(
-                            "bracket window leaves a zero-sum triple"
-                            " undetermined")
+                        raise SplitError("bracket window too small",
+                                         f"[L_xi, L_eta, L_delta]"
+                                         f" undetermined for the zero-sum"
+                                         f" roots {xi!r}, {eta!r}, {delta!r}")
                     vecs.append(sv_to_tuple(out, n))
     return vecs
 
@@ -1127,8 +1130,9 @@ def weight_class_decompose(B: RinehartBundle, dec: RootDecomposition,
                 for y in wdec.index[beta].basis:
                     out = B.A.product(sv_from_seq(x), sv_from_seq(y))
                     if out is None:
-                        raise ValueError(
-                            "product window leaves A_{-b} A_b undetermined")
+                        raise SplitError("product window too small",
+                                         f"A_(-beta) A_beta undetermined"
+                                         f" for weight beta = {beta!r}")
                     vecs.append(sv_to_tuple(out, m))
         for (f1, s1), (f2, s2) in combinations_with_replacement(
                 dec.roots, 2):
@@ -1142,9 +1146,11 @@ def weight_class_decompose(B: RinehartBundle, dec: RootDecomposition,
                         for a in wdec.index[beta].basis:
                             out = op_apply(cols, sv_from_seq(a))
                             if out is None:
-                                raise ValueError(
-                                    "anchor window leaves rho(L,L)A_b"
-                                    " undetermined")
+                                raise SplitError(
+                                    "anchor window too small",
+                                    f"rho(L_gamma, L_delta) A_beta"
+                                    f" undetermined for roots {f1!r},"
+                                    f" {f2!r} and weight {beta!r}")
                             vecs.append(sv_to_tuple(out, m))
         return vecs
 

@@ -16,8 +16,9 @@ import pytest
 from trilie import split
 from trilie.bundleio import dumps_bundle, load_bundle
 from trilie.cli import main
-from trilie.corpus import d4_bundle
+from trilie.corpus import d4_bundle, two_block
 from trilie.exactq import MatrixQ
+from trilie.rinehart import CommAlgebra, ModuleAction, RinehartBundle
 
 
 def run(capsys, *argv):
@@ -206,6 +207,59 @@ def test_window_holes_in_the_split_are_reported_not_raised(tmp_path,
     gate = obj["sections"][0]["checks"][0]
     assert gate["witnesses"][0]["code"] == "bracket window too small"
     assert "undetermined" in gate["witnesses"][0]["detail"]
+
+
+def test_connect_reports_the_detail_of_a_split_error(tmp_path, capsys):
+    path = corpus_file(tmp_path, capsys, "jacobian-weak", "--degree-cap", "2")
+    code, out, _ = run(capsys, "connect", path, "--report", "json")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["split_error"] == "bracket window too small"
+    assert obj["detail"] == "ad(h_3, h_4) undetermined"
+
+
+def _two_block_with_hole(table):
+    """two-block with one product or action entry outside the window:
+    A_{-xi} L_xi for the first root meets the action entry (1, 4), and
+    A_{-beta} A_beta for the first weight the product entry (1, 2)."""
+    B = two_block(1)
+    if table == "action":
+        act = dict(B.act.table)
+        act[(1, 4)] = None
+        return RinehartBundle(B.L, B.A, B.rho,
+                              ModuleAction(B.A.dim, B.L.n, act), name=table)
+    prod = dict(B.A.table)
+    prod[(1, 2)] = None
+    A = CommAlgebra(B.A.dim, prod, B.A.phi, B.A.unit)
+    return RinehartBundle(B.L, A, B.rho, B.act, name=table)
+
+
+@pytest.mark.parametrize("table, code, kept", [
+    ("action", "action window too small", []),
+    ("product", "product window too small", ["class-ideals", "direct-sum"]),
+])
+def test_window_holes_in_the_class_stages_are_failed_checks(
+        tmp_path, capsys, table, code, kept):
+    path = tmp_path / "hole.json"
+    path.write_text(dumps_bundle(_two_block_with_hole(table)))
+    rc, out, _ = run(capsys, "check", str(path), "--suite", "classes",
+                     "--report", "json")
+    assert rc == 1
+    obj = json.loads(out)
+    assert obj["failures"] == ["classes.class-stages"]
+    names = [sec["suite"] for sec in obj["sections"]]
+    assert names == ["decomposition", "thm1", *kept, "classes"]
+    witness = obj["sections"][-1]["checks"][0]["witnesses"][0]
+    assert witness["code"] == code
+    assert "undetermined" in witness["detail"]
+    assert "RootForm[0 -1 0 0; 1 0 0 0;" in witness["detail"]
+
+    rc, out, _ = run(capsys, "decompose", str(path), "--report", "json")
+    assert rc == 1
+    obj = json.loads(out)
+    assert obj["failures"] == ["classes.class-stages"]
+    assert [sec["suite"] for sec in obj["sections"]] == names[1:]
+    assert len(obj["roots"]) == 4 and len(obj["weights"]) == 4
 
 
 def test_broken_invariant_is_an_internal_error_not_an_input_error(
