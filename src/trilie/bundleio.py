@@ -183,6 +183,14 @@ def _dec_mat(obj, nrows: int, ncols: int, where: str) -> MatrixQ:
     return MatrixQ(grid)
 
 
+def _dec_list(section: dict, key: str, where: str) -> list:
+    """The list of entries under `key`; absent means empty."""
+    entries = section.get(key, [])
+    if not isinstance(entries, list):
+        _fail(where, "must be a list")
+    return entries
+
+
 def _dec_dim(section: dict, where: str) -> int:
     dim = section.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
@@ -226,10 +234,7 @@ def obj_to_bundle(obj, verify: bool = True) -> RinehartBundle:
         _fail("L", "missing or malformed section")
     n = _dec_dim(lsec, "L.dim")
     table = {}
-    bracket = lsec.get("bracket", [])
-    if not isinstance(bracket, list):
-        _fail("L.bracket", "must be a list")
-    for entry in bracket:
+    for entry in _dec_list(lsec, "bracket", "L.bracket"):
         if not (isinstance(entry, list) and len(entry) == 4):
             _fail("L.bracket", f"bad entry {entry!r}")
         i, j, k = (_dec_index(entry[t], n, "L.bracket") for t in range(3))
@@ -240,7 +245,7 @@ def obj_to_bundle(obj, verify: bool = True) -> RinehartBundle:
             _fail("L.bracket", f"duplicate triple ({i},{j},{k})")
         table[(i, j, k)] = _dec_sv(entry[3], n, f"L.bracket[{i},{j},{k}]")
     missing = set()
-    for entry in lsec.get("missing", []):
+    for entry in _dec_list(lsec, "missing", "L.missing"):
         if not (isinstance(entry, list) and len(entry) == 3):
             _fail("L.missing", f"bad entry {entry!r}")
         i, j, k = (_dec_index(entry[t], n, "L.missing") for t in range(3))
@@ -260,7 +265,7 @@ def obj_to_bundle(obj, verify: bool = True) -> RinehartBundle:
         _fail("A", "missing or malformed section")
     m = _dec_dim(asec, "A.dim")
     mult = {}
-    for entry in asec.get("mult", []):
+    for entry in _dec_list(asec, "mult", "A.mult"):
         if not (isinstance(entry, list) and len(entry) == 3):
             _fail("A.mult", f"bad entry {entry!r}")
         i = _dec_index(entry[0], m, "A.mult")
@@ -280,7 +285,7 @@ def obj_to_bundle(obj, verify: bool = True) -> RinehartBundle:
         _fail("A", str(exc))
 
     act_table = {}
-    for entry in obj.get("action", []):
+    for entry in _dec_list(obj, "action", "action"):
         if not (isinstance(entry, list) and len(entry) == 3):
             _fail("action", f"bad entry {entry!r}")
         a = _dec_index(entry[0], m, "action")
@@ -295,7 +300,7 @@ def obj_to_bundle(obj, verify: bool = True) -> RinehartBundle:
         _fail("action", str(exc))
 
     ops = {}
-    for entry in obj.get("rho", []):
+    for entry in _dec_list(obj, "rho", "rho"):
         if not (isinstance(entry, list) and len(entry) == 3):
             _fail("rho", f"bad entry {entry!r}")
         i = _dec_index(entry[0], n, "rho")

@@ -296,8 +296,7 @@ def _class_stages(B: RinehartBundle, dec, wdec, partition):
     try:
         laws, ideals = check_class_ideal_laws(B, dec, wdec, partition)
         suites.append(laws)
-        ds, _ = direct_sum_decompose(B, dec, wdec, partition)
-        suites.append(ds)
+        suites.append(direct_sum_decompose(B, dec, wdec, partition))
         wsuite, wpart, _ = weight_class_decompose(B, dec, wdec)
         suites.append(wsuite)
     except SplitError as exc:
@@ -423,6 +422,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_connect(args) -> int:
+    if (args.src is None) != (args.dst is None):
+        raise CliError("--src and --dst must be given together")
     B = load_bundle(args.path)
     H = resolve_h(B, args.H)
     try:
@@ -435,8 +436,6 @@ def cmd_connect(args) -> int:
         _emit(args, obj, [f"connect {B.name!r}: {exc}"])
         return EXIT_FAILED
 
-    if (args.src is None) != (args.dst is None):
-        raise CliError("--src and --dst must be given together")
     if args.src is not None:
         for label, idx in (("--src", args.src), ("--dst", args.dst)):
             if not 0 <= idx < len(dec.gamma):

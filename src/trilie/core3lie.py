@@ -20,11 +20,8 @@ from .exactq import (
     SubspaceQ,
     mat_apply_sv,
     mat_columns_sv,
-    mat_from_columns_sv,
     qnorm,
     sv_axpy,
-    sv_from_seq,
-    sv_to_tuple,
 )
 from .report import CheckReport, stored_on
 
@@ -106,9 +103,6 @@ class StructureConstants3:
                         sv_axpy(acc, cuv * cw * sign, vec)
         return acc
 
-    def is_complete(self) -> bool:
-        return not self.missing
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, StructureConstants3)
@@ -145,12 +139,6 @@ class Hom3Lie:
     def n(self) -> int:
         return self.sc.n
 
-    def alpha_apply(self, vec: SVec) -> SVec:
-        return mat_apply_sv(self._alpha_cols, vec)
-
-    def bracket(self, u: SVec, v: SVec, w: SVec):
-        return self.sc.trilinear(u, v, w)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Hom3Lie)
@@ -165,42 +153,12 @@ class Hom3Lie:
 # -- evaluation --------------------------------------------------------
 
 
-def bracket_eval(alg: Hom3Lie, u, v, w):
-    """Trilinear antisymmetric extension of the structure constants.
-
-    Accepts sparse dicts or dense sequences; returns a dense tuple for
-    dense input and a sparse dict otherwise.  None when the evaluation
-    runs into a missing window entry.
-    """
-    dense = not isinstance(u, dict)
-    if dense:
-        if len(u) != alg.n or len(v) != alg.n or len(w) != alg.n:
-            raise ValueError("vector length does not match the algebra dimension")
-        u, v, w = sv_from_seq(u), sv_from_seq(v), sv_from_seq(w)
-    out = alg.sc.trilinear(u, v, w)
-    if out is None or not dense:
-        return out
-    return sv_to_tuple(out, alg.n)
-
-
 def ad_columns(alg: Hom3Lie, x: SVec, y: SVec):
     """Columns of ad_{x,y}: z -> [x, y, z]; a column is None when unknown."""
     cols = []
     for m in range(alg.n):
         cols.append(alg.sc.trilinear(x, y, {m: 1}))
     return cols
-
-
-def ad(alg: Hom3Lie, x, y) -> MatrixQ:
-    """Matrix of ad_{x,y}.  Raises if the window leaves it undetermined."""
-    if not isinstance(x, dict):
-        x = sv_from_seq(x)
-    if not isinstance(y, dict):
-        y = sv_from_seq(y)
-    cols = ad_columns(alg, x, y)
-    if any(c is None for c in cols):
-        raise ValueError("ad matrix not determined: bracket window too small")
-    return mat_from_columns_sv(cols, alg.n)
 
 
 # -- axiom checkers ----------------------------------------------------
@@ -352,15 +310,6 @@ def check_multiplicative(alg: Hom3Lie) -> CheckReport:
     return rep
 
 
-def is_multiplicative(alg: Hom3Lie) -> bool:
-    return check_multiplicative(alg).passed is True
-
-
-def is_regular(alg: Hom3Lie) -> bool:
-    """Multiplicative with invertible alpha, i.e. alpha is an automorphism."""
-    return alg.alpha.is_invertible() and is_multiplicative(alg)
-
-
 def center(alg: Hom3Lie) -> tuple[SubspaceQ, int]:
     """Solutions of [x, e_p, e_q] = 0 for all p < q.
 
@@ -391,32 +340,3 @@ def center(alg: Hom3Lie) -> tuple[SubspaceQ, int]:
             dense[m] = kv[pos]
         vecs.append(tuple(dense))
     return SubspaceQ(n, vecs), n - len(usable)
-
-
-def is_subalgebra(alg: Hom3Lie, space: SubspaceQ) -> bool:
-    """[S,S,S] inside S and alpha(S) inside S; skipped window entries fail closed."""
-    basis = [sv_from_seq(v) for v in space.basis]
-    for v in basis:
-        if not space.contains(sv_to_tuple(alg.alpha_apply(v), alg.n)):
-            return False
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            for c in range(b + 1, len(basis)):
-                out = alg.bracket(basis[a], basis[b], basis[c])
-                if out is None or not space.contains(sv_to_tuple(out, alg.n)):
-                    return False
-    return True
-
-
-def is_ideal(alg: Hom3Lie, space: SubspaceQ) -> bool:
-    """[S, L, L] inside S and alpha(S) inside S."""
-    basis = [sv_from_seq(v) for v in space.basis]
-    for v in basis:
-        if not space.contains(sv_to_tuple(alg.alpha_apply(v), alg.n)):
-            return False
-    for v in basis:
-        for p, q in combinations(range(alg.n), 2):
-            out = alg.bracket(v, {p: 1}, {q: 1})
-            if out is None or not space.contains(sv_to_tuple(out, alg.n)):
-                return False
-    return True

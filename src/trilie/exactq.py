@@ -17,8 +17,6 @@ from typing import Iterable, Sequence
 
 Q = int | Fraction
 
-Vec = tuple
-
 
 def qnorm(x):
     """Collapse Fraction(n, 1) to int n; leave everything else alone."""
@@ -233,10 +231,6 @@ class MatrixQ:
         _, pivots = rref(self.rows)
         return self.is_square() and len(pivots) == self.nrows
 
-    def rank(self) -> int:
-        _, pivots = rref(self.rows)
-        return len(pivots)
-
 
 def char_poly(mat: MatrixQ) -> tuple:
     """Characteristic polynomial det(tI - M), coefficients descending, monic.
@@ -436,16 +430,6 @@ class SubspaceQ:
                     v = [qnorm(a + kj * b) for a, b in zip(v, self.basis[j])]
             vecs.append(tuple(v))
         return SubspaceQ(self.ambient, vecs)
-
-    @staticmethod
-    def is_direct(spaces: Sequence["SubspaceQ"], ambient: int, equals: "SubspaceQ | None" = None) -> bool:
-        """Whether the sum of the spaces is direct (and optionally equals a target)."""
-        total = SubspaceQ.sum_of(spaces, ambient)
-        if total.dim != sum(s.dim for s in spaces):
-            return False
-        if equals is not None and total != equals:
-            return False
-        return True
 
 
 # -- sparse vectors ----------------------------------------------------

@@ -16,6 +16,7 @@ from .exactq import (
     SubspaceQ,
     kernel_basis,
     mat_columns_sv,
+    qnorm,
     sv_axpy,
     sv_scale,
 )
@@ -63,12 +64,13 @@ def op_compose(outer: Columns, inner: Columns) -> Columns:
     return out
 
 
-def op_from_matrix(mat: MatrixQ) -> Columns:
-    return mat_columns_sv(mat)
-
-
 class PairAction:
-    """Antisymmetric bilinear map L x L -> gl(V) on basis pairs."""
+    """Antisymmetric bilinear map L x L -> gl(V) on basis pairs.
+
+    Columns are stored as `exactq.sv_table` stores its entries, without
+    zero coefficients, and a zero operator is not stored, so two pair
+    actions are the same map exactly when their stored operators agree.
+    """
 
     __slots__ = ("dim_l", "dim_v", "ops")
 
@@ -80,17 +82,12 @@ class PairAction:
             for (i, j), op in ops.items():
                 if not 0 <= i < j < dim_l:
                     raise ValueError(f"pair key {(i, j)} is not ordered")
-                if isinstance(op, MatrixQ):
-                    if op.nrows != dim_v or op.ncols != dim_v:
-                        raise ValueError("operator shape mismatch")
-                    op = op_from_matrix(op)
-                else:
-                    op = [None if c is None else dict(c) for c in op]
-                    if len(op) != dim_v:
-                        raise ValueError("operator shape mismatch")
-                if any(c for c in op if c):
-                    self.ops[(i, j)] = op
-                elif any(c is None for c in op):
+                op = [None if c is None else
+                      {p: qnorm(x) for p, x in c.items() if x != 0}
+                      for c in op]
+                if len(op) != dim_v:
+                    raise ValueError("operator shape mismatch")
+                if any(c is None or c for c in op):
                     self.ops[(i, j)] = op
 
     def pair(self, i: int, j: int):
@@ -100,13 +97,6 @@ class PairAction:
         if i < j:
             return self.ops.get((i, j)) or op_zero(self.dim_v), 1
         return self.ops.get((j, i)) or op_zero(self.dim_v), -1
-
-    def apply_pair_vec(self, i: int, j: int, vec: SVec):
-        cols, sign = self.pair(i, j)
-        out = op_apply(cols, vec)
-        if out is None:
-            return None
-        return out if sign == 1 else sv_scale(out, -1)
 
     def bilinear(self, u: SVec, v: SVec) -> Columns:
         """Columns of rho(u, v) for sparse vectors u, v."""
@@ -119,32 +109,10 @@ class PairAction:
                 op_axpy(acc, cu * cv * sign, cols)
         return acc
 
-    def matrix(self, i: int, j: int) -> MatrixQ:
-        cols, sign = self.pair(i, j)
-        if any(c is None for c in cols):
-            raise ValueError("operator not determined by the window")
-        rows = [
-            [cols[c].get(r, 0) * sign for c in range(self.dim_v)]
-            for r in range(self.dim_v)
-        ]
-        return MatrixQ(rows)
-
-    def is_complete(self) -> bool:
-        return all(
-            c is not None for op in self.ops.values() for c in op
-        )
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, PairAction):
-            return False
-        if (self.dim_l, self.dim_v) != (other.dim_l, other.dim_v):
-            return False
-        keys = set(self.ops) | set(other.ops)
-        zero = op_zero(self.dim_v)
-        for key in keys:
-            if self.ops.get(key, zero) != other.ops.get(key, zero):
-                return False
-        return True
+        return (isinstance(other, PairAction)
+                and (self.dim_l, self.dim_v) == (other.dim_l, other.dim_v)
+                and self.ops == other.ops)
 
     def __repr__(self) -> str:
         return f"PairAction({self.dim_l} wedge {self.dim_l} -> gl({self.dim_v}))"
@@ -191,58 +159,6 @@ def _rho_on_vec_left(act: PairAction, vec: SVec, j: int) -> Columns:
         cols, sign = act.pair(m, j)
         op_axpy(acc, coeff * sign, cols)
     return acc
-
-
-# -- classical representation axioms -----------------------------------
-
-
-def check_classical_rep(alg: Hom3Lie, act: PairAction) -> SuiteReport:
-    """mod1 and mod2 on all basis tuples (alpha plays no role here).
-
-    mod1: [rho(x1,x2), rho(x3,x4)] = rho([x1,x2,x3],x4) - rho([x1,x2,x4],x3)
-    mod2: rho([x1,x2,x3],x4) = rho(x1,x2)rho(x3,x4) + rho(x2,x3)rho(x1,x4)
-          + rho(x3,x1)rho(x2,x4)
-    """
-    if act.dim_l != alg.n:
-        raise ValueError("action source dimension mismatch")
-    sc = alg.sc
-    n = alg.n
-    r1 = CheckReport("mod1")
-    pairs = list(combinations(range(n), 2))
-    for x1, x2 in pairs:
-        a12, _ = act.pair(x1, x2)
-        for x3, x4 in pairs:
-            a34, _ = act.pair(x3, x4)
-            lhs = op_compose(a12, a34)
-            op_axpy(lhs, -1, op_compose(a34, a12))
-            b123 = sc.trilinear({x1: 1}, {x2: 1}, {x3: 1})
-            b124 = sc.trilinear({x1: 1}, {x2: 1}, {x4: 1})
-            if b123 is None or b124 is None:
-                r1.skip(act.dim_v)
-                continue
-            rhs = _rho_on_vec_left(act, b123, x4)
-            op_axpy(rhs, -1, _rho_on_vec_left(act, b124, x3))
-            _compare_columns(r1, {"pairs": [[x1, x2], [x3, x4]]}, lhs, rhs)
-
-    r2 = CheckReport("mod2")
-    for x1, x2, x3 in combinations(range(n), 3):
-        b123 = sc.trilinear({x1: 1}, {x2: 1}, {x3: 1})
-        for x4 in range(n):
-            if b123 is None:
-                r2.skip(act.dim_v)
-                continue
-            lhs = _rho_on_vec_left(act, b123, x4)
-            rhs = op_zero(act.dim_v)
-            for (a, b), (c, d) in (
-                ((x1, x2), (x3, x4)),
-                ((x2, x3), (x1, x4)),
-                ((x3, x1), (x2, x4)),
-            ):
-                oab, sab = act.pair(a, b)
-                ocd, scd = act.pair(c, d)
-                op_axpy(rhs, sab * scd, op_compose(oab, ocd))
-            _compare_columns(r2, {"triple": [x1, x2, x3], "x4": x4}, lhs, rhs)
-    return SuiteReport("classical-rep", [r1, r2])
 
 
 # -- Hom representation axioms -----------------------------------------

@@ -102,10 +102,6 @@ class SuiteReport:
         """True when every check that ran passed. Blocked checks don't fail the suite."""
         return all(c.passed is not False for c in self.checks)
 
-    @property
-    def all_ran(self) -> bool:
-        return all(c.passed is not None for c in self.checks)
-
     def find(self, name: str) -> CheckReport:
         for c in self.checks:
             if c.name == name:

@@ -23,7 +23,6 @@ from .exactq import (
     sv_bilinear,
     sv_scale,
     sv_table,
-    sv_to_tuple,
 )
 from .core3lie import (
     Hom3Lie,
@@ -155,27 +154,16 @@ def check_unit(A: CommAlgebra) -> CheckReport:
     return rep
 
 
-def check_phi_derivation(A: CommAlgebra, cols: Columns) -> SuiteReport:
-    """Twisted-derivation laws for a single operator D on A.
+def _derivation_into(A: CommAlgebra, cols: Columns,
+                     hd1: CheckReport, hd2: CheckReport, pair) -> None:
+    """hd1 and hd2 for the operator D = cols of one anchor pair.
 
     hd1: D(ab) = phi(a) D(b) + D(a) phi(b)
     hd2: D(abc) = phi(ab) D(c) + phi(bc) D(a) + phi(ac) D(b)
     """
-    suite = SuiteReport("phi-derivation")
-    hd1 = suite.add(CheckReport("hd1"))
-    hd2 = suite.add(CheckReport("hd2"))
-    _derivation_into(A, cols, hd1, hd2, None)
-    return suite
-
-
-def _derivation_into(A: CommAlgebra, cols: Columns,
-                     hd1: CheckReport, hd2: CheckReport, tag) -> None:
     n = A.dim
     phic = A._phi_cols
     dvec = [cols[i] for i in range(n)]
-
-    def wit(extra):
-        return dict(extra) if tag is None else {"pair": tag, **extra}
 
     for i in range(n):
         for j in range(i, n):
@@ -191,7 +179,7 @@ def _derivation_into(A: CommAlgebra, cols: Columns,
             if lhs == rhs:
                 hd1.tick()
             else:
-                hd1.record(wit({"i": i, "j": j}))
+                hd1.record({"pair": pair, "i": i, "j": j})
     for i in range(n):
         for j in range(i, n):
             pij = A.basis_product(i, j)
@@ -213,7 +201,7 @@ def _derivation_into(A: CommAlgebra, cols: Columns,
                 if lhs == rhs:
                     hd2.tick()
                 else:
-                    hd2.record(wit({"i": i, "j": j, "k": k}))
+                    hd2.record({"pair": pair, "i": i, "j": j, "k": k})
 
 
 class ModuleAction:
@@ -855,81 +843,7 @@ def check_identity_suite(B: RinehartBundle) -> SuiteReport:
     return suite
 
 
-# --- ideals, kernels, centers ---------------------------------------------
-
-
-def _space_generators(space: SubspaceQ):
-    for row in space.basis:
-        yield {i: c for i, c in enumerate(row) if c != 0}
-
-
-def rinehart_ideal_check(B: RinehartBundle, space: SubspaceQ) -> SuiteReport:
-    """The four closure laws an ideal of the bundle must satisfy."""
-    if space.ambient != B.L.n:
-        raise ValueError("subspace lives in the wrong ambient space")
-    suite = SuiteReport("ideal")
-    gens = list(_space_generators(space))
-    n = B.L.n
-    sc = B.L.sc
-
-    bracket = suite.add(CheckReport("bracket-absorb"))
-    for g in gens:
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = sc.trilinear(g, {i: 1}, {j: 1})
-                if w is None:
-                    bracket.skip()
-                elif space.contains(sv_to_tuple(w, n)):
-                    bracket.tick()
-                else:
-                    bracket.record({"generator": sv_to_tuple(g, n),
-                                    "i": i, "j": j})
-
-    twist = suite.add(CheckReport("twist-stable"))
-    acols = mat_columns_sv(B.L.alpha)
-    for g in gens:
-        w = op_apply(acols, g)
-        if space.contains(sv_to_tuple(w, n)):
-            twist.tick()
-        else:
-            twist.record({"generator": sv_to_tuple(g, n)})
-
-    module = suite.add(CheckReport("module-closed"))
-    for g in gens:
-        for a in range(B.A.dim):
-            w = B.act.act({a: 1}, g)
-            if w is None:
-                module.skip()
-            elif space.contains(sv_to_tuple(w, n)):
-                module.tick()
-            else:
-                module.record({"generator": sv_to_tuple(g, n), "a": a})
-
-    anchor = suite.add(CheckReport("anchor-closed"))
-    for g in gens:
-        for j in range(n):
-            cols = _rho_on_vec_left(B.rho, g, j)
-            for a in range(B.A.dim):
-                u = cols[a]
-                for z in range(n):
-                    w = None if u is None else B.act.act(u, {z: 1})
-                    if w is None:
-                        anchor.skip()
-                    elif space.contains(sv_to_tuple(w, n)):
-                        anchor.tick()
-                    else:
-                        anchor.record({"generator": sv_to_tuple(g, n),
-                                       "j": j, "a": a, "z": z})
-    return suite
-
-
-def ker_rho_ideal(B: RinehartBundle):
-    """Kernel of the anchor and its ideal-law report."""
-    kernel, excluded = kernel_of_rep(B.L, B.rho)
-    suite = rinehart_ideal_check(B, kernel)
-    if excluded:
-        suite.name = "ideal (kernel on windowed data)"
-    return kernel, suite
+# --- centers --------------------------------------------------------------
 
 
 def centers(B: RinehartBundle) -> dict:

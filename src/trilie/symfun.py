@@ -9,9 +9,6 @@ actually touch.
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
-
 from .exactq import Q, qnorm, qparse, qstr
 
 # term key: (a, b, c, k) standing for x^a y^b z^c e^{kz}
@@ -47,10 +44,6 @@ class ExpPoly:
     @staticmethod
     def const(value) -> "ExpPoly":
         return ExpPoly({(0, 0, 0, 0): qparse(value)})
-
-    @staticmethod
-    def monomial(a: int, b: int, c: int, k: int, coeff=1) -> "ExpPoly":
-        return ExpPoly({(a, b, c, k): qparse(coeff)})
 
     @staticmethod
     def var(name: str) -> "ExpPoly":
@@ -164,30 +157,6 @@ class ExpPoly:
             return -1
         return max(a + b + c for (a, b, c, _k) in self.terms)
 
-    def max_freq(self) -> int:
-        """Maximal |k| over all terms, 0 for the zero element."""
-        if not self.terms:
-            return 0
-        return max(abs(k) for (_a, _b, _c, k) in self.terms)
-
-    def eval_at(self, xv, yv, zv, ev=1) -> Q:
-        """Evaluate with e^{z} treated as the independent value ev.
-
-        A ring homomorphism to Q (for ev != 0), handy as a second
-        opinion in tests.  It does not commute with d/dz, so it is never
-        used to certify derivative identities.
-        """
-        xv, yv, zv, ev = qparse(xv), qparse(yv), qparse(zv), qparse(ev)
-        total: Q = 0
-        for (a, b, c, k), q in self.terms.items():
-            factor = q * xv**a * yv**b * zv**c
-            if k >= 0:
-                factor *= ev**k
-            else:
-                factor *= Fraction(1, 1) / ev ** (-k)
-            total = qnorm(total + factor)
-        return total
-
     # -- text form ----------------------------------------------------
 
     def to_text(self) -> str:
@@ -211,62 +180,6 @@ class ExpPoly:
         return " + ".join(parts)
 
 
-_FACTOR_RE = re.compile(
-    r"([xyz])(?:\^(-?\d+))?|e\^\{\s*(-?\d+)\s*z\s*\}"
-)
-
-
-def from_text(text: str) -> ExpPoly:
-    """Parse the canonical term syntax produced by ``to_text``.
-
-    Accepts "0", sums joined by "+", optional leading "-", and terms of
-    the form "coeff * x^a y^b z^c e^{k z}" where each factor is
-    optional and coeff may be an integer or "p/q".
-    """
-    text = text.strip()
-    if text == "0":
-        return ExpPoly.zero()
-    total = ExpPoly.zero()
-    for raw in text.split("+"):
-        piece = raw.strip()
-        if not piece:
-            raise ValueError("empty term in polynomial text")
-        sign = 1
-        if piece.startswith("-"):
-            sign = -1
-            piece = piece[1:].strip()
-        if "*" in piece:
-            coeff_text, _, factor_text = piece.partition("*")
-            coeff = qparse(coeff_text.strip())
-        elif piece[0].isdigit():
-            coeff, factor_text = qparse(piece), ""
-        else:
-            coeff, factor_text = 1, piece
-        a = b = c = k = 0
-        consumed = 0
-        for match in _FACTOR_RE.finditer(factor_text):
-            consumed += 1
-            letter, power, freq = match.groups()
-            if letter is not None:
-                power = 1 if power is None else int(power)
-                if letter == "x":
-                    a += power
-                elif letter == "y":
-                    b += power
-                else:
-                    c += power
-            else:
-                k += int(freq)
-        leftovers = _FACTOR_RE.sub("", factor_text).strip()
-        if leftovers:
-            raise ValueError(f"cannot parse polynomial factor {leftovers!r}")
-        if factor_text.strip() and consumed == 0:
-            raise ValueError(f"cannot parse term {raw.strip()!r}")
-        term = ExpPoly.monomial(a, b, c, k, qnorm(sign * coeff))
-        total = total + term
-    return total
-
-
 # -- the Jacobian bracket ---------------------------------------------
 
 
@@ -282,13 +195,7 @@ def jacobian_bracket(f: ExpPoly, g: ExpPoly, h: ExpPoly) -> ExpPoly:
     )
 
 
-def rho_ad(f: ExpPoly, g: ExpPoly, a: ExpPoly) -> ExpPoly:
-    """The adjoint pair action on functions: rho(f,g)(a) = [f,g,a]."""
-    return jacobian_bracket(f, g, a)
-
-
 # handy generators
 X = ExpPoly.var("x")
 Y = ExpPoly.var("y")
-Z = ExpPoly.var("z")
 ONE = ExpPoly.const(1)

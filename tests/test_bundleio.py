@@ -5,6 +5,7 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trilie import cli, rinehart
 from trilie.bundleio import (
@@ -213,3 +214,68 @@ def test_warm_reports_equal_fresh_ones(name, tmp_path):
     cold = stored_reports(loads_bundle(text, verify=False))
     for key, report in hot.items():
         assert report.to_dict() == cold[key].to_dict(), key
+
+
+# -- fuzzing: any malformed file is a BundleLoadError ---------------------
+
+
+FUZZ_BASES = {
+    "d4": bundle_to_obj(generate("d4")),
+    "tb-rinehart d1": bundle_to_obj(generate("tb-rinehart", degree_cap=1)),
+}
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40)
+    | st.sampled_from(["1/0", "0", "-1", "1/2", "x", "", "e0"]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(
+                       ["dim", "bracket", "missing", "H", "flags", "x"]),
+                       inner, max_size=3)),
+    max_leaves=8)
+
+
+def _children(obj):
+    if isinstance(obj, dict):
+        return sorted(obj)
+    if isinstance(obj, list):
+        return list(range(len(obj)))
+    return []
+
+
+@st.composite
+def _place(draw, obj):
+    """A position in a JSON tree: a walk of 0 to 4 steps from the root,
+    so the sections and their entries are drawn as often as the deep
+    leaves."""
+    path = ()
+    for _ in range(draw(st.integers(0, 4))):
+        keys = _children(obj)
+        if not keys:
+            break
+        key = draw(st.sampled_from(keys))
+        path += (key,)
+        obj = obj[key]
+    return path
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(obj)
+    holder = out
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_a_replaced_value_loads_or_is_a_load_error(data):
+    base = FUZZ_BASES[data.draw(st.sampled_from(sorted(FUZZ_BASES)))]
+    path = data.draw(_place(base))
+    obj = _replaced(base, path, data.draw(_JSON_VALUES))
+    try:
+        loads_bundle(json.dumps(obj))
+    except BundleLoadError:
+        pass

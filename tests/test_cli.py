@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from trilie import split
+from trilie import cli, split
 from trilie.bundleio import dumps_bundle, load_bundle
 from trilie.cli import main
 from trilie.corpus import d4_bundle, two_block
@@ -116,6 +116,26 @@ def test_failed_hypothesis_does_not_flip_exit_code(tmp_path, capsys):
     assert status["ideal-direct-sum"] == "blocked"
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("L", "bracket", "x"),
+    ("L", "missing", 5),
+    ("L", "missing", None),
+    ("A", "mult", 7),
+    (None, "action", True),
+    (None, "rho", 3),
+])
+def test_malformed_section_type_exits_two(tmp_path, capsys, section, key,
+                                          value):
+    obj = json.loads(dumps_bundle(d4_bundle()))
+    (obj[section] if section else obj)[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "check", str(path))
+    where = f"{section}.{key}" if section else key
+    assert code == 2
+    assert err.startswith(f"error: {where}: must be a list")
+
+
 def test_check_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "check", "/no/such/bundle.json")
     assert code == 2 and "error:" in err
@@ -169,6 +189,18 @@ def test_connect_classes_and_query(tmp_path, capsys):
     assert code == 2 and "--src and --dst" in err
     code, _, err = run(capsys, "connect", path, "--src", "0", "--dst", "99")
     assert code == 2 and "out of range" in err
+
+
+def test_connect_checks_its_flags_before_decomposing(tmp_path, capsys,
+                                                    monkeypatch):
+    path = corpus_file(tmp_path, capsys, "toy-split", "--window", "2")
+
+    def no_decomposition(*args):
+        raise AssertionError("decomposed before the usage check")
+
+    monkeypatch.setattr(cli, "root_decompose", no_decomposition)
+    code, _, err = run(capsys, "connect", path, "--dst", "0")
+    assert code == 2 and "--src and --dst" in err
 
 
 def test_connect_query_across_classes(tmp_path, capsys):

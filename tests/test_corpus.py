@@ -9,13 +9,14 @@ from trilie.corpus import (
     MAX_WINDOW,
     d4_bundle,
     generate,
-    rep_family,
     tensor_family,
     tprime_split,
     twist_family,
     two_block,
 )
 from trilie.exactq import SubspaceQ
+
+from families import rep_family
 
 
 def test_every_name_generates():

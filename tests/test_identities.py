@@ -332,3 +332,19 @@ def random_bundles(draw):
 @given(random_bundles())
 def test_suite_matches_the_reference_on_random_bundles(B):
     assert_same_reports(B)
+
+
+def test_an_explicit_zero_in_an_anchor_column_changes_nothing():
+    """A column given with a zero coefficient is the zero column, so
+    the suite sees no term there.  The input is chosen so that a kept
+    {1: 0} would be a live term: on tb-rinehart at degree cap 1 its
+    action meets missing window entries and would count as skipped."""
+    B = generate("tb-rinehart", degree_cap=1)
+    n, m = B.L.n, B.A.dim
+    assert (0, 2) not in B.rho.ops
+    ops = dict(B.rho.ops)
+    ops[(0, 2)] = [{1: 0}] + [{} for _ in range(m - 1)]
+    padded = RinehartBundle(B.L, B.A, PairAction(n, m, ops), B.act)
+    assert padded.rho == B.rho
+    assert (check_identity_suite(padded).to_dict()
+            == check_identity_suite(B).to_dict())

@@ -1,9 +1,11 @@
-"""Every top-level import of the package is used by its module."""
+"""The package's own hygiene: no unused imports, no test-only API."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trilie"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "trilie"
+PERFBENCH = ROOT / "perfbench"
 
 
 def unused_imports(source: str) -> list:
@@ -33,3 +35,81 @@ def test_package_has_no_unused_top_level_imports():
              for path in sorted(PACKAGE.glob("*.py"))
              for line, name in unused_imports(path.read_text())]
     assert found == []
+
+
+def unreferenced_definitions(modules: dict, users=()) -> list:
+    """Definitions of `modules` that no program code refers to.
+
+    `modules` maps a file name to its source; `users` are further
+    sources that may refer to them.  A definition is a module-level
+    function or class, or a method of such a class that is not a
+    dunder.  It is referenced when an `ast.Name` or `ast.Attribute`
+    with its name occurs in any of the sources, outside its own
+    definition; text in strings and docstrings does not count.
+    Returns "file: name" (methods as "Class.name") in file order.
+    """
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    seen = {}  # name -> [(file, line)]; file None for the users
+    for fname, tree in [*trees.items(),
+                        *((None, ast.parse(src)) for src in users)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                seen.setdefault(node.id, []).append((fname, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                seen.setdefault(node.attr, []).append((fname, node.lineno))
+
+    def referenced(fname, node):
+        return any(not (where == fname
+                        and node.lineno <= line <= node.end_lineno)
+                   for where, line in seen.get(node.name, ()))
+
+    out = []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not referenced(fname, node):
+                out.append(f"{fname}: {node.name}")
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if (isinstance(sub, ast.FunctionDef)
+                            and not (sub.name.startswith("__")
+                                     and sub.name.endswith("__"))
+                            and not referenced(fname, sub)):
+                        out.append(f"{fname}: {node.name}.{sub.name}")
+    return out
+
+
+def test_unreferenced_definitions_are_detected():
+    sample = (
+        "def used():\n"
+        "    return 1\n"
+        "\n"
+        "def dead(n):\n"
+        "    \"\"\"Calls itself, and `idle` in text only.\"\"\"\n"
+        "    return dead(n - 1)\n"
+        "\n"
+        "class Kept:\n"
+        "    def run(self):\n"
+        "        return used()\n"
+        "    def idle(self):\n"
+        "        return 'idle'\n"
+        "    def __repr__(self):\n"
+        "        return ''\n"
+        "\n"
+        "Kept().run()\n"
+    )
+    assert unreferenced_definitions({"m.py": sample}) == [
+        "m.py: dead", "m.py: Kept.idle"]
+    assert unreferenced_definitions({"m.py": sample},
+                                    ["import m\nm.dead(1)\n"]) == [
+        "m.py: Kept.idle"]
+
+
+def test_every_definition_is_reached_from_the_program():
+    """src/trilie holds only what the commands or perfbench/ use: a
+    function, class or method that only tests call belongs in tests/."""
+    modules = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    users = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
+    assert unreferenced_definitions(modules, users) == []

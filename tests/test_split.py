@@ -12,7 +12,8 @@ from itertools import combinations_with_replacement
 import pytest
 
 from trilie import split
-from trilie.core3lie import Hom3Lie, StructureConstants3
+from trilie.construct import bundle_direct_sum
+from trilie.core3lie import Hom3Lie, StructureConstants3, center
 from trilie.corpus import (
     d4_bundle,
     d4_structure,
@@ -24,7 +25,8 @@ from trilie.corpus import (
     two_block_factors,
 )
 from trilie.exactq import MatrixQ, SubspaceQ
-from trilie.rinehart import RinehartBundle
+from trilie.report import CheckReport, SuiteReport
+from trilie.rinehart import RinehartBundle, centers
 from trilie.split import (
     RootForm,
     SplitError,
@@ -34,11 +36,9 @@ from trilie.split import (
     connected,
     connection_chain_valid,
     direct_sum_decompose,
-    direct_sum_vs_split,
     pullback_root,
     root_classes,
     root_decompose,
-    split_ideal,
     weight_class_decompose,
     weight_decompose,
     zero_form,
@@ -485,7 +485,8 @@ def test_direct_sum_hypotheses_hold_on_toy():
     B = toy_split(2)
     H = h_space(B)
     dec, wdec = root_decompose(B, H), weight_decompose(B, H)
-    suite, part = direct_sum_decompose(B, dec, wdec)
+    part = root_classes(dec.gamma, wdec.lam, dec.AH)
+    suite = direct_sum_decompose(B, dec, wdec, part)
     assert [c.status for c in suite.checks] == ["pass", "pass", "pass"]
     assert [len(c) for c in part] == [4]
 
@@ -494,7 +495,8 @@ def test_direct_sum_hypotheses_fail_on_tprime(tprime):
     """The constant vector field is central and is not generated from
     the graded parts, so the direct-sum conclusion must be withheld."""
     B, dec, wdec = tprime
-    suite, _ = direct_sum_decompose(B, dec, wdec)
+    part = root_classes(dec.gamma, wdec.lam, dec.AH)
+    suite = direct_sum_decompose(B, dec, wdec, part)
     by_name = {c.name: c for c in suite.checks}
     one = ["0", "0", "1"] + ["0"] * 12
 
@@ -509,6 +511,169 @@ def test_direct_sum_hypotheses_fail_on_tprime(tprime):
     ds = by_name["ideal-direct-sum"]
     assert ds.status == "blocked"
     assert ds.detail == "hypothesis failed: center-trivial, H-generated"
+
+
+# -- block sums against the split of the sum ------------------------------
+#
+# An oracle for root_decompose and weight_decompose: the split of a
+# block sum must be the zero extension of the splits of the blocks.
+
+
+def split_ideal(B: RinehartBundle, dec, ideal: SubspaceQ):
+    """Decompose a twist-stable ideal along the grading.
+
+    Returns (components, suite): components holds I∩H and the nonzero
+    I∩L_gamma pieces; the suite verifies alpha-stability, exactness of
+    the component sum, and — when I lies inside H — centrality.
+    """
+    n = B.L.n
+    suite = SuiteReport("split-ideal")
+    stab = suite.add(CheckReport("alpha-stable"))
+    image = SubspaceQ(n, [B.L.alpha.apply(v) for v in ideal.basis])
+    stab.tick()
+    if image != ideal:
+        stab.record({"dim": ideal.dim, "image_dim": image.dim})
+
+    in_h = ideal.intersect(dec.H)
+    parts = []
+    for gam, space in dec.roots:
+        piece = ideal.intersect(space)
+        if piece.dim:
+            parts.append((gam, piece))
+
+    exact = suite.add(CheckReport("component-sum"))
+    total = SubspaceQ.sum_of([in_h] + [p for _, p in parts], n)
+    exact.tick()
+    if total != ideal or total.dim != in_h.dim + sum(
+            p.dim for _, p in parts):
+        exact.record({"ideal_dim": ideal.dim, "sum_dim": total.dim})
+
+    central = suite.add(CheckReport("central-when-in-H"))
+    if dec.H.contains_space(ideal):
+        z, excluded = center(B.L)
+        if excluded:
+            central.block("bracket window leaves the center undetermined")
+        else:
+            central.tick()
+            if not z.contains_space(ideal):
+                central.record({"ideal_dim": ideal.dim,
+                                "center_dim": z.dim})
+    else:
+        central.block("ideal is not inside H")
+
+    return {"H": in_h, "roots": tuple(parts)}, suite
+
+
+def _embed_form(form: RootForm, offset: int, h: int) -> RootForm:
+    rows = [[0] * h for _ in range(h)]
+    for a in range(form.h):
+        for b in range(form.h):
+            rows[a + offset][b + offset] = form.mat.rows[a][b]
+    return RootForm(MatrixQ(rows))
+
+
+def _embed_space(space: SubspaceQ, offset: int, n: int) -> SubspaceQ:
+    rows = []
+    for v in space.basis:
+        row = [0] * n
+        row[offset:offset + len(v)] = list(v)
+        rows.append(row)
+    return SubspaceQ(n, rows)
+
+
+def direct_sum_vs_split(B1: RinehartBundle, H1: SubspaceQ,
+                        B2: RinehartBundle, H2: SubspaceQ,
+                        name: str = ""):
+    """Block sum of two split bundles versus the split of the block sum.
+
+    Builds L = L1 (+) L2 over the shared A, decomposes it relative to
+    H1 (+) H2, and checks the zero-extension picture: the combined
+    root system is the union of the block systems, each combined root
+    space is the embedded block space, combined weight spaces refine
+    the block weight spaces, and splitting the block ideals recovers
+    the block data.  Returns (suite, bundle, dec, wdec).
+    """
+    B = bundle_direct_sum(B1, B2, name=name)
+    n1, n2 = B1.L.n, B2.L.n
+    n = n1 + n2
+    suite = SuiteReport("direct-sum-vs-split")
+
+    zla = suite.add(CheckReport("A-annihilator-trivial"))
+    z = centers(B)["Z_L_A"]
+    zla.tick()
+    if z.dim:
+        zla.record({"dim": z.dim})
+
+    dec1, wdec1 = root_decompose(B1, H1), weight_decompose(B1, H1)
+    dec2, wdec2 = root_decompose(B2, H2), weight_decompose(B2, H2)
+    H = SubspaceQ(n, [tuple(v) + (0,) * n2 for v in H1.basis]
+                  + [(0,) * n1 + tuple(v) for v in H2.basis])
+    dec, wdec = root_decompose(B, H), weight_decompose(B, H)
+    h1, h = H1.dim, H.dim
+
+    expected = {}
+    for gam, space in dec1.roots:
+        expected[_embed_form(gam, 0, h)] = _embed_space(space, 0, n)
+    for gam, space in dec2.roots:
+        expected[_embed_form(gam, h1, h)] = _embed_space(space, n1, n)
+
+    ru = suite.add(CheckReport("roots-are-the-union"))
+    ru.tick()
+    if set(dec.index) != set(expected):
+        ru.record({"combined": len(dec.roots), "expected": len(expected)})
+    sm = suite.add(CheckReport("root-spaces-match"))
+    for form, space in expected.items():
+        sm.tick()
+        if dec.index.get(form) != space:
+            sm.record({"root": form.key()})
+
+    # A is shared between the blocks, so a joint eigenvector carries a
+    # weight from each block at once; the combined weight is the sum of
+    # the two embeddings and its space the eigenspace intersection.
+    expected_w = {}
+    pairs1 = [(zero_form(H1.dim), wdec1.zero)] + list(wdec1.weights)
+    pairs2 = [(zero_form(H2.dim), wdec2.zero)] + list(wdec2.weights)
+    for mu1, sp1 in pairs1:
+        for mu2, sp2 in pairs2:
+            inter = sp1.intersect(sp2)
+            if inter.dim == 0:
+                continue
+            form = _embed_form(mu1, 0, h) + _embed_form(mu2, h1, h)
+            if not form.is_zero():
+                expected_w[form] = inter
+
+    wu = suite.add(CheckReport("weights-combine-blocks"))
+    wu.tick()
+    if set(wdec.index) != set(expected_w):
+        wu.record({"combined": len(wdec.weights),
+                   "expected": len(expected_w)})
+    wr = suite.add(CheckReport("weight-spaces-match"))
+    for form, space in expected_w.items():
+        wr.tick()
+        if wdec.index.get(form) != space:
+            wr.record({"weight": form.key()})
+    wz = suite.add(CheckReport("A0-is-the-intersection"))
+    wz.tick()
+    if wdec.zero != wdec1.zero.intersect(wdec2.zero):
+        wz.record({"A0": wdec.zero.dim})
+
+    rec = suite.add(CheckReport("split-recovers-blocks"))
+    for dim, dj, h_off, block_off in ((n1, dec1, 0, 0),
+                                      (n2, dec2, h1, n1)):
+        block_space = _embed_space(SubspaceQ.full(dim), block_off, n)
+        comps, sub = split_ideal(B, dec, block_space)
+        rec.tick()
+        ok = sub.passed and comps["H"] == _embed_space(
+            dj.H, block_off, n)
+        if ok:
+            got = {form: space for form, space in comps["roots"]}
+            want = {_embed_form(g, h_off, h):
+                    _embed_space(s, block_off, n) for g, s in dj.roots}
+            ok = got == want
+        if not ok:
+            rec.record({"block": 1 if block_off == 0 else 2})
+
+    return suite, B, dec, wdec
 
 
 def test_direct_sum_vs_split_on_a_twin():

@@ -3,19 +3,22 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from trilie.symfun import ExpPoly, from_text, jacobian_bracket, rho_ad
+from trilie.symfun import ExpPoly, jacobian_bracket
 
 X, Y, Z = ExpPoly.var("x"), ExpPoly.var("y"), ExpPoly.var("z")
+
+
+def mono(a, b, c, k, coeff=1):
+    """coeff * x^a y^b z^c e^{kz}."""
+    return ExpPoly({(a, b, c, k): coeff})
 
 
 def _random_poly(rng, nterms=3):
     p = ExpPoly.zero()
     for _ in range(nterms):
-        p = p + ExpPoly.monomial(rng.randint(0, 2), rng.randint(0, 2),
-                                 rng.randint(0, 2), rng.randint(-1, 1),
-                                 rng.randint(-3, 3))
+        p = p + mono(rng.randint(0, 2), rng.randint(0, 2),
+                     rng.randint(0, 2), rng.randint(-1, 1),
+                     rng.randint(-3, 3))
     return p
 
 
@@ -39,11 +42,10 @@ def test_partial_product_rule():
 
 
 def test_partial_z_sees_frequencies():
-    p = ExpPoly.monomial(2, 0, 0, 2)  # x^2 e^{2z}
-    assert p.partial("z") == ExpPoly.monomial(2, 0, 0, 2, 2)
-    q = ExpPoly.monomial(0, 0, 1, -1)  # z e^{-z}
-    assert q.partial("z") == (ExpPoly.exp(-1)
-                              + ExpPoly.monomial(0, 0, 1, -1, -1))
+    p = mono(2, 0, 0, 2)  # x^2 e^{2z}
+    assert p.partial("z") == mono(2, 0, 0, 2, 2)
+    q = mono(0, 0, 1, -1)  # z e^{-z}
+    assert q.partial("z") == ExpPoly.exp(-1) + mono(0, 0, 1, -1, -1)
 
 
 def test_jacobian_bracket_frozen():
@@ -71,42 +73,19 @@ def test_jacobian_bracket_trilinear():
         assert lhs == rhs
 
 
-def test_rho_ad_is_bracket_slot():
-    rng = random.Random(45)
-    for _ in range(10):
-        f, g, a = (_random_poly(rng, 2) for _ in range(3))
-        assert rho_ad(f, g, a) == jacobian_bracket(f, g, a)
-
-
 def test_text_roundtrip():
-    samples = (
-        "0",
-        "1",
-        "3 * x y e^{-1 z} + 1/2 * z^2",
-        "-2 * x^2 + 1 * e^{3 z}",
-    )
-    for text in samples:
-        p = from_text(text)
-        assert from_text(p.to_text()) == p
-
-
-def test_from_text_rejects_garbage():
-    with pytest.raises(ValueError):
-        from_text("3 * w^2")
-    with pytest.raises(ValueError):
-        from_text("x + + y")
-
-
-def test_eval_at_exact():
-    p = X * Y + ExpPoly.exp(1)
-    assert p.eval_at(2, 3, 0) == 7
-    q = ExpPoly.monomial(0, 0, 0, 1, Fraction(1, 2))
-    assert q.eval_at(0, 0, 0, ev=Fraction(2, 3)) == Fraction(1, 3)
+    """The samples the text parser round-tripped, now written by to_text
+    alone: terms in key order, coefficients as "p/q" (corpus labels are
+    read from this form)."""
+    assert ExpPoly.zero().to_text() == "0"
+    assert ExpPoly.const(1).to_text() == "1"
+    p = X * Y * ExpPoly.exp(-1).scale(3) + Z * Z.scale(Fraction(1, 2))
+    assert p.to_text() == "1/2 * z^2 + 3 * x y e^{-1 z}"
+    q = X * X.scale(-2) + ExpPoly.exp(3)
+    assert q.to_text() == "1 * e^{3 z} + -2 * x^2"
 
 
 def test_degree_and_frequency_bounds():
-    p = ExpPoly.monomial(2, 1, 0, -3)
+    p = mono(2, 1, 0, -3)
     assert p.degree() == 3
-    assert p.max_freq() == 3
     assert ExpPoly.zero().degree() == -1
-    assert ExpPoly.zero().max_freq() == 0
