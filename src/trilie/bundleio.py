@@ -326,6 +326,9 @@ def obj_to_bundle(obj, verify: bool = True) -> RinehartBundle:
     meta_obj = obj.get("metadata", {})
     if not isinstance(meta_obj, dict):
         _fail("metadata", "must be an object")
+    for key in ("H", "flags"):
+        if key in meta_obj:
+            _fail("metadata", f"{key!r} belongs at the top level")
     meta = dict(meta_obj)
     if flags:
         meta["flags"] = dict(flags)

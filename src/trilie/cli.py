@@ -41,7 +41,8 @@ from .bundleio import (
 from .construct import ConstructionError, TwistInput, tensor_extension, twist
 from .core3lie import check_hom_jacobi, check_multiplicative
 from .exactq import MatrixQ, SubspaceQ, qstr
-from .repmod import check_hr4, check_hr4_equivalence, check_hom_rep
+from .repmod import HomRepresentation, check_hr4, \
+    check_hr4_equivalence, check_hom_rep
 from .report import CheckReport, SuiteReport
 from .rinehart import (
     RinehartBundle,
@@ -534,16 +535,17 @@ def cmd_construct(args) -> int:
 
     if args.seed is not None:
         alg, A, rho, variant = corpus.tensor_family(args.seed)
+        rep = HomRepresentation(rho, A.phi)
         l_labels = a_labels = None
     else:
         if not args.path:
             raise CliError("construct tensor needs an input bundle "
                            "path or --seed")
         inp_bundle = load_bundle(args.path)
-        alg, A, rho = inp_bundle.L, inp_bundle.A, inp_bundle.rho
+        alg, A, rep = inp_bundle.L, inp_bundle.A, inp_bundle.rep
         l_labels, a_labels = inp_bundle.L_labels, inp_bundle.A_labels
     try:
-        out = tensor_extension(alg, A, rho, name=args.name or "tensor",
+        out = tensor_extension(alg, A, rep, name=args.name or "tensor",
                                l_labels=l_labels, a_labels=a_labels)
     except ConstructionError as exc:
         raise CliError(str(exc)) from exc

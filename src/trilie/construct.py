@@ -154,20 +154,23 @@ def twist(inp: TwistInput, name: str = "") -> RinehartBundle:
 
 
 def tensor_preconditions(L: Hom3Lie, A: CommAlgebra,
-                         rho: PairAction) -> SuiteReport:
+                         rep: HomRepresentation) -> SuiteReport:
     """Hypotheses of the tensor extension, as a check suite.
 
     The bracket must be multiplicative for alpha, A must be a
     commutative associative algebra with phi an algebra endomorphism,
     (A, rho, phi) must satisfy the representation laws hr1..hr3, and
-    every rho(e_i, e_j) must be a phi-twisted derivation of A.
+    every rho(e_i, e_j) must be a phi-twisted derivation of A.  The
+    hr1..hr3 and derivation reports are the ones stored with rep, so
+    for the representation of a loaded bundle they are not computed
+    again.
     """
     suite = SuiteReport("tensor-preconditions")
     suite.add(check_multiplicative(L))
     suite.add(check_commutative_associative(A))
     suite.add(check_phi_multiplicative(A))
-    suite.extend(check_hom_rep(L, HomRepresentation(rho, A.phi)))
-    suite.add(check_rho_derivations(A, rho))
+    suite.extend(check_hom_rep(L, rep))
+    suite.add(check_rho_derivations(A, rep))
     return suite
 
 
@@ -175,10 +178,13 @@ def _tensor_label(alabel: str, llabel: str) -> str:
     return llabel if alabel == "1" else f"{alabel}*{llabel}"
 
 
-def tensor_extension(L: Hom3Lie, A: CommAlgebra, rho: PairAction,
+def tensor_extension(L: Hom3Lie, A: CommAlgebra, rep: HomRepresentation,
                      name: str = "", l_labels=None,
                      a_labels=None) -> RinehartBundle:
     """The bundle on G = A (x) L induced by a module-algebra pair.
+
+    rep is the representation (rho, phi) of L on A, with phi the twist
+    of A; a bundle's `rep` is one.
 
     Basis vector a*n + x of G is e_a (x) e_x with n = dim L, so the
     L-index varies fastest.  The bracket of three basis tensors is
@@ -193,9 +199,12 @@ def tensor_extension(L: Hom3Lie, A: CommAlgebra, rho: PairAction,
     factor.  Triples or action values that run out of a product
     window are recorded as missing rather than guessed.
     """
+    rho = rep.action
     if rho.dim_l != L.n or rho.dim_v != A.dim:
         raise ValueError("rho shape does not match L and A")
-    suite = tensor_preconditions(L, A, rho)
+    if rep.phi != A.phi:
+        raise ValueError("the representation's phi is not the twist of A")
+    suite = tensor_preconditions(L, A, rep)
     _raise_on_failure("tensor", suite)
 
     nL, mA = L.n, A.dim

@@ -22,6 +22,7 @@ from .exactq import (
     mat_columns_sv,
     qnorm,
     sv_axpy,
+    sv_scale,
 )
 from .report import CheckReport, stored_on
 
@@ -161,7 +162,104 @@ def ad_columns(alg: Hom3Lie, x: SVec, y: SVec):
     return cols
 
 
+def _signed_rows(half: dict) -> dict:
+    """Rows of every ordered pair from the rows of the pairs i < j,
+    since each row is antisymmetric in its pair."""
+    rows = dict(half)
+    for (i, j), row in half.items():
+        rows[(j, i)] = [None if v is None else sv_scale(v, -1) for v in row]
+    return rows
+
+
+def bracket_rows(sc: StructureConstants3) -> dict:
+    """[e_i, e_j, e_k] as a row over k, for every ordered pair i != j.
+
+    An entry is None where the triple is missing and {} where k repeats
+    i or j.  By the even cyclic shift the same entry is [e_k, e_i, e_j].
+    """
+    half = {}
+    for i, j in combinations(range(sc.n), 2):
+        row = []
+        for k in range(sc.n):
+            vec, sign = sc.lookup(i, j, k)
+            row.append(vec if vec is None or sign == 1 else sv_scale(vec, -1))
+        half[(i, j)] = row
+    return _signed_rows(half)
+
+
+def _bits(indices) -> int:
+    """A set of indices (the support of a sparse vector) as a bit mask."""
+    out = 0
+    for m in indices:
+        out |= 1 << m
+    return out
+
+
+def _row_masks(rows: dict) -> dict:
+    """(bits of the None entries, support bits of each entry) per row.
+
+    A None entry has support 0: the first mask already rules it out.
+    """
+    return {key: (_bits(k for k, vec in enumerate(row) if vec is None),
+                  [0 if vec is None else _bits(vec) for vec in row])
+            for key, row in rows.items()}
+
+
 # -- axiom checkers ----------------------------------------------------
+#
+# Both Jacobi forms are one residual over a bracket triple t = [x, y, z]
+# and a pair P, with (k, Q) running over (x, (y, z)), (y, (z, x)) and
+# (z, (x, y)):
+#
+#     sum_m t_m outer[P][m] - sum_(k, Q) sum_m [P, e_k]_m outer[Q][m]
+#
+# where outer[P][m] is [e_m, P] (Jacobi) or [e_m, alpha P] (Hom-Jacobi).
+# The bracket rows and the outer rows of every pair are built once per
+# check, with bit masks of their None entries and of each entry's
+# support.  A missing triple skips all its pairs in one step; otherwise
+# an instance is undetermined exactly when the support of a term meets
+# the None mask of the row it is read from, which a few ANDs decide
+# before any vector is summed.
+
+
+def _jacobi_residuals(rep: CheckReport, n: int, rows: dict, outer: dict,
+                      witness) -> CheckReport:
+    """Count or record every (triple, pair) instance of the residual
+    above; witness(triple, pair) starts the record of a failure."""
+    masks = _row_masks(rows)
+    outer_none = {key: none for key, (none, _) in _row_masks(outer).items()}
+    pairs = [(pq, rows[pq], *masks[pq], outer[pq], outer_none[pq])
+             for pq in combinations(range(n), 2)]
+    skipped = checked = 0
+    for x, y, z in combinations(range(n), 3):
+        t = rows[(x, y)][z]
+        if t is None:
+            skipped += len(pairs)
+            continue
+        t_bits = _bits(t)
+        trip = 1 << x | 1 << y | 1 << z
+        cyc = [(x, outer[(y, z)]), (y, outer[(z, x)]), (z, outer[(x, y)])]
+        gx, gy, gz = outer_none[(y, z)], outer_none[(z, x)], outer_none[(x, y)]
+        for pq, row, none, support, out_row, out_none in pairs:
+            if (t_bits & out_none or trip & none or support[x] & gx
+                    or support[y] & gy or support[z] & gz):
+                skipped += 1
+                continue
+            checked += 1
+            if not t and not (support[x] | support[y] | support[z]):
+                continue
+            acc: SVec = {}
+            for m, c in t.items():
+                sv_axpy(acc, c, out_row[m])
+            for k, q_row in cyc:
+                for m, cm in row[k].items():
+                    sv_axpy(acc, -cm, q_row[m])
+            if acc:
+                rep.record({**witness((x, y, z), pq),
+                            "residual_support": sorted(acc)})
+    rep.skip(skipped)
+    rep.tick(checked)
+    return rep
 
 
 @stored_on("_jacobi")
@@ -171,48 +269,9 @@ def check_jacobi(alg: Hom3Lie) -> CheckReport:
     [[x1,x2,x3],y2,y3] = [[x1,y2,y3],x2,x3] + [[x2,y2,y3],x3,x1]
                          + [[x3,y2,y3],x1,x2].
     """
-    rep = CheckReport("jacobi")
-    sc = alg.sc
-    n = alg.n
-    pairs = list(combinations(range(n), 2))
-    for x1, x2, x3 in combinations(range(n), 3):
-        top, _ = sc.lookup(x1, x2, x3)
-        for p, q in pairs:
-            ok = True
-            acc: SVec = {}
-            if top is None:
-                ok = False
-            else:
-                for m, c in top.items():
-                    vec, sign = sc.lookup(m, p, q)
-                    if vec is None:
-                        ok = False
-                        break
-                    sv_axpy(acc, c * sign, vec)
-            if ok:
-                # cyclic sum over (x1, x2, x3) on the right hand side
-                for a, b, c3 in ((x1, x2, x3), (x2, x3, x1), (x3, x1, x2)):
-                    inner, sign = sc.lookup(a, p, q)
-                    if inner is None:
-                        ok = False
-                        break
-                    for m, cm in inner.items():
-                        vec2, sign2 = sc.lookup(m, b, c3)
-                        if vec2 is None:
-                            ok = False
-                            break
-                        sv_axpy(acc, -cm * sign * sign2, vec2)
-                    if not ok:
-                        break
-            if not ok:
-                rep.skip()
-                continue
-            rep.tick()
-            if acc:
-                rep.record(
-                    {"x": [x1, x2, x3], "y": [p, q], "residual_support": sorted(acc)}
-                )
-    return rep
+    rows = bracket_rows(alg.sc)
+    return _jacobi_residuals(CheckReport("jacobi"), alg.n, rows, rows,
+                             lambda t, p: {"x": list(t), "y": list(p)})
 
 
 @stored_on("_hom_jacobi")
@@ -223,70 +282,14 @@ def check_hom_jacobi(alg: Hom3Lie) -> CheckReport:
         + [a(x3),[x1,x2,x4],a(x5)] + [a(x3),a(x4),[x1,x2,x5]]
     with a = alpha.
     """
-    rep = CheckReport("hom-jacobi")
-    sc = alg.sc
-    n = alg.n
-    acols = alg._alpha_cols
-
-    # AA[i][j][m] = [alpha e_i, alpha e_j, e_m]; by the even cyclic shift
-    # this same table gives [e_m, alpha e_i, alpha e_j].
-    aa = {(i, j): [sc.trilinear(acols[i], acols[j], {m: 1})
-                   for m in range(n)]
-          for i, j in combinations(range(n), 2)}
-
-    def aa_at(i, j):
-        if i < j:
-            return aa[(i, j)], 1
-        return aa[(j, i)], -1
-
-    pairs = list(combinations(range(n), 2))
-    for x3, x4, x5 in combinations(range(n), 3):
-        t, _ = sc.lookup(x3, x4, x5)
-        for x1, x2 in pairs:
-            row12, s12 = aa_at(x1, x2)
-            acc: SVec = {}
-            ok = True
-            if t is None:
-                ok = False
-            else:
-                for m, c in t.items():
-                    cell = row12[m]
-                    if cell is None:
-                        ok = False
-                        break
-                    sv_axpy(acc, c * s12, cell)
-            if ok:
-                for inner_trip, pair in (
-                    ((x1, x2, x3), (x4, x5)),
-                    ((x1, x2, x4), (x5, x3)),
-                    ((x1, x2, x5), (x3, x4)),
-                ):
-                    s, sign = sc.lookup(*inner_trip)
-                    if s is None:
-                        ok = False
-                        break
-                    row, sp = aa_at(*pair)
-                    for m, cm in s.items():
-                        cell = row[m]
-                        if cell is None:
-                            ok = False
-                            break
-                        sv_axpy(acc, -cm * sign * sp, cell)
-                    if not ok:
-                        break
-            if not ok:
-                rep.skip()
-                continue
-            rep.tick()
-            if acc:
-                rep.record(
-                    {
-                        "x": [x1, x2],
-                        "triple": [x3, x4, x5],
-                        "residual_support": sorted(acc),
-                    }
-                )
-    return rep
+    sc, n, acols = alg.sc, alg.n, alg._alpha_cols
+    # [alpha e_i, alpha e_j, e_m], which is [e_m, alpha e_i, alpha e_j]
+    aa = _signed_rows({(i, j): [sc.trilinear(acols[i], acols[j], {m: 1})
+                                for m in range(n)]
+                       for i, j in combinations(range(n), 2)})
+    return _jacobi_residuals(CheckReport("hom-jacobi"), n, bracket_rows(sc),
+                             aa, lambda t, p: {"x": list(p),
+                                               "triple": list(t)})
 
 
 @stored_on("_multiplicative")

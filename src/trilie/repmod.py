@@ -5,6 +5,15 @@ other index orders are recovered from antisymmetry.  Operators are kept
 as lists of columns (sparse vectors over the module), and a column may
 be None when a windowed corpus does not determine it.  Checks then count
 the affected (tuple, column) instances as skipped.
+
+check_hom_rep builds its operands once per call: rho(alpha e_i,
+alpha e_j) for i < j (kept with the representation, so check_hr4
+reuses it), rho(e_m, alpha e_j) phi for all m, j, the signed bracket
+rows [e_i, e_j, .] and the nonzero columns of each stored operator.
+The phi-terms of hr2 and hr3 are then sums of table rows, a triple
+outside the bracket window skips its hr2 instances in one step, and a
+product rho(alpha e_a, alpha e_b) rho(e_c, e_d) is composed only in
+the columns that the rest of its law leaves determined.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from .exactq import (
     sv_axpy,
     sv_scale,
 )
-from .core3lie import Hom3Lie
+from .core3lie import Hom3Lie, bracket_rows
 from .report import CheckReport, SuiteReport, stored_on
 
 SVec = dict
@@ -47,21 +56,18 @@ def op_axpy(acc: Columns, scalar, cols: Columns) -> None:
     """acc += scalar * cols, column by column, None infecting per column."""
     if scalar == 0:
         return
-    for c in range(len(acc)):
+    for c, col in enumerate(cols):
         if acc[c] is None:
             continue
-        col = cols[c]
         if col is None:
             acc[c] = None
-        else:
+        elif col:
             sv_axpy(acc[c], scalar, col)
 
 
 def op_compose(outer: Columns, inner: Columns) -> Columns:
-    out: Columns = []
-    for col in inner:
-        out.append(None if col is None else op_apply(outer, col))
-    return out
+    return [col if col is None else op_apply(outer, col) if col else {}
+            for col in inner]
 
 
 class PairAction:
@@ -122,10 +128,14 @@ class HomRepresentation:
     """A pair action together with the module twist phi.
 
     `_hom_rep` and `_hr4` hold the reports of check_hom_rep and
-    check_hr4 once they have run, with the algebra they ran against.
+    check_hr4 once they have run, with the algebra they ran against,
+    `_alpha_pairs` the table of rho(alpha e_i, alpha e_j) they share,
+    and `_derivations` the report of rinehart.check_rho_derivations
+    with its coefficient algebra.
     """
 
-    __slots__ = ("action", "phi", "_phi_cols", "_hom_rep", "_hr4")
+    __slots__ = ("action", "phi", "_phi_cols", "_alpha_pairs", "_hom_rep",
+                 "_hr4", "_derivations")
 
     def __init__(self, action: PairAction, phi: MatrixQ):
         if phi.nrows != action.dim_v or phi.ncols != action.dim_v:
@@ -143,13 +153,17 @@ class HomRepresentation:
 
 def _compare_columns(rep: CheckReport, witness, lhs: Columns, rhs: Columns) -> None:
     """Per-column comparison with skip accounting for undetermined columns."""
-    for c, (lcol, rcol) in enumerate(zip(lhs, rhs)):
-        if lcol is None or rcol is None:
-            rep.skip()
-            continue
-        rep.tick()
-        if lcol != rcol:
-            rep.record(dict(witness, column=c))
+    if lhs == rhs:
+        gaps = lhs.count(None)
+    else:
+        gaps = 0
+        for c, (lcol, rcol) in enumerate(zip(lhs, rhs)):
+            if lcol is None or rcol is None:
+                gaps += 1
+            elif lcol != rcol:
+                rep.record(dict(witness, column=c))
+    rep.skip(gaps)
+    rep.tick(len(lhs) - gaps)
 
 
 def _rho_on_vec_left(act: PairAction, vec: SVec, j: int) -> Columns:
@@ -164,24 +178,13 @@ def _rho_on_vec_left(act: PairAction, vec: SVec, j: int) -> Columns:
 # -- Hom representation axioms -----------------------------------------
 
 
-def _alpha_pair_table(alg: Hom3Lie, act: PairAction) -> dict:
-    """rho(alpha e_i, alpha e_j) for i < j."""
-    out = {}
+@stored_on("_alpha_pairs", owner=1)
+def _alpha_pair_table(alg: Hom3Lie, rep: HomRepresentation) -> dict:
+    """rho(alpha e_i, alpha e_j) for i < j, kept with rep per algebra."""
+    act = rep.action
     acols = alg._alpha_cols
-    for i, j in combinations(range(alg.n), 2):
-        out[(i, j)] = act.bilinear(acols[i], acols[j])
-    return out
-
-
-def _mixed_pair_table(alg: Hom3Lie, act: PairAction) -> dict:
-    """rho(e_m, alpha e_j) for all m, j."""
-    out = {}
-    acols = alg._alpha_cols
-    for m in range(alg.n):
-        em = {m: 1}
-        for j in range(alg.n):
-            out[(m, j)] = act.bilinear(em, acols[j])
-    return out
+    return {(i, j): act.bilinear(acols[i], acols[j])
+            for i, j in combinations(range(alg.n), 2)}
 
 
 def _ra(table: dict, i: int, j: int):
@@ -192,21 +195,68 @@ def _ra(table: dict, i: int, j: int):
     return table[(j, i)], -1
 
 
+def _sparse_ops(act: PairAction) -> dict:
+    """The (index, column) pairs of each stored operator that are not
+    the zero column."""
+    return {key: [(k, col) for k, col in enumerate(op) if col != {}]
+            for key, op in act.ops.items()}
+
+
+def _add_products(acc: Columns, ra: dict, sparse: dict, terms) -> None:
+    """acc += rho(alpha e_a, alpha e_b) rho(e_c, e_d) over the terms.
+
+    sparse holds the operators rho(e_c, e_d) as `_sparse_ops` gives
+    them.  Only the columns of acc that are still determined are
+    computed.  A term with a repeated index, or whose pair (c, d) has
+    no stored operator, is the zero operator whatever the other factor
+    holds, so it is not composed.
+    """
+    for (a, b), (c, d) in terms:
+        if a == b or c == d:
+            continue
+        ocd = sparse.get((c, d) if c < d else (d, c))
+        if ocd is None:
+            continue
+        oab, sab = _ra(ra, a, b)
+        sign = sab if c < d else -sab
+        for k, col in ocd:
+            if acc[k] is None:
+                continue
+            out = None if col is None else op_apply(oab, col)
+            if out is None:
+                acc[k] = None
+            else:
+                sv_axpy(acc[k], sign, out)
+
+
+def _beside(cols: Columns) -> Columns:
+    """The zero operator, undetermined where cols is: the start of the
+    other side of a law, whose columns there are skipped anyway."""
+    return [None if col is None else {} for col in cols]
+
+
 @stored_on("_hom_rep", owner=1)
 def check_hom_rep(alg: Hom3Lie, rep: HomRepresentation) -> SuiteReport:
     """hr1 on basis pairs, hr2 and hr3 on basis 4-tuples."""
     act = rep.action
     if act.dim_l != alg.n:
         raise ValueError("action source dimension mismatch")
-    sc = alg.sc
     n = alg.n
+    dim_v = act.dim_v
     phi = rep._phi_cols
-    ra = _alpha_pair_table(alg, act)  # rho(alpha e_i, alpha e_j)
-    rm = _mixed_pair_table(alg, act)  # rho(e_m, alpha e_j)
+    acols = alg._alpha_cols
+    ra = _alpha_pair_table(alg, rep)
+    # rho(e_m, alpha e_j) phi: the phi-terms of hr2 and hr3 are sums of
+    # these rows, since composing with phi distributes over the sum
+    rmp = {(m, j): op_compose(act.bilinear({m: 1}, acols[j]), phi)
+           for m in range(n) for j in range(n)}
+    rows = bracket_rows(alg.sc)
+    sparse = _sparse_ops(act)
+    pairs = list(combinations(range(n), 2))
 
     # hr1: rho(alpha x1, alpha x2) phi = phi rho(x1, x2)
     r1 = CheckReport("hr1")
-    for i, j in combinations(range(n), 2):
+    for i, j in pairs:
         lhs = op_compose(ra[(i, j)], phi)
         raw, _ = act.pair(i, j)
         rhs = op_compose(phi, raw)
@@ -216,50 +266,42 @@ def check_hom_rep(alg: Hom3Lie, rep: HomRepresentation) -> SuiteReport:
     #      rho(a1,a2)rho(3,4) + rho(a2,a3)rho(1,4) + rho(a3,a1)rho(2,4)
     r2 = CheckReport("hr2")
     for x1, x2, x3 in combinations(range(n), 3):
-        b123 = sc.trilinear({x1: 1}, {x2: 1}, {x3: 1})
+        b123 = rows[(x1, x2)][x3]
+        if b123 is None:
+            r2.skip(dim_v * n)
+            continue
         for x4 in range(n):
-            if b123 is None:
-                r2.skip(act.dim_v)
-                continue
-            left = op_zero(act.dim_v)
+            lhs = op_zero(dim_v)
             for m, coeff in b123.items():
-                op_axpy(left, coeff, rm[(m, x4)])
-            lhs = op_compose(left, phi)
-            rhs = op_zero(act.dim_v)
-            for (a, b), (c, d) in (
-                ((x1, x2), (x3, x4)),
-                ((x2, x3), (x1, x4)),
-                ((x3, x1), (x2, x4)),
-            ):
-                oab, sab = _ra(ra, a, b)
-                ocd, scd = act.pair(c, d)
-                op_axpy(rhs, sab * scd, op_compose(oab, ocd))
+                op_axpy(lhs, coeff, rmp[(m, x4)])
+            rhs = _beside(lhs)
+            _add_products(rhs, ra, sparse, (((x1, x2), (x3, x4)),
+                                            ((x2, x3), (x1, x4)),
+                                            ((x3, x1), (x2, x4))))
             _compare_columns(r2, {"triple": [x1, x2, x3], "x4": x4}, lhs, rhs)
 
     # hr3: rho(a x1, a x2) rho(x3, x4) = rho(a x3, a x4) rho(x1, x2)
     #      + rho([x1,x2,x3], a x4) phi + rho(a x3, [x1,x2,x4]) phi
     r3 = CheckReport("hr3")
-    pairs = list(combinations(range(n), 2))
     for x1, x2 in pairs:
-        o12, _ = act.pair(x1, x2)
+        row = rows[(x1, x2)]
         for x3, x4 in pairs:
-            o34, _ = act.pair(x3, x4)
-            lhs = op_compose(ra[(x1, x2)], o34)
-            b123 = sc.trilinear({x1: 1}, {x2: 1}, {x3: 1})
-            b124 = sc.trilinear({x1: 1}, {x2: 1}, {x4: 1})
+            b123, b124 = row[x3], row[x4]
             if b123 is None or b124 is None:
-                r3.skip(act.dim_v)
+                r3.skip(dim_v)
                 continue
-            rhs = op_compose(ra[(x3, x4)], o12)
-            term2 = op_zero(act.dim_v)
+            # the phi-terms first: no product is composed where they
+            # are undetermined
+            rhs = op_zero(dim_v)
             for m, coeff in b123.items():
-                op_axpy(term2, coeff, rm[(m, x4)])
-            op_axpy(rhs, 1, op_compose(term2, phi))
+                op_axpy(rhs, coeff, rmp[(m, x4)])
             # rho(a x3, vec) = -rho(vec, a x3)
-            term3 = op_zero(act.dim_v)
             for m, coeff in b124.items():
-                op_axpy(term3, -coeff, rm[(m, x3)])
-            op_axpy(rhs, 1, op_compose(term3, phi))
+                op_axpy(rhs, -coeff, rmp[(m, x3)])
+            lhs = _beside(rhs)
+            _add_products(lhs, ra, sparse, (((x1, x2), (x3, x4)),))
+            rhs = [None if col is None else r for col, r in zip(lhs, rhs)]
+            _add_products(rhs, ra, sparse, (((x3, x4), (x1, x2)),))
             _compare_columns(r3, {"pairs": [[x1, x2], [x3, x4]]}, lhs, rhs)
 
     return SuiteReport("hom-rep", [r1, r2, r3])
@@ -276,28 +318,23 @@ def check_hr4(alg: Hom3Lie, rep: HomRepresentation) -> CheckReport:
     the pairs, so tuples run over x1<x2, x3<x4, (x1,x2) <= (x3,x4).
     """
     act = rep.action
-    n = alg.n
-    ra = _alpha_pair_table(alg, act)
+    ra = _alpha_pair_table(alg, rep)
+    sparse = _sparse_ops(act)
     rep4 = CheckReport("hr4")
-    pairs = list(combinations(range(n), 2))
+    pairs = list(combinations(range(alg.n), 2))
     for a1, a2 in pairs:
         for b1, b2 in pairs:
             if (b1, b2) < (a1, a2):
                 continue
             acc = op_zero(act.dim_v)
-            for (p, q), (r, s) in (
+            _add_products(acc, ra, sparse, (
                 ((a1, a2), (b1, b2)),
                 ((a2, b1), (a1, b2)),
                 ((b1, a1), (a2, b2)),
                 ((b1, b2), (a1, a2)),
                 ((a1, b2), (a2, b1)),
                 ((a2, b2), (b1, a1)),
-            ):
-                if p == q or r == s:
-                    continue
-                opq, spq = _ra(ra, p, q)
-                ors, srs = act.pair(r, s)
-                op_axpy(acc, spq * srs, op_compose(opq, ors))
+            ))
             _compare_columns(
                 rep4, {"pairs": [[a1, a2], [b1, b2]]}, acc, op_zero(act.dim_v)
             )

@@ -10,7 +10,8 @@ window-missing data skipped and counted rather than guessed.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, \
+    permutations
 from operator import itemgetter
 
 from .exactq import (
@@ -26,6 +27,7 @@ from .exactq import (
 )
 from .core3lie import (
     Hom3Lie,
+    _bits,
     center,
     check_hom_jacobi,
     check_multiplicative,
@@ -154,56 +156,6 @@ def check_unit(A: CommAlgebra) -> CheckReport:
     return rep
 
 
-def _derivation_into(A: CommAlgebra, cols: Columns,
-                     hd1: CheckReport, hd2: CheckReport, pair) -> None:
-    """hd1 and hd2 for the operator D = cols of one anchor pair.
-
-    hd1: D(ab) = phi(a) D(b) + D(a) phi(b)
-    hd2: D(abc) = phi(ab) D(c) + phi(bc) D(a) + phi(ac) D(b)
-    """
-    n = A.dim
-    phic = A._phi_cols
-    dvec = [cols[i] for i in range(n)]
-
-    for i in range(n):
-        for j in range(i, n):
-            p = A.basis_product(i, j)
-            lhs = None if p is None else op_apply(cols, p)
-            r1 = A.product(phic[i], dvec[j])
-            r2 = A.product(dvec[i], phic[j])
-            if lhs is None or r1 is None or r2 is None:
-                hd1.skip()
-                continue
-            rhs: SVec = dict(r1)
-            sv_axpy(rhs, 1, r2)
-            if lhs == rhs:
-                hd1.tick()
-            else:
-                hd1.record({"pair": pair, "i": i, "j": j})
-    for i in range(n):
-        for j in range(i, n):
-            pij = A.basis_product(i, j)
-            fij = A.phi_apply(pij)
-            for k in range(j, n):
-                p = A.product(pij, {k: 1})
-                lhs = None if p is None else op_apply(cols, p)
-                fjk = A.phi_apply(A.basis_product(j, k))
-                fik = A.phi_apply(A.basis_product(i, k))
-                t1 = A.product(fij, dvec[k])
-                t2 = A.product(fjk, dvec[i])
-                t3 = A.product(fik, dvec[j])
-                if lhs is None or t1 is None or t2 is None or t3 is None:
-                    hd2.skip()
-                    continue
-                rhs = dict(t1)
-                sv_axpy(rhs, 1, t2)
-                sv_axpy(rhs, 1, t3)
-                if lhs == rhs:
-                    hd2.tick()
-                else:
-                    hd2.record({"pair": pair, "i": i, "j": j, "k": k})
-
-
 class ModuleAction:
     """Action of a CommAlgebra on the underlying space of L.
 
@@ -242,13 +194,13 @@ class RinehartBundle:
     """All the data of a (candidate) Hom 3-Lie-Rinehart algebra.
 
     rep is the Hom representation (rho, phi), built once so that its
-    stored reports are shared by every suite.  The last three fields
-    hold the reports of check_anchor_derivations, check_weak_rinehart
-    and check_full_rinehart once they have run.
+    stored reports (hom-rep, hr4 and the anchor derivations) are shared
+    by every suite.  The last two fields hold the reports of
+    check_weak_rinehart and check_full_rinehart once they have run.
     """
 
     __slots__ = ("L", "A", "rho", "act", "rep", "name", "L_labels",
-                 "A_labels", "meta", "_anchor", "_weak", "_full")
+                 "A_labels", "meta", "_weak", "_full")
 
     def __init__(self, L: Hom3Lie, A: CommAlgebra, rho: PairAction,
                  act: ModuleAction, name: str = "",
@@ -276,32 +228,88 @@ class RinehartBundle:
         return f"RinehartBundle(dim L={self.L.n}, dim A={self.A.dim}{tag})"
 
 
-@stored_on("_anchor")
 def check_anchor_derivations(B: RinehartBundle) -> CheckReport:
     """Every rho(e_i, e_j) lands in the twisted derivations of A."""
-    return check_rho_derivations(B.A, B.rho)
+    return check_rho_derivations(B.A, B.rep)
 
 
-def check_rho_derivations(A: CommAlgebra, rho: PairAction) -> CheckReport:
+@stored_on("_derivations", owner=1)
+def check_rho_derivations(A: CommAlgebra,
+                          rep: HomRepresentation) -> CheckReport:
     """hd1 and hd2 for every stored rho(e_i, e_j), merged into one report.
 
-    Witnesses carry the law they break and the pair they come from.
+    hd1: D(ab) = phi(a) D(b) + D(a) phi(b)
+    hd2: D(abc) = phi(ab) D(c) + phi(bc) D(a) + phi(ac) D(b)
+
+    The products of basis vectors and their phi-images are the same for
+    every anchor operator D, so they are built once, and an instance
+    whose product leaves the window is skipped for all of them at once.
+    The report is kept with rep per algebra A.  Witnesses carry the law
+    they break and the pair they come from.
     """
-    rep = CheckReport("rho-derivation")
-    hd1 = CheckReport("hd1")
-    hd2 = CheckReport("hd2")
-    for (i, j), cols in sorted(rho.ops.items()):
-        _derivation_into(A, cols, hd1, hd2, (i, j))
-    for part in (hd1, hd2):
-        rep.checked += part.checked
-        rep.skipped += part.skipped
-        rep.failure_count += part.failure_count
+    n = A.dim
+    phic = A._phi_cols
+    prods = {}  # (i, j) -> (e_i e_j, phi(e_i e_j)) for i <= j
+    for i, j in combinations_with_replacement(range(n), 2):
+        p = A.basis_product(i, j)
+        prods[(i, j)] = p, A.phi_apply(p)
+    triples = list(combinations_with_replacement(range(n), 3))
+    # per law: its report, its instance count and the instances whose
+    # products are determined, as (witness keys, the argument of D, the
+    # terms (v, k) of the sum of v D(e_k), the columns of D they read)
+    laws = [(CheckReport("hd1"), len(prods), []),
+            (CheckReport("hd2"), len(triples), [])]
+
+    def instance(law, where, p, terms):
+        need = _bits(p) | _bits(k for _, k in terms)
+        laws[law][2].append((where, p, terms, need))
+
+    for (i, j), (p, _) in prods.items():
+        if p is not None:
+            instance(0, {"i": i, "j": j}, p, ((phic[i], j), (phic[j], i)))
+    for i, j, k in triples:
+        (pij, fij), fjk, fik = prods[(i, j)], prods[(j, k)][1], prods[(i, k)][1]
+        p = A.product(pij, {k: 1})
+        if not (p is None or fij is None or fjk is None or fik is None):
+            instance(1, {"i": i, "j": j, "k": k}, p,
+                     ((fij, k), (fjk, i), (fik, j)))
+
+    for pair, cols in sorted(rep.action.ops.items()):
+        gaps = _bits(c for c, col in enumerate(cols) if col is None)
+        for part, count, live in laws:
+            part.skip(count - len(live))
+            for where, p, terms, need in live:
+                rhs = None if need & gaps else _sum_of_products(A, terms, cols)
+                if rhs is None:
+                    part.skip()
+                elif op_apply(cols, p) == rhs:
+                    part.tick()
+                else:
+                    part.record({"pair": pair, **where})
+
+    out = CheckReport("rho-derivation")
+    for part, _, _ in laws:
+        out.checked += part.checked
+        out.skipped += part.skipped
+        out.failure_count += part.failure_count
         for wit in part.failures:
-            if len(rep.failures) < MAX_FAILURES:
-                rep.failures.append({"law": part.name, **wit})
+            if len(out.failures) < MAX_FAILURES:
+                out.failures.append({"law": part.name, **wit})
         if part.passed is False:
-            rep.passed = False
-    return rep
+            out.passed = False
+    return out
+
+
+def _sum_of_products(A: CommAlgebra, terms, cols: Columns):
+    """The sum of v D(e_k) over the terms (v, k), D given by its
+    columns; None when a product leaves the window."""
+    out: SVec = {}
+    for v, k in terms:
+        term = A.product(v, cols[k])
+        if term is None:
+            return None
+        sv_axpy(out, 1, term)
+    return out
 
 
 def check_action_module(B: RinehartBundle) -> CheckReport:

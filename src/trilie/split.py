@@ -78,14 +78,6 @@ class RootForm:
     def h(self) -> int:
         return self.mat.nrows
 
-    def value(self, h1, h2):
-        """Form value on two H-coordinate vectors."""
-        col = self.mat.apply(tuple(h2))
-        out = 0
-        for a, b in zip(h1, col):
-            out += a * b
-        return out
-
     def is_zero(self) -> bool:
         return self.mat.is_zero()
 

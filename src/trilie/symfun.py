@@ -149,14 +149,6 @@ class ExpPoly:
             raise ValueError(f"unknown variable {var!r}")
         return ExpPoly(out)
 
-    # -- shape queries ------------------------------------------------
-
-    def degree(self) -> int:
-        """Maximal total degree a+b+c, -1 for the zero element."""
-        if not self.terms:
-            return -1
-        return max(a + b + c for (a, b, c, _k) in self.terms)
-
     # -- text form ----------------------------------------------------
 
     def to_text(self) -> str:

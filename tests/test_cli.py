@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from trilie import cli, split
+from trilie import cli, construct, repmod, rinehart, split
 from trilie.bundleio import dumps_bundle, load_bundle
 from trilie.cli import main
 from trilie.corpus import d4_bundle, two_block
 from trilie.exactq import MatrixQ
+from trilie.report import stored_on
 from trilie.rinehart import CommAlgebra, ModuleAction, RinehartBundle
 
 
@@ -134,6 +135,20 @@ def test_malformed_section_type_exits_two(tmp_path, capsys, section, key,
     where = f"{section}.{key}" if section else key
     assert code == 2
     assert err.startswith(f"error: {where}: must be a list")
+
+
+@pytest.mark.parametrize("key, value", [("H", 5), ("flags", {"jacobi": 1})])
+def test_reserved_key_inside_metadata_exits_two(tmp_path, capsys, key,
+                                                value):
+    """H and flags are read from the top level only; inside metadata
+    they are refused on load, not handed on to the commands."""
+    obj = json.loads(dumps_bundle(d4_bundle()))
+    obj["metadata"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "decompose", str(path))
+    assert code == 2
+    assert err.startswith(f"error: metadata: {key!r} belongs at the top level")
 
 
 def test_check_missing_file_exits_two(capsys):
@@ -331,6 +346,28 @@ def test_construct_tensor_seed_output_checks_clean(tmp_path, capsys):
     code, out, _ = run(capsys, "check", str(out_path), "--suite", "core",
                        "--report", "json")
     assert code == 0 and json.loads(out)["passed"] is True
+
+
+def test_construct_tensor_reuses_the_input_reports(tmp_path, capsys,
+                                                   monkeypatch):
+    """Loading the flagged input computes its hr1-hr3 report; the
+    tensor preconditions reuse it, so the hr1-hr3 body runs once for
+    the input and once for the output's flags."""
+    path = corpus_file(tmp_path, capsys, "tb-rinehart", "--degree-cap", "2")
+    runs = []
+    body = repmod.check_hom_rep.__wrapped__
+
+    def spied(alg, rep):
+        runs.append(alg.n)
+        return body(alg, rep)
+
+    stored = stored_on("_hom_rep", owner=1)(spied)
+    for module in (repmod, rinehart, construct, cli):
+        monkeypatch.setattr(module, "check_hom_rep", stored)
+    code, _, err = run(capsys, "construct", "tensor", path,
+                       "-o", str(tmp_path / "tensor.json"))
+    assert code == 0, err
+    assert runs == [6, 18]
 
 
 def test_construct_twist_from_maps_file(tmp_path, capsys):

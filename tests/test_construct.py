@@ -27,7 +27,7 @@ from trilie.corpus import (
     twist_family,
 )
 from trilie.exactq import MatrixQ, sv_axpy, sv_scale
-from trilie.repmod import PairAction
+from trilie.repmod import HomRepresentation, PairAction
 from trilie.rinehart import check_full_rinehart, check_identity_suite
 
 
@@ -114,12 +114,12 @@ def test_tensor_refuses_shift_action_on_simple_algebra():
     # d/dz columns: not a derivation of the quotient, and the simple
     # bracket makes hr3 unsatisfiable for a single nonzero pair
     rho = PairAction(4, 3, {(1, 2): [{}, {0: 1}, {1: 2}]})
-    pre = tensor_preconditions(alg, A, rho)
+    pre = tensor_preconditions(alg, A, HomRepresentation(rho, A.phi))
     failed = {c.name for c in pre.checks if c.passed is False}
     assert "rho-derivation" in failed
     assert failed & {"hr2", "hr3"}
     with pytest.raises(ConstructionError):
-        tensor_extension(alg, A, rho)
+        tensor_extension(alg, A, HomRepresentation(rho, A.phi))
 
 
 def test_tensor_with_euler_anchor():
@@ -129,8 +129,9 @@ def test_tensor_with_euler_anchor():
     L = Hom3Lie(StructureConstants3(2, {}), MatrixQ.identity(2))
     rho = PairAction(2, 4, {(0, 1): [{}, {1: 1}, {2: 2}, {3: 3}]})
     A = trunc(4)
-    assert tensor_preconditions(L, A, rho).passed is True
-    G = tensor_extension(L, A, rho)
+    rep = HomRepresentation(rho, A.phi)
+    assert tensor_preconditions(L, A, rep).passed is True
+    G = tensor_extension(L, A, rep)
     assert check_full_rinehart(G).passed is True
     assert check_identity_suite(G).passed is True
     # basis index a * dim L + x: 1 u, 1 v, z u are 0, 1, 2
@@ -140,7 +141,9 @@ def test_tensor_with_euler_anchor():
 def test_tensor_of_d4_passes_full_and_identity_suites():
     L = Hom3Lie(StructureConstants3(4, d4_structure()),
                 MatrixQ.identity(4).scale(-1))
-    G = tensor_extension(L, trunc(3), PairAction(4, 3, {}))
+    A = trunc(3)
+    G = tensor_extension(L, A, HomRepresentation(PairAction(4, 3, {}),
+                                                A.phi))
     assert G.L.n == 12
     assert check_full_rinehart(G).passed is True
     assert check_identity_suite(G).passed is True
@@ -148,8 +151,14 @@ def test_tensor_of_d4_passes_full_and_identity_suites():
 
 def test_tensor_rejects_shape_mismatch():
     alg = Hom3Lie(StructureConstants3(3, {}), MatrixQ.identity(3))
+    A = trunc(2)
     with pytest.raises(ValueError):
-        tensor_extension(alg, trunc(2), PairAction(4, 2, {}))
+        tensor_extension(alg, A, HomRepresentation(PairAction(4, 2, {}),
+                                                   A.phi))
+    # the representation must carry the twist of A
+    with pytest.raises(ValueError, match="phi"):
+        tensor_extension(alg, A, HomRepresentation(PairAction(3, 2, {}),
+                                                   A.phi.scale(2)))
 
 
 def literal_tensor_bracket(L, A, rho, g1, g2, g3):
@@ -204,7 +213,7 @@ def literal_tensor_bracket(L, A, rho, g1, g2, g3):
 @pytest.mark.parametrize("seed", [0, 3, 7, 12, 15])
 def test_tensor_bracket_matches_literal_expansion(seed):
     alg, A, rho, _ = tensor_family(seed)
-    B = tensor_extension(alg, A, rho)
+    B = tensor_extension(alg, A, HomRepresentation(rho, A.phi))
     nG = B.L.n
     for g1, g2, g3 in combinations(range(nG), 3):
         vec, sign = B.L.sc.lookup(g1, g2, g3)
@@ -230,9 +239,9 @@ def test_tensor_gap_regression():
                   MatrixQ.diagonal([-1] * 6))
     A = trunc(2)
     rho = PairAction(6, 2, {(4, 5): [{}, {1: 1}]})
-    pre = tensor_preconditions(alg, A, rho)
+    pre = tensor_preconditions(alg, A, HomRepresentation(rho, A.phi))
     assert pre.passed is True
-    out = tensor_extension(alg, A, rho)
+    out = tensor_extension(alg, A, HomRepresentation(rho, A.phi))
     rep = check_hom_jacobi(out.L)
     assert rep.passed is False
     assert {"x": [5, 8], "triple": [0, 1, 4],

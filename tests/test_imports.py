@@ -43,25 +43,32 @@ def unreferenced_definitions(modules: dict, users=()) -> list:
     `modules` maps a file name to its source; `users` are further
     sources that may refer to them.  A definition is a module-level
     function or class, or a method of such a class that is not a
-    dunder.  It is referenced when an `ast.Name` or `ast.Attribute`
-    with its name occurs in any of the sources, outside its own
-    definition; text in strings and docstrings does not count.
-    Returns "file: name" (methods as "Class.name") in file order.
+    dunder.  A function or class is referenced when an `ast.Name` or
+    `ast.Attribute` with its name occurs in any of the sources, outside
+    its own definition; a method only when an `ast.Attribute` does, so
+    a local variable of the same name does not keep it.  Text in
+    strings and docstrings does not count.  Returns "file: name"
+    (methods as "Class.name") in file order.
     """
     trees = {name: ast.parse(src) for name, src in modules.items()}
-    seen = {}  # name -> [(file, line)]; file None for the users
+    names = {}  # name -> [(file, line)]; file None for the users
+    attributes = {}
     for fname, tree in [*trees.items(),
                         *((None, ast.parse(src)) for src in users)]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                seen.setdefault(node.id, []).append((fname, node.lineno))
+                names.setdefault(node.id, []).append((fname, node.lineno))
             elif isinstance(node, ast.Attribute):
-                seen.setdefault(node.attr, []).append((fname, node.lineno))
+                attributes.setdefault(node.attr, []).append(
+                    (fname, node.lineno))
 
-    def referenced(fname, node):
+    def referenced(fname, node, method=False):
+        uses = attributes.get(node.name, [])
+        if not method:
+            uses = uses + names.get(node.name, [])
         return any(not (where == fname
                         and node.lineno <= line <= node.end_lineno)
-                   for where, line in seen.get(node.name, ()))
+                   for where, line in uses)
 
     out = []
     for fname, tree in trees.items():
@@ -75,7 +82,7 @@ def unreferenced_definitions(modules: dict, users=()) -> list:
                     if (isinstance(sub, ast.FunctionDef)
                             and not (sub.name.startswith("__")
                                      and sub.name.endswith("__"))
-                            and not referenced(fname, sub)):
+                            and not referenced(fname, sub, method=True)):
                         out.append(f"{fname}: {node.name}.{sub.name}")
     return out
 
@@ -94,16 +101,19 @@ def test_unreferenced_definitions_are_detected():
         "        return used()\n"
         "    def idle(self):\n"
         "        return 'idle'\n"
+        "    def shadowed(self, idle):\n"
+        "        return idle\n"
         "    def __repr__(self):\n"
         "        return ''\n"
         "\n"
         "Kept().run()\n"
     )
     assert unreferenced_definitions({"m.py": sample}) == [
-        "m.py: dead", "m.py: Kept.idle"]
+        "m.py: dead", "m.py: Kept.idle", "m.py: Kept.shadowed"]
     assert unreferenced_definitions({"m.py": sample},
-                                    ["import m\nm.dead(1)\n"]) == [
-        "m.py: Kept.idle"]
+                                    ["import m\nm.dead(1)\n",
+                                     "shadowed = 1\nm.Kept().idle()\n"]) == [
+        "m.py: Kept.shadowed"]
 
 
 def test_every_definition_is_reached_from_the_program():

@@ -123,6 +123,22 @@ def test_hr4_equivalence_observed():
             assert out.passed is None
 
 
+def test_hr4_reuses_the_table_of_hom_rep(monkeypatch):
+    """rho(alpha e_i, alpha e_j) is built once per (algebra,
+    representation): hr4 after hr1-hr3 evaluates no anchor pair."""
+    alg, rep = rep_family(0)
+    check_hom_rep(alg, rep)
+    calls = []
+    bilinear = PairAction.bilinear
+    monkeypatch.setattr(PairAction, "bilinear",
+                        lambda *args: calls.append(args) or bilinear(*args))
+    check_hr4(alg, rep)
+    assert calls == []
+    other = Hom3Lie(alg.sc, alg.alpha)
+    check_hr4(other, rep)
+    assert len(calls) == len(list(combinations(range(other.n), 2)))
+
+
 def test_hr4_equivalence_blocked_without_hr2():
     # two independent scaled Euler pairs break hr2
     alg = Hom3Lie(StructureConstants3(4, {}), MatrixQ.diagonal([-1] * 4))

@@ -15,6 +15,7 @@ from trilie.construct import tensor_extension
 from trilie.core3lie import Hom3Lie
 from trilie.exactq import MatrixQ, SubspaceQ, mat_columns_sv, sv_to_tuple
 from trilie.repmod import (
+    HomRepresentation,
     PairAction,
     _rho_on_vec_left,
     check_hom_rep,
@@ -48,7 +49,8 @@ def trunc(m, coeffs=(1,)):
 
 def derivation_check(A, cols):
     """hd1 and hd2 for one operator on A, as the anchor of one pair."""
-    return check_rho_derivations(A, PairAction(2, A.dim, {(0, 1): cols}))
+    rho = PairAction(2, A.dim, {(0, 1): cols})
+    return check_rho_derivations(A, HomRepresentation(rho, A.phi))
 
 
 # -- the ideal-law oracle ----------------------------------------------------
@@ -282,7 +284,7 @@ def test_rho_prime_window_variant_is_full():
 def test_tensor_output_ideal_laws_positive_control():
     alg, A, rho, variant = tensor_family(0)
     assert variant == "anchored"
-    B = tensor_extension(alg, A, rho)
+    B = tensor_extension(alg, A, HomRepresentation(rho, A.phi))
     kernel, suite = ker_rho_ideal(B)
     assert kernel.dim == 4
     assert all(c.passed is True for c in suite.checks)
@@ -290,7 +292,7 @@ def test_tensor_output_ideal_laws_positive_control():
 
 def test_identity_suite_on_tensor_output():
     alg, A, rho, _ = tensor_family(1)
-    B = tensor_extension(alg, A, rho)
+    B = tensor_extension(alg, A, HomRepresentation(rho, A.phi))
     ids = check_identity_suite(B)
     assert ids.passed is True
     assert all(c.passed is not None for c in ids.checks)

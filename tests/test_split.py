@@ -66,12 +66,17 @@ def test_root_form_rejects_non_antisymmetric():
         RootForm(MatrixQ([[0, 1], [1, 0]]))
 
 
+def form_value(form, h1, h2):
+    """The form on two H-coordinate vectors: h1 . (matrix h2)."""
+    return sum(a * b for a, b in zip(h1, form.mat.apply(tuple(h2))))
+
+
 def test_form_value_is_the_determinant_pairing():
     # gamma_k((m1,n1,p1), (m2,n2,p2)) = k (m2 n1 - m1 n2)
     g = form3(2)
-    assert g.value((1, 0, 0), (0, 1, 0)) == -2
-    assert g.value((3, 5, 7), (2, 4, 9)) == 2 * (2 * 5 - 3 * 4)
-    assert g.value((1, 2, 3), (1, 2, 3)) == 0
+    assert form_value(g, (1, 0, 0), (0, 1, 0)) == -2
+    assert form_value(g, (3, 5, 7), (2, 4, 9)) == 2 * (2 * 5 - 3 * 4)
+    assert form_value(g, (1, 2, 3), (1, 2, 3)) == 0
 
 
 def test_pullback_frozen_example():

@@ -83,9 +83,3 @@ def test_text_roundtrip():
     assert p.to_text() == "1/2 * z^2 + 3 * x y e^{-1 z}"
     q = X * X.scale(-2) + ExpPoly.exp(3)
     assert q.to_text() == "1 * e^{3 z} + -2 * x^2"
-
-
-def test_degree_and_frequency_bounds():
-    p = mono(2, 1, 0, -3)
-    assert p.degree() == 3
-    assert ExpPoly.zero().degree() == -1
