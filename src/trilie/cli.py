@@ -148,17 +148,13 @@ def auto_subalgebra(B: RinehartBundle) -> SubspaceQ:
 
 def resolve_h(B: RinehartBundle, spec: str | None) -> SubspaceQ:
     n = B.L.n
-    if spec is None:
-        if "H" in B.meta:
-            return SubspaceQ(n, [tuple(row) for row in B.meta["H"]])
+    if spec == "auto" or (spec is None and "H" not in B.meta):
         return auto_subalgebra(B)
-    if spec == "auto":
-        return auto_subalgebra(B)
-    if spec == "file":
+    if spec in (None, "file"):
         if "H" not in B.meta:
             raise CliError("bundle file declares no H; use --H auto or "
                            "a path to a basis file")
-        return SubspaceQ(n, [tuple(row) for row in B.meta["H"]])
+        return _nonzero_h(n, B.meta["H"], "bundle H")
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -178,7 +174,15 @@ def resolve_h(B: RinehartBundle, spec: str | None) -> SubspaceQ:
         except BundleLoadError as exc:
             raise CliError(f"H file {spec}: {exc}") from exc
         dense.append(tuple(vec.get(c, 0) for c in range(n)))
-    return SubspaceQ(n, dense)
+    return _nonzero_h(n, dense, f"H file {spec}")
+
+
+def _nonzero_h(n: int, rows, where: str) -> SubspaceQ:
+    """The span of the given H rows; `where` names their source."""
+    H = SubspaceQ(n, [tuple(row) for row in rows])
+    if H.dim == 0:
+        raise CliError(f"{where}: the rows span zero; H must be nonzero")
+    return H
 
 
 # -- report plumbing ------------------------------------------------------

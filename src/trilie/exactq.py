@@ -235,10 +235,33 @@ class MatrixQ:
 def char_poly(mat: MatrixQ) -> tuple:
     """Characteristic polynomial det(tI - M), coefficients descending, monic.
 
-    Faddeev-LeVerrier: exact, division only by 1..n.
+    The strongly connected components of the off-diagonal support of M
+    (i -> j when M[i][j] != 0) order the basis so that M is block
+    triangular, and the characteristic polynomial of a block-triangular
+    matrix is the product of those of its diagonal blocks.  Each block
+    is run through Faddeev-LeVerrier (exact, division only by 1..k for
+    a block of size k); a diagonal entry d alone is the factor t - d.
+    So a diagonal or zero matrix costs no matrix product, and a dense
+    one costs what Faddeev-LeVerrier on the whole matrix does.
     """
     if not mat.is_square():
         raise ValueError("char_poly of non-square matrix")
+    rows = mat.rows
+    support = [[j for j, x in enumerate(row) if x != 0 and j != i]
+               for i, row in enumerate(rows)]
+    coeffs = (1,)
+    for block in _strong_components(support):
+        if len(block) == 1:
+            factor = (1, qnorm(-rows[block[0]][block[0]]))
+        else:
+            factor = _faddeev_leverrier(
+                MatrixQ([[rows[i][j] for j in block] for i in block]))
+        coeffs = _poly_mul(coeffs, factor)
+    return coeffs
+
+
+def _faddeev_leverrier(mat: MatrixQ) -> tuple:
+    """det(tI - M) of a square block by Faddeev-LeVerrier."""
     n = mat.nrows
     coeffs = [1]
     acc = MatrixQ.identity(n)
@@ -249,6 +272,66 @@ def char_poly(mat: MatrixQ) -> tuple:
         if k < n:
             acc = acc + MatrixQ.identity(n).scale(ck)
     return tuple(coeffs)
+
+
+def _poly_mul(p: Sequence, q: Sequence) -> tuple:
+    """Product of two polynomials, coefficients descending."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a != 0:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return tuple(qnorm(c) for c in out)
+
+
+def _strong_components(succ: list) -> list[list[int]]:
+    """Strongly connected components of the digraph i -> succ[i].
+
+    Tarjan (1972), with an explicit stack of (vertex, successor
+    iterator) frames in place of recursion.
+    """
+    n = len(succ)
+    index: list = [None] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] is not None:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            v, it = frames[-1]
+            for w in it:
+                if index[w] is None:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    frames.append((w, iter(succ[w])))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
 
 
 def _divisors(n: int) -> list[int]:

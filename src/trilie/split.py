@@ -211,15 +211,19 @@ def _simultaneous_eigenspaces(operators, ambient: int):
 
     Returns a list of (subspace, eigenvalue dict) pairs; the subspaces
     are independent by construction but need not exhaust the ambient
-    space (that is the caller's splitness check).
+    space (that is the caller's splitness check).  Each eigenspace is
+    computed once per operator, and one that is the whole space (a
+    scalar operator) leaves every candidate as it is.
     """
     cands = [(SubspaceQ.full(ambient), {})]
     for key, op in operators:
-        spectrum = sorted(rational_spectrum(op))
+        eigen = [(lam, eigenspace(op, lam))
+                 for lam in sorted(rational_spectrum(op))]
         nxt = []
         for space, ev in cands:
-            for lam in spectrum:
-                piece = space.intersect(eigenspace(op, lam))
+            for lam, espace in eigen:
+                piece = (space if espace.dim == ambient
+                         else space.intersect(espace))
                 if piece.dim:
                     nxt.append((piece, {**ev, key: lam}))
         cands = nxt
@@ -351,6 +355,24 @@ def _image_space(P: MatrixQ, space: SubspaceQ) -> SubspaceQ:
     return SubspaceQ(P.nrows, [P.apply(v) for v in space.basis])
 
 
+def _pullback_uppers(forms, AH: MatrixQ, k: int) -> list:
+    """Strict upper triangles of pullback_root(f, AH, k), one per form."""
+    P = _int_power(AH, -k)
+    Pt = P.transpose()
+    return [_upper(Pt @ f.mat @ P) for f in forms]
+
+
+def _upper_index(pieces, zero_space: SubspaceQ, h: int) -> dict:
+    """Strict upper triangle of each form -> its piece; zero -> zero_space.
+
+    Forms are antisymmetric, so the upper triangle determines one, and a
+    sum of forms is looked up by the sum of their triangles.
+    """
+    index = {_upper(form.mat): space for form, space in pieces}
+    index[(0,) * (h * (h - 1) // 2)] = zero_space
+    return index
+
+
 def check_thm1_properties(B: RinehartBundle, dec: RootDecomposition,
                           wdec: WeightDecomposition,
                           k_range=(-2, -1, 0, 1, 2)) -> SuiteReport:
@@ -364,22 +386,16 @@ def check_thm1_properties(B: RinehartBundle, dec: RootDecomposition,
     """
     n, m = B.L.n, B.A.dim
     suite = SuiteReport("thm1")
-
-    def l_target(form):
-        if form.is_zero():
-            return dec.H
-        return dec.index.get(form)
-
-    def a_target(form):
-        if form.is_zero():
-            return wdec.zero
-        return wdec.index.get(form)
+    h = dec.H.dim
+    l_index = _upper_index(dec.roots, dec.H, h)
+    a_index = _upper_index(wdec.weights, wdec.zero, h)
 
     c1 = suite.add(CheckReport("phi-moves-weights"))
     for k in k_range:
         P = _int_power(B.A.phi, k)
-        for lam, space in wdec.weights:
-            target = a_target(pullback_root(lam, wdec.AH, k))
+        pulled = _pullback_uppers(wdec.lam, wdec.AH, k)
+        for (lam, space), up in zip(wdec.weights, pulled):
+            target = a_index.get(up)
             c1.tick()
             if target is None or _image_space(P, space) != target:
                 c1.record({"weight": lam.key(), "k": k})
@@ -387,8 +403,9 @@ def check_thm1_properties(B: RinehartBundle, dec: RootDecomposition,
     c2 = suite.add(CheckReport("alpha-moves-roots"))
     for k in k_range:
         P = _int_power(B.L.alpha, k)
-        for gam, space in dec.roots:
-            target = l_target(pullback_root(gam, dec.AH, k))
+        pulled = _pullback_uppers(dec.gamma, dec.AH, k)
+        for (gam, space), up in zip(dec.roots, pulled):
+            target = l_index.get(up)
             c2.tick()
             if target is None or _image_space(P, space) != target:
                 c2.record({"root": gam.key(), "k": k})
@@ -403,10 +420,16 @@ def check_thm1_properties(B: RinehartBundle, dec: RootDecomposition,
         if not ok:
             report.record(witness)
 
+    # pullback is linear, so a pulled-back sum is the sum of pullbacks
+    up_r = [_upper(f.mat) for f in dec.gamma]
+    up_w = [_upper(f.mat) for f in wdec.lam]
+    pb_r = _pullback_uppers(dec.gamma, dec.AH, 1)
+    pb_w = _pullback_uppers(wdec.lam, dec.AH, 1)
+
     c3 = suite.add(CheckReport("bracket-adds-roots"))
-    for (f1, s1), (f2, s2), (f3, s3) in combinations_with_replacement(
-            dec.roots, 3):
-        target = l_target(pullback_root(f1 + f2 + f3, dec.AH, 1))
+    for i, j, k in combinations_with_replacement(range(len(dec.roots)), 3):
+        (f1, s1), (f2, s2), (f3, s3) = dec.roots[i], dec.roots[j], dec.roots[k]
+        target = l_index.get(vadd(vadd(pb_r[i], pb_r[j]), pb_r[k]))
         for x in s1.basis:
             for y in s2.basis:
                 for z in s3.basis:
@@ -416,9 +439,9 @@ def check_thm1_properties(B: RinehartBundle, dec: RootDecomposition,
                            {"roots": [f1.key(), f2.key(), f3.key()]})
 
     c4 = suite.add(CheckReport("product-adds-weights"))
-    for (f1, s1), (f2, s2) in combinations_with_replacement(
-            wdec.weights, 2):
-        target = a_target(f1 + f2)
+    for i, j in combinations_with_replacement(range(len(wdec.weights)), 2):
+        (f1, s1), (f2, s2) = wdec.weights[i], wdec.weights[j]
+        target = a_index.get(vadd(up_w[i], up_w[j]))
         for x in s1.basis:
             for y in s2.basis:
                 vec = B.A.product(sv_from_seq(x), sv_from_seq(y))
@@ -426,9 +449,9 @@ def check_thm1_properties(B: RinehartBundle, dec: RootDecomposition,
                        {"weights": [f1.key(), f2.key()]})
 
     c5 = suite.add(CheckReport("action-adds-grading"))
-    for lam, sa in wdec.weights:
-        for gam, sl in dec.roots:
-            target = l_target(lam + gam)
+    for (lam, sa), uw in zip(wdec.weights, up_w):
+        for (gam, sl), ur in zip(dec.roots, up_r):
+            target = l_index.get(vadd(uw, ur))
             for a in sa.basis:
                 for x in sl.basis:
                     vec = B.act.act(sv_from_seq(a), sv_from_seq(x))
@@ -436,9 +459,11 @@ def check_thm1_properties(B: RinehartBundle, dec: RootDecomposition,
                            {"weight": lam.key(), "root": gam.key()})
 
     c6 = suite.add(CheckReport("anchor-adds-grading"))
-    for (f1, s1), (f2, s2) in combinations_with_replacement(dec.roots, 2):
-        for lam, sa in wdec.weights:
-            target = a_target(pullback_root(f1 + f2 + lam, dec.AH, 1))
+    for i, j in combinations_with_replacement(range(len(dec.roots)), 2):
+        (f1, s1), (f2, s2) = dec.roots[i], dec.roots[j]
+        pair = vadd(pb_r[i], pb_r[j])
+        for (lam, sa), pw in zip(wdec.weights, pb_w):
+            target = a_index.get(vadd(pair, pw))
             for x in s1.basis:
                 for y in s2.basis:
                     cols = B.rho.bilinear(sv_from_seq(x), sv_from_seq(y))
@@ -739,9 +764,11 @@ def _zero_part_vectors(B: RinehartBundle, dec: RootDecomposition,
                                      f"A_(-xi) L_xi undetermined for root"
                                      f" xi = {xi!r}")
                 vecs.append(sv_to_tuple(out, n))
-    for xi, eta, delta in combinations_with_replacement(roots, 3):
-        if not (xi + eta + delta).is_zero():
+    ups = [_upper(f.mat) for f in roots]
+    for i, j, k in combinations_with_replacement(range(len(roots)), 3):
+        if not viszero(vadd(vadd(ups[i], ups[j]), ups[k])):
             continue
+        xi, eta, delta = roots[i], roots[j], roots[k]
         for x in dec.index[xi].basis:
             for y in dec.index[eta].basis:
                 for z in dec.index[delta].basis:
@@ -945,6 +972,8 @@ def weight_class_decompose(B: RinehartBundle, dec: RootDecomposition,
     m = B.A.dim
     suite = SuiteReport("weight-classes")
     partition = _partition(wdec.lam, dec.gamma, wdec.lam, wdec.AH)
+    up_r = [_upper(f.mat) for f in dec.gamma]
+    up_w = {f: _upper(f.mat) for f in wdec.lam}
 
     def zero_vectors(weights):
         vecs = []
@@ -960,10 +989,11 @@ def weight_class_decompose(B: RinehartBundle, dec: RootDecomposition,
                                          f"A_(-beta) A_beta undetermined"
                                          f" for weight beta = {beta!r}")
                     vecs.append(sv_to_tuple(out, m))
-        for (f1, s1), (f2, s2) in combinations_with_replacement(
-                dec.roots, 2):
+        for i, j in combinations_with_replacement(range(len(dec.roots)), 2):
+            (f1, s1), (f2, s2) = dec.roots[i], dec.roots[j]
+            pair = vadd(up_r[i], up_r[j])
             for beta in weights:
-                if not (f1 + f2 + beta).is_zero():
+                if not viszero(vadd(pair, up_w[beta])):
                     continue
                 for x in s1.basis:
                     for y in s2.basis:

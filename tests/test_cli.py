@@ -16,7 +16,7 @@ import pytest
 from trilie import cli, construct, repmod, rinehart, split
 from trilie.bundleio import dumps_bundle, load_bundle
 from trilie.cli import main
-from trilie.corpus import d4_bundle, two_block
+from trilie.corpus import d4_bundle, toy_split, two_block
 from trilie.exactq import MatrixQ
 from trilie.report import stored_on
 from trilie.rinehart import CommAlgebra, ModuleAction, RinehartBundle
@@ -254,6 +254,31 @@ def test_window_holes_in_the_split_are_reported_not_raised(tmp_path,
     gate = obj["sections"][0]["checks"][0]
     assert gate["witnesses"][0]["code"] == "bracket window too small"
     assert "undetermined" in gate["witnesses"][0]["detail"]
+
+
+@pytest.mark.parametrize("command", [("decompose",),
+                                     ("check", "--suite", "split")])
+@pytest.mark.parametrize("source", ["H file", "bundle H"])
+def test_zero_h_is_refused_with_its_source(tmp_path, capsys, command,
+                                           source):
+    """An H whose rows span zero exits 2 naming the file or the
+    bundle's own H, not the bare split hypothesis."""
+    obj = json.loads(dumps_bundle(toy_split()))
+    extra = ()
+    if source == "H file":
+        hfile = tmp_path / "H.json"
+        hfile.write_text(json.dumps([[], []]))
+        extra = ("--H", str(hfile))
+        where = f"H file {hfile}"
+    else:
+        obj["H"] = [[]]
+        where = "bundle H"
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, command[0], str(path), *command[1:],
+                         *extra)
+    assert code == 2 and out == ""
+    assert err == f"error: {where}: the rows span zero; H must be nonzero\n"
 
 
 def test_connect_reports_the_detail_of_a_split_error(tmp_path, capsys):

@@ -1,6 +1,9 @@
 """exactq against sympy on small random rational matrices and polynomials.
 
-sympy is a test-only oracle; trilie itself depends on nothing.
+sympy is a test-only oracle; trilie itself depends on nothing.  The
+characteristic polynomial is also checked against dense
+Faddeev-LeVerrier on the whole matrix, which `char_poly` runs only on
+the diagonal blocks of its block-triangular form.
 """
 
 from fractions import Fraction
@@ -34,6 +37,27 @@ def from_sympy(value):
     return Fraction(int(value.p), int(value.q))
 
 
+def dense_char_poly(mat):
+    """det(tI - M) by Faddeev-LeVerrier on the whole matrix: n dense
+    products, division only by 1..n."""
+    n = mat.nrows
+    coeffs = [1]
+    acc = MatrixQ.identity(n)
+    for k in range(1, n + 1):
+        acc = mat @ acc
+        ck = Fraction(-acc.trace(), k)
+        coeffs.append(ck)
+        if k < n:
+            acc = acc + MatrixQ.identity(n).scale(ck)
+    return coeffs
+
+
+def sympy_char_poly(rows):
+    t = sympy.Symbol("t")
+    want = sympy.Poly(to_sympy(rows).charpoly(t).as_expr(), t).all_coeffs()
+    return [from_sympy(c) for c in want]
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_rref_matches_sympy(rows):
@@ -58,9 +82,50 @@ def test_kernel_basis_matches_sympy(rows):
 @settings(max_examples=200, deadline=None)
 @given(matrices(square=True))
 def test_char_poly_matches_sympy(rows):
-    t = sympy.Symbol("t")
-    want = sympy.Poly(to_sympy(rows).charpoly(t).as_expr(), t).all_coeffs()
-    assert list(char_poly(MatrixQ(rows))) == [from_sympy(c) for c in want]
+    assert list(char_poly(MatrixQ(rows))) == sympy_char_poly(rows)
+
+
+@st.composite
+def block_triangular(draw):
+    """Block upper-triangular matrices up to 10 x 10 with blocks of size
+    1-4, conjugated by a random permutation so the blocks are hidden."""
+    n = draw(st.integers(1, 10))
+    block_of = []
+    while len(block_of) < n:
+        size = draw(st.integers(1, min(4, n - len(block_of))))
+        block_of.extend([block_of[-1] + 1 if block_of else 0] * size)
+    entry = st.one_of(st.just(Fraction(0)), RATIONALS)
+    rows = [[draw(entry) if block_of[i] <= block_of[j] else Fraction(0)
+             for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = rows[i][j]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_triangular())
+def test_char_poly_of_hidden_blocks_matches_the_oracles(rows):
+    got = list(char_poly(MatrixQ(rows)))
+    assert got == dense_char_poly(MatrixQ(rows))
+    assert got == sympy_char_poly(rows)
+
+
+@pytest.mark.parametrize("rows, want", [
+    # zero matrix: every vertex its own block, t^n
+    ([[0] * 4 for _ in range(4)], [1, 0, 0, 0, 0]),
+    # 3-cycle 0 -> 1 -> 2 -> 0 with diagonal 2, 3, 5: one block,
+    # (t - 2)(t - 3)(t - 5) - 1
+    ([[2, 1, 0], [0, 3, 1], [1, 0, 5]], [1, -10, 31, -31]),
+    # the same cycle feeding a fourth vertex, which adds the factor t - 7
+    ([[2, 1, 0, 4], [0, 3, 1, 0], [1, 0, 5, 0], [0, 0, 0, 7]],
+     [1, -17, 101, -248, 217]),
+])
+def test_char_poly_frozen(rows, want):
+    assert list(char_poly(MatrixQ(rows))) == want
+    assert dense_char_poly(MatrixQ(rows)) == want
 
 
 @st.composite

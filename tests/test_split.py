@@ -182,6 +182,64 @@ def test_thm1_laws_hold_on_the_split_corpus():
         assert suite.passed, B.name
 
 
+def _form_target(index, zero_space, form):
+    """The piece a form indexes, looked up as a RootForm."""
+    return zero_space if form.is_zero() else index.get(form)
+
+
+@pytest.mark.parametrize("name,window", [
+    ("toy-split", 2), ("tprime-split", 3), ("two-block", 1),
+    ("two-block", 3), ("tprime-split", 4)])
+def test_upper_triangle_lookup_matches_the_form_sums(name, window):
+    """The thm1 and zero-part loops find a sum's piece by summing strict
+    upper triangles of pullbacks; the RootForm path they replaced sums
+    the forms, pulls the sum back and looks it up."""
+    B = generate(name, window=window)
+    H = h_space(B)
+    dec, wdec = root_decompose(B, H), weight_decompose(B, H)
+    AH, h = dec.AH, H.dim
+    gamma, lam = dec.gamma, wdec.lam
+    l_index = split._upper_index(dec.roots, dec.H, h)
+    a_index = split._upper_index(wdec.weights, wdec.zero, h)
+    up_r = [split._upper(f.mat) for f in gamma]
+    up_w = [split._upper(f.mat) for f in lam]
+    pb_r = split._pullback_uppers(gamma, AH, 1)
+    pb_w = split._pullback_uppers(lam, AH, 1)
+
+    def l_old(form):
+        return _form_target(dec.index, dec.H, form)
+
+    def a_old(form):
+        return _form_target(wdec.index, wdec.zero, form)
+
+    def add(*ups):
+        return tuple(map(sum, zip(*ups)))
+
+    for k in (-2, -1, 0, 1, 2):
+        for f, up in zip(gamma, split._pullback_uppers(gamma, AH, k)):
+            assert l_index.get(up) is l_old(pullback_root(f, AH, k))
+        for f, up in zip(lam, split._pullback_uppers(lam, AH, k)):
+            assert a_index.get(up) is a_old(pullback_root(f, AH, k))
+    for i, j, k in combinations_with_replacement(range(len(gamma)), 3):
+        total = gamma[i] + gamma[j] + gamma[k]
+        want = l_old(pullback_root(total, AH, 1))
+        assert l_index.get(add(pb_r[i], pb_r[j], pb_r[k])) is want
+        zero = not any(add(up_r[i], up_r[j], up_r[k]))
+        assert zero == total.is_zero()
+    for i, j in combinations_with_replacement(range(len(lam)), 2):
+        assert a_index.get(add(up_w[i], up_w[j])) is a_old(lam[i] + lam[j])
+    for w, uw in zip(lam, up_w):
+        for g, ur in zip(gamma, up_r):
+            assert l_index.get(add(uw, ur)) is l_old(w + g)
+    for i, j in combinations_with_replacement(range(len(gamma)), 2):
+        for w, (pw, uw) in zip(lam, zip(pb_w, up_w)):
+            total = gamma[i] + gamma[j] + w
+            want = a_old(pullback_root(total, AH, 1))
+            assert a_index.get(add(pb_r[i], pb_r[j], pw)) is want
+            zero = not any(add(up_r[i], up_r[j], uw))
+            assert zero == total.is_zero()
+
+
 def test_root_class_sizes():
     sizes = {"toy-split": [4], "tprime-split": [6], "two-block": [2, 2]}
     for B in (toy_split(2), tprime_split(3), two_block(1)):

@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from trilie.symfun import ExpPoly, jacobian_bracket
 
 X, Y, Z = ExpPoly.var("x"), ExpPoly.var("y"), ExpPoly.var("z")
@@ -62,6 +65,34 @@ def test_jacobian_bracket_alternating_random():
         assert jacobian_bracket(f, g, h) == -jacobian_bracket(g, f, h)
         assert jacobian_bracket(f, g, h) == -jacobian_bracket(f, h, g)
         assert jacobian_bracket(f, f, h).is_zero()
+
+
+def to_sympy(p: ExpPoly, x, y, z):
+    """coeff * x^a y^b z^c e^{kz} as a sympy expression, e^{kz} as exp(k*z)."""
+    import sympy
+    return sum((sympy.Rational(q.numerator, q.denominator)
+                * x**a * y**b * z**c * sympy.exp(k * z)
+                for (a, b, c, k), q in p.terms.items()), sympy.Integer(0))
+
+
+EXP_POLYS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+              st.integers(-2, 2),
+              st.fractions(min_value=-3, max_value=3, max_denominator=3)),
+    max_size=3).map(lambda terms: sum(
+        (mono(a, b, c, k, coeff) for a, b, c, k, coeff in terms),
+        ExpPoly.zero()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(EXP_POLYS, EXP_POLYS, EXP_POLYS)
+def test_jacobian_bracket_matches_sympy(f, g, h):
+    sympy = pytest.importorskip("sympy")
+    x, y, z = sympy.symbols("x y z")
+    fs, gs, hs = (to_sympy(p, x, y, z) for p in (f, g, h))
+    want = sympy.Matrix([fs, gs, hs]).jacobian([x, y, z]).det()
+    got = to_sympy(jacobian_bracket(f, g, h), x, y, z)
+    assert sympy.expand(got - want) == 0
 
 
 def test_jacobian_bracket_trilinear():
