@@ -195,12 +195,13 @@ class RinehartBundle:
 
     rep is the Hom representation (rho, phi), built once so that its
     stored reports (hom-rep, hr4 and the anchor derivations) are shared
-    by every suite.  The last two fields hold the reports of
-    check_weak_rinehart and check_full_rinehart once they have run.
+    by every suite.  The last three fields hold the reports of
+    check_weak_rinehart and check_full_rinehart and the result of
+    centers once they have run.
     """
 
     __slots__ = ("L", "A", "rho", "act", "rep", "name", "L_labels",
-                 "A_labels", "meta", "_weak", "_full")
+                 "A_labels", "meta", "_weak", "_full", "_centers")
 
     def __init__(self, L: Hom3Lie, A: CommAlgebra, rho: PairAction,
                  act: ModuleAction, name: str = "",
@@ -497,14 +498,26 @@ def check_full_rinehart(B: RinehartBundle) -> SuiteReport:
 # keyed by ordered index tuples: an ordered pair with a stored anchor
 # operator maps to its signed columns, an ordered triple of distinct
 # indices to its signed alpha-bracket.  A repeated index or an absent
-# operator has no entry: that term is zero.  Each tuple looks its terms
-# up once.  A tuple with no live term holds for every (a, b), and one
-# whose live term has an undetermined bracket is undetermined for every
-# (a, b); both are counted, not evaluated.  Otherwise bit masks over a
-# (and b) say where a column is None (a skip, even when the other side
-# of the term is zero) and where it is nonzero; only the (a, b) with a
-# nonzero term are evaluated, and the check of a nonzero sum against
-# every b, c or basis vector runs once per distinct sum.
+# operator has no entry: that term is zero.
+#
+# Identities 1-3 are counted by bit masks over the C(n, 3) combos
+# (x3, x4, x5) of each (x1, x2).  Per term the masks say where its pair
+# has an operator and where column a of it is None or nonzero, and where
+# its triple is distinct, undetermined or nonzero.  A mask depends only
+# on the indices its pair or triple fixes among x1 and x2, so it is
+# built once per value of those and kept.  An identity's masks are the
+# OR of its terms': a combo where a term with an operator has an
+# undetermined bracket is skipped for every a, a None column skips its
+# a (even when the bracket is zero), and every other (combo, a) holds
+# unless some term is nonzero, so popcounts give the counts.  Only the (combo, a) with a nonzero term
+# are evaluated, in ascending order, in one pass for all three
+# identities that evaluates each distinct term once.
+#
+# Identities 4-6 look each tuple's terms up once.  A tuple with no live
+# term holds for every (a, b); otherwise bit masks over a and b say
+# where a column is None and where it is nonzero, and only the (a, b)
+# with a nonzero term are evaluated.  In all six, the check of a nonzero
+# sum against every b, c or basis vector runs once per distinct sum.
 
 
 class _IdentityContext:
@@ -514,11 +527,15 @@ class _IdentityContext:
     to (columns, None mask, nonzero mask) of phi.rho(e_i, e_j), resp.
     rho(e_i, e_j), with the sign of the order applied.  ab maps an
     ordered triple of distinct indices to alpha[e_i, e_j, e_k] (None
-    outside the window).  The seen_* dicts hold the per-sum verdicts.
+    outside the window).  combos lists the (x3, x4, x5) of identities
+    1-3; masks and groups keep the bit masks over them (see
+    op_masks, triple_masks).  The seen_* dicts hold the per-sum
+    verdicts.
     """
 
     __slots__ = ("n", "m", "act", "prod", "phi_apply", "alpha2", "phi2",
-                 "ab", "pr", "rho", "seen_b", "seen_c", "seen_x5")
+                 "ab", "pr", "rho", "combos", "masks", "groups",
+                 "seen_b", "seen_c", "seen_x5")
 
     def __init__(self, B: RinehartBundle):
         L, A = B.L, B.A
@@ -531,8 +548,9 @@ class _IdentityContext:
         self.alpha2 = op_compose(acols, acols)
         pc = A._phi_cols
         self.phi2 = op_compose(pc, pc)
+        self.combos = list(combinations(range(self.n), 3))
         self.ab: dict = {}
-        for key in combinations(range(self.n), 3):
+        for key in self.combos:
             vec, _ = L.sc.lookup(*key)
             if vec is not None:
                 vec = op_apply(acols, vec)
@@ -546,9 +564,78 @@ class _IdentityContext:
             for key, sign in (((i, j), 1), ((j, i), -1)):
                 self.rho[key] = _signed_op(cols, sign)
                 self.pr[key] = _signed_op(phi_rho, sign)
+        self.masks: dict = {}
+        self.groups: dict = {}
         self.seen_b: dict = {}
         self.seen_c: dict = {}
         self.seen_x5: dict = {}
+
+    def _over_combos(self, slots, fixed):
+        """(the indices at `slots`, mask of the combos giving them).
+
+        slots are positions 0..4 of (x1, ..., x5); fixed is (x1, x2).
+        The combos are grouped by their values at the slots >= 2.
+        """
+        varying = tuple(s for s in slots if s >= 2)
+        groups = self.groups.get(varying)
+        if groups is None:
+            acc: dict = {}
+            for ci, combo in enumerate(self.combos):
+                vals = tuple(combo[s - 2] for s in varying)
+                acc[vals] = acc.get(vals, 0) | 1 << ci
+            groups = self.groups[varying] = list(acc.items())
+        xs = [*fixed, 0, 0, 0]
+        for vals, mask in groups:
+            for s, v in zip(varying, vals):
+                xs[s] = v
+            yield tuple(xs[s] for s in slots), mask
+
+    def op_masks(self, pair, fixed):
+        """(present, {a: None column}, {a: nonzero column}) of phi.rho
+        at the slots `pair`, as masks over the combos."""
+        def build(over):
+            present = 0
+            none: dict = {}
+            nonzero: dict = {}
+            for idx, mask in over:
+                op = self.pr.get(idx)
+                if op is None:
+                    continue
+                present |= mask
+                for per_a, bits in ((none, op[1]), (nonzero, op[2])):
+                    for a in _bit_positions(bits):
+                        per_a[a] = per_a.get(a, 0) | mask
+            return present, none, nonzero
+        return self._kept(pair, fixed, build)
+
+    def triple_masks(self, triple, fixed):
+        """(distinct, undetermined, nonzero) of alpha[triple] at the
+        slots `triple`, as masks over the combos."""
+        def build(over):
+            distinct = undetermined = nonzero = 0
+            for idx, mask in over:
+                vec = self.ab.get(idx, _NO_TERM)
+                if vec is _NO_TERM:
+                    continue
+                distinct |= mask
+                if vec is None:
+                    undetermined |= mask
+                elif vec:
+                    nonzero |= mask
+            return distinct, undetermined, nonzero
+        return self._kept(triple, fixed, build)
+
+    def _kept(self, slots, fixed, build):
+        """build(_over_combos(slots, fixed)), kept per value of the fixed
+        indices the slots read; one that reads both x1 and x2 is used
+        once and not kept."""
+        key = (slots, tuple(fixed[s] for s in slots if s < 2))
+        hit = self.masks.get(key)
+        if hit is None:
+            hit = build(self._over_combos(slots, fixed))
+            if len(key[1]) < 2:
+                self.masks[key] = hit
+        return hit
 
     def on_phi2_b(self, s: SVec):
         """(checked, skipped, failing b's) of every phi^2(e_b) acting on s."""
@@ -616,7 +703,32 @@ def _signed_op(cols, sign: int):
     return cols, none, nonzero
 
 
-_NO_TERM = object()  # ab.get's answer for a triple with a repeated index
+def _bit_positions(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _live_columns(operands, plan) -> int:
+    """The a's where an identity has a nonzero term and no None column
+    at one tuple, as a mask; 0 when a term's bracket is undetermined.
+    operands holds (operator, bracket) per term, None for a zero term."""
+    none = nonzero = 0
+    for t, _ in plan:
+        if operands[t] is None:
+            continue
+        (_, op_none, op_nonzero), bvec = operands[t]
+        if bvec is None:
+            return 0
+        none |= op_none
+        if bvec:
+            nonzero |= op_nonzero
+    return nonzero & ~none
+
+
+_NO_TERM = object()  # a zero term: no operator, or a repeated index
 
 _HO1_TERMS = (
     # (rho pair slots, bracket slots) over (x1..x5) as indices 0..4
@@ -647,81 +759,109 @@ _HO3_TERMS = (
 )
 
 
-def _check_ho_bracket(ctx: _IdentityContext, name: str, terms,
-                      outer: bool) -> CheckReport:
-    """ho1 shape (outer=False) or ho2/ho3 shape (outer=True).
+def _check_ho_brackets(ctx: _IdentityContext, identities) -> list:
+    """Identities of the ho1 shape (outer=False) or of the ho2/ho3 shape
+    (outer=True), one report each, counted in one pass.
 
-    For each tuple and a, the sum of phi.rho(pair)(e_a) acting on
-    alpha[triple] over the terms must vanish (ho1), or be killed by
-    every phi^2(e_b) (ho2, ho3).
+    identities lists (name, terms, outer).  For each tuple and a, the
+    sum of phi.rho(pair)(e_a) acting on alpha[triple] over the terms
+    must vanish (ho1), or be killed by every phi^2(e_b) (ho2, ho3).  A
+    term shared by several identities, or with its pair reversed, is
+    evaluated once per (tuple, a).
     """
-    rep = CheckReport(name)
     n, m = ctx.n, ctx.m
-    per_a = m if outer else 1
-    pr, ab, act = ctx.pr, ctx.ab, ctx.act
-    looks = [(itemgetter(p, q), itemgetter(r, s, t))
-             for (p, q), (r, s, t) in terms]
-    checked = skipped = 0
-    zero = gap = 0  # tuples that hold, resp. are undetermined, for all a
+    pr, ab, act, combos = ctx.pr, ctx.ab, ctx.act, ctx.combos
+    shapes: list = []  # distinct (pair, triple), pair in ascending slots
+    plans = []  # per identity: (index into shapes, sign)
+    for _, terms, _ in identities:
+        plan = []
+        for (p, q), triple in terms:
+            shape = ((p, q) if p < q else (q, p)), triple
+            if shape not in shapes:
+                shapes.append(shape)
+            plan.append((shapes.index(shape), 1 if p < q else -1))
+        plans.append(plan)
+    getters = [(itemgetter(*pair), itemgetter(*triple))
+               for pair, triple in shapes]
+    reports = [CheckReport(name) for name, _, _ in identities]
+    outers = [outer for _, _, outer in identities]
+    per_a = [m if outer else 1 for outer in outers]
+    checked = [0] * len(identities)
+    skipped = [0] * len(identities)
+    everything = (1 << len(combos)) - 1
     for x1 in range(n):
         for x2 in range(n):
-            for x3, x4, x5 in combinations(range(n), 3):
-                xs = (x1, x2, x3, x4, x5)
-                none = nonzero = 0
-                live = []
-                undetermined = False
-                for pair, triple in looks:
+            fixed = (x1, x2)
+            ops = [ctx.op_masks(pair, fixed) for pair, _ in shapes]
+            brackets = [ctx.triple_masks(triple, fixed)
+                        for _, triple in shapes]
+            pending = 0  # combos where some identity has a nonzero term
+            for k, plan in enumerate(plans):
+                gap = 0
+                none: dict = {}
+                live: dict = {}
+                for t, _ in plan:
+                    present, op_none, op_nonzero = ops[t]
+                    distinct, undetermined, nonzero = brackets[t]
+                    gap |= present & undetermined
+                    for a, mask in op_none.items():
+                        none[a] = none.get(a, 0) | mask & distinct
+                    for a, mask in op_nonzero.items():
+                        live[a] = live.get(a, 0) | mask & nonzero
+                keep = everything ^ gap
+                n_none = n_live = 0
+                for a, mask in none.items():
+                    none[a] = mask = mask & keep
+                    n_none += mask.bit_count()
+                for a, mask in live.items():
+                    mask &= keep & ~none.get(a, 0)
+                    n_live += mask.bit_count()
+                    pending |= mask
+                n_gap = gap.bit_count()
+                skipped[k] += (n_gap * m + n_none) * per_a[k]
+                checked[k] += ((len(combos) - n_gap) * m - n_none
+                               - n_live) * per_a[k]
+            for ci in _bit_positions(pending):
+                xs = fixed + combos[ci]
+                operands = []  # see _live_columns
+                for pair, triple in getters:
                     op = pr.get(pair(xs))
-                    if op is None:
-                        continue
-                    bvec = ab.get(triple(xs), _NO_TERM)
-                    if bvec is _NO_TERM:
-                        continue
-                    if bvec is None:
-                        undetermined = True
-                        break
-                    cols, op_none, op_nonzero = op
-                    none |= op_none
-                    if bvec:
-                        nonzero |= op_nonzero
-                        live.append((cols, bvec))
-                if undetermined:
-                    gap += 1
-                    continue
-                nonzero &= ~none
-                if not none and not nonzero:
-                    zero += 1
-                    continue
-                n_none = none.bit_count()
-                skipped += n_none * per_a
-                checked += (m - n_none - nonzero.bit_count()) * per_a
-                for a in range(m):
-                    if not nonzero >> a & 1:
-                        continue
-                    s: SVec | None = {}
-                    for cols, bvec in live:
-                        avec = cols[a]
-                        if avec:
-                            term = act(avec, bvec)
+                    bvec = _NO_TERM if op is None else ab.get(triple(xs),
+                                                              _NO_TERM)
+                    operands.append(None if bvec is _NO_TERM else (op, bvec))
+                values: dict = {}  # (term, a) -> its value at xs
+                for k, plan in enumerate(plans):
+                    for a in _bit_positions(_live_columns(operands, plan)):
+                        s: SVec | None = {}
+                        for t, sign in plan:
+                            if operands[t] is None:
+                                continue
+                            (cols, _, _), bvec = operands[t]
+                            if not bvec or not cols[a]:
+                                continue
+                            if (t, a) not in values:
+                                values[t, a] = act(cols[a], bvec)
+                            term = values[t, a]
                             if term is None:
                                 s = None
                                 break
-                            sv_axpy(s, 1, term)
-                    if s is None:
-                        skipped += per_a
-                    elif not s:
-                        checked += per_a
-                    elif not outer:
-                        rep.record({"x": xs, "a": a})
-                    else:
-                        ok, gaps, bad = ctx.on_phi2_b(s)
-                        checked += ok
-                        skipped += gaps
-                        for b in bad:
-                            rep.record({"x": xs, "a": a, "b": b})
-    rep.tick(checked + zero * m * per_a)
-    rep.skip(skipped + gap * m * per_a)
-    return rep
+                            sv_axpy(s, sign, term)
+                        if s is None:
+                            skipped[k] += per_a[k]
+                        elif not s:
+                            checked[k] += per_a[k]
+                        elif not outers[k]:
+                            reports[k].record({"x": xs, "a": a})
+                        else:
+                            ok, b_gaps, bad = ctx.on_phi2_b(s)
+                            checked[k] += ok
+                            skipped[k] += b_gaps
+                            for b in bad:
+                                reports[k].record({"x": xs, "a": a, "b": b})
+    for rep, ok, gaps in zip(reports, checked, skipped):
+        rep.tick(ok)
+        rep.skip(gaps)
+    return reports
 
 
 _HO4_COMBOS = (((0, 1), (2, 3)), ((0, 3), (1, 2)), ((1, 3), (2, 0)))
@@ -836,9 +976,10 @@ def check_identity_suite(B: RinehartBundle) -> SuiteReport:
     """The six multilinear compatibility identities of a full bundle."""
     ctx = _IdentityContext(B)
     suite = SuiteReport("identities")
-    suite.add(_check_ho_bracket(ctx, "identity-1", _HO1_TERMS, outer=False))
-    suite.add(_check_ho_bracket(ctx, "identity-2", _HO2_TERMS, outer=True))
-    suite.add(_check_ho_bracket(ctx, "identity-3", _HO3_TERMS, outer=True))
+    for rep in _check_ho_brackets(ctx, [("identity-1", _HO1_TERMS, False),
+                                        ("identity-2", _HO2_TERMS, True),
+                                        ("identity-3", _HO3_TERMS, True)]):
+        suite.add(rep)
     suite.add(_check_ho_pairs(ctx, "identity-4", _HO4_COMBOS,
                               x3_after_x2=False, b_after_a=False,
                               with_c=False))
@@ -854,6 +995,7 @@ def check_identity_suite(B: RinehartBundle) -> SuiteReport:
 # --- centers --------------------------------------------------------------
 
 
+@stored_on("_centers")
 def centers(B: RinehartBundle) -> dict:
     """Z_L(A), Z_rho(L), and the consistency law tying them together."""
     n, m = B.L.n, B.A.dim

@@ -395,6 +395,25 @@ def test_construct_tensor_reuses_the_input_reports(tmp_path, capsys,
     assert runs == [6, 18]
 
 
+def test_decompose_computes_the_centers_once(tmp_path, capsys,
+                                             monkeypatch):
+    """The direct-sum and weight-class stages both read the centers of
+    the bundle; they are computed once and kept with it.  The spy is
+    the kernel of the representation, which only centers computes."""
+    path = corpus_file(tmp_path, capsys, "tprime-split", "--window", "3")
+    runs = []
+    body = rinehart.kernel_of_rep
+
+    def spied(alg, act):
+        runs.append(alg.n)
+        return body(alg, act)
+
+    monkeypatch.setattr(rinehart, "kernel_of_rep", spied)
+    code, _, err = run(capsys, "decompose", path, "--report", "json")
+    assert code == 0, err
+    assert runs == [15]
+
+
 def test_construct_twist_from_maps_file(tmp_path, capsys):
     base = corpus_file(tmp_path, capsys, "d4")
     maps = tmp_path / "maps.json"

@@ -1,11 +1,13 @@
 """The identity suite against a literal reference evaluation.
 
-`check_identity_suite` looks each term's operands up once per tuple
-and counts the tuples whose terms are all zero or undetermined.  The
-reference below evaluates every (tuple, a, b, c, x5) instance one by
-one, in the enumeration order of the suite, with the sign of each
-operand looked up per instance.  Reports must agree exactly: verdict,
-checked and skipped counts, failure counts and witnesses in order.
+`check_identity_suite` counts identities 1-3 from bit masks over the
+(x3, x4, x5) of each (x1, x2), evaluating only where a term is nonzero
+and each shared term once, and counts the tuples of identities 4-6
+whose terms are all zero.  The reference below evaluates every
+(tuple, a, b, c, x5) instance one by one, identity by identity, in the
+enumeration order of the suite, with the sign of each operand looked
+up per instance.  Reports must agree exactly: verdict, checked and
+skipped counts, failure counts and witnesses in order.
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from trilie.core3lie import Hom3Lie, StructureConstants3, sort3
 from trilie.corpus import generate
 from trilie.exactq import MatrixQ, mat_columns_sv, sv_axpy, sv_scale
-from trilie.report import CheckReport, SuiteReport
+from trilie.report import MAX_FAILURES, CheckReport, SuiteReport
 from trilie.repmod import PairAction, op_apply, op_compose
 from trilie.rinehart import (
     CommAlgebra,
@@ -28,6 +30,8 @@ from trilie.rinehart import (
     _HO4_COMBOS,
     _HO5_COMBOS,
     _HO6_COMBOS,
+    _IdentityContext,
+    _check_ho_brackets,
     check_identity_suite,
 )
 
@@ -278,6 +282,55 @@ def test_corpus_comparison_reaches_failures_and_skips():
     assert all(c["skipped"] > 0 for c in checks)
     assert [c["failures"] > 0 for c in checks] == [False] * 3 + [True] * 3
     assert checks[3]["witnesses"]
+
+
+def truncating_bundle():
+    """n = 4, m = 2, found by a random search: identities 1, 2 and 3
+    fail 8, 16 and 28 times, more than the witnesses a report keeps."""
+    L = Hom3Lie(StructureConstants3(4, {(0, 1, 3): {1: 2}, (0, 2, 3): {0: 1}}),
+                MatrixQ([[0, 0, -1, 1], [-1, 0, -1, 1], [0, -1, 1, 0],
+                         [-1, 1, 0, 0]]))
+    A = CommAlgebra(2, {}, MatrixQ([[1, -1], [0, 1]]))
+    act = ModuleAction(2, 4, {(0, 2): {2: 1}, (1, 2): {1: -1}})
+    return RinehartBundle(L, A, PairAction(4, 2, {(1, 2): [{1: 1}, {1: 1}]}),
+                          act)
+
+
+def test_witnesses_of_identities_1_to_3_are_the_first_in_tuple_order():
+    B = truncating_bundle()
+    failures = [c.failure_count for c in check_identity_suite(B).checks]
+    assert failures == [8, 16, 28, 0, 0, 0]
+    assert min(failures[:3]) > MAX_FAILURES
+    assert_same_reports(B)
+
+
+def test_one_pass_evaluates_each_shared_term_once():
+    """Identities 1-3 share 9 distinct terms among their 18, so the
+    suite's one pass calls the action fewer times than a pass per
+    identity over the same context; the reports are the same."""
+    B = generate("two-block", window=1)
+    identities = [("identity-1", _HO1_TERMS, False),
+                  ("identity-2", _HO2_TERMS, True),
+                  ("identity-3", _HO3_TERMS, True)]
+
+    def spied_context():
+        ctx = _IdentityContext(B)
+        act = ctx.act
+        calls = []
+
+        def counting(u, v):
+            calls.append(1)
+            return act(u, v)
+        ctx.act = counting
+        return ctx, calls
+
+    ctx, together = spied_context()
+    one_pass = [rep.to_dict() for rep in _check_ho_brackets(ctx, identities)]
+    ctx, apart = spied_context()
+    per_identity = [_check_ho_brackets(ctx, [identity])[0].to_dict()
+                    for identity in identities]
+    assert one_pass == per_identity
+    assert (len(together), len(apart)) == (8400, 15872)
 
 
 # --- random bundles with window holes -------------------------------------

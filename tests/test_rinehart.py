@@ -29,7 +29,7 @@ from trilie.rinehart import (
     CommAlgebra,
     ModuleAction,
     RinehartBundle,
-    _check_ho_bracket,
+    _check_ho_brackets,
     _IdentityContext,
     centers,
     check_anchor_derivations,
@@ -200,8 +200,9 @@ def test_printed_identity_indices_fail():
     printed3 = _HO3_TERMS[:2] + (misprint,) + _HO3_TERMS[3:]
     for terms, printed, outer, failures in ((_HO1_TERMS, printed1, False, 27),
                                             (_HO3_TERMS, printed3, True, 31)):
-        assert _check_ho_bracket(ctx, "ho", terms, outer).passed is True
-        rep = _check_ho_bracket(ctx, "ho", printed, outer)
+        right, rep = _check_ho_brackets(ctx, [("ho", terms, outer),
+                                              ("ho", printed, outer)])
+        assert right.passed is True
         assert rep.passed is False
         assert rep.failure_count == failures
 
