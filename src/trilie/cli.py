@@ -190,7 +190,10 @@ def _nonzero_h(n: int, rows, where: str) -> SubspaceQ:
 
 def _emit(args, obj: dict, text_lines) -> None:
     if args.report == "json":
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        # a witness form can hold a non-integral rational: "p/q", as
+        # every other rational in a report is written
+        print(json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                         default=qstr))
     else:
         for line in text_lines:
             print(line)
@@ -276,16 +279,18 @@ def _split_sections(B: RinehartBundle, h_spec, want_classes: bool):
     try:
         dec = root_decompose(B, H)
         wdec = weight_decompose(B, H)
+        # a pullback orbit that does not close fails here, as in decompose
+        partition = (root_classes(dec.forms, wdec.forms, dec.AH)
+                     if want_classes else None)
     except SplitError as exc:
         status.tick()
         status.record({"code": exc.code, "detail": exc.detail})
         return suites
     status.tick()
-    status.detail = (f"{len(dec.gamma)} roots, {len(wdec.lam)} weights, "
+    status.detail = (f"{len(dec.forms)} roots, {len(wdec.forms)} weights, "
                      f"dim H = {H.dim}")
     suites.append(check_thm1_properties(B, dec, wdec))
     if want_classes:
-        partition = root_classes(dec.gamma, wdec.lam, dec.AH)
         suites.extend(_class_stages(B, dec, wdec, partition)[0])
     return suites
 
@@ -294,14 +299,15 @@ def _class_stages(B: RinehartBundle, dec, wdec, partition):
     """Class ideals, direct sum and weight classes, in that order.
 
     Returns (suites, ideals, weight partition).  A SplitError (a window
-    hole met while building a class) ends the stages with a failed
-    class-stages check; the suites computed before it are kept.
+    hole met while building a class, or a weight orbit that does not
+    close) ends the stages with a failed class-stages check; the suites
+    computed before it are kept.
     """
     suites, ideals, wpart = [], [], None
     try:
         laws, ideals = check_class_ideal_laws(B, dec, wdec, partition)
         suites.append(laws)
-        suites.append(direct_sum_decompose(B, dec, wdec, partition))
+        suites.append(direct_sum_decompose(B, dec, wdec, ideals))
         wsuite, wpart, _ = weight_class_decompose(B, dec, wdec)
         suites.append(wsuite)
     except SplitError as exc:
@@ -361,6 +367,7 @@ def cmd_decompose(args) -> int:
     try:
         dec = root_decompose(B, H)
         wdec = weight_decompose(B, H)
+        partition = root_classes(dec.forms, wdec.forms, dec.AH)
     except SplitError as exc:
         obj = {"command": "decompose", "bundle": B.name,
                "passed": False, "split_error": exc.code,
@@ -369,16 +376,15 @@ def cmd_decompose(args) -> int:
                           _elapsed_line(args._t0)])
         return EXIT_FAILED
 
-    partition = root_classes(dec.gamma, wdec.lam, dec.AH)
     thm1 = check_thm1_properties(B, dec, wdec)
     stages, ideals, wpart = _class_stages(B, dec, wdec, partition)
     suites = [thm1, *stages]
     failures = _suite_failures(suites, ignore=HYPOTHESIS_CHECKS)
 
-    classes = [[dec.gamma.index(form) for form in cls]
-               for cls in partition.classes]
+    classes = [[dec.forms.index(form) for form in cls]
+               for cls in partition]
     wclasses = [] if wpart is None else [
-        [wdec.lam.index(form) for form in cls] for cls in wpart.classes]
+        [wdec.forms.index(form) for form in cls] for cls in wpart]
     obj = {
         "command": "decompose",
         "bundle": B.name,
@@ -389,27 +395,27 @@ def cmd_decompose(args) -> int:
         "roots": [{"matrix": _form_obj(form),
                    "space": _space_rows(space),
                    "dim": space.dim}
-                  for form, space in dec.roots],
+                  for form, space in dec.pieces],
         "L0": _space_rows(dec.zero),
         "weights": [{"matrix": _form_obj(form),
                      "space": _space_rows(space),
                      "dim": space.dim}
-                    for form, space in wdec.weights],
+                    for form, space in wdec.pieces],
         "A0": _space_rows(wdec.zero),
         "root_classes": classes,
         "weight_classes": wclasses,
-        "ideals": [{"roots": [dec.gamma.index(f) for f in ci.roots],
+        "ideals": [{"roots": [dec.forms.index(f) for f in ci.roots],
                     "zero_part": _space_rows(ci.zero_part),
                     "dim": ci.space.dim}
                    for ci in ideals],
         "sections": [s.to_dict() for s in suites],
     }
     lines = [f"decompose {B.name!r}: dim H = {dec.H.dim}, "
-             f"{len(dec.gamma)} roots, {len(wdec.lam)} weights"]
-    for i, (form, space) in enumerate(dec.roots):
+             f"{len(dec.forms)} roots, {len(wdec.forms)} weights"]
+    for i, (form, space) in enumerate(dec.pieces):
         lines.append(f"  root {i}: matrix {_form_obj(form)} "
                      f"space dim {space.dim}")
-    for i, (form, space) in enumerate(wdec.weights):
+    for i, (form, space) in enumerate(wdec.pieces):
         lines.append(f"  weight {i}: matrix {_form_obj(form)} "
                      f"space dim {space.dim}")
     lines.append(f"  root classes: {classes}")
@@ -434,6 +440,15 @@ def cmd_connect(args) -> int:
     try:
         dec = root_decompose(B, H)
         wdec = weight_decompose(B, H)
+        if args.src is None:
+            partition = root_classes(dec.forms, wdec.forms, dec.AH)
+        else:
+            for label, idx in (("--src", args.src), ("--dst", args.dst)):
+                if not 0 <= idx < len(dec.forms):
+                    raise CliError(f"{label} {idx} out of range "
+                                   f"0..{len(dec.forms) - 1}")
+            src, dst = dec.forms[args.src], dec.forms[args.dst]
+            ok, chain = connected(dec.forms, wdec.forms, dec.AH, src, dst)
     except SplitError as exc:
         obj = {"command": "connect", "bundle": B.name,
                "passed": False, "split_error": exc.code,
@@ -442,14 +457,8 @@ def cmd_connect(args) -> int:
         return EXIT_FAILED
 
     if args.src is not None:
-        for label, idx in (("--src", args.src), ("--dst", args.dst)):
-            if not 0 <= idx < len(dec.gamma):
-                raise CliError(f"{label} {idx} out of range "
-                               f"0..{len(dec.gamma) - 1}")
-        src, dst = dec.gamma[args.src], dec.gamma[args.dst]
-        ok, chain = connected(dec.gamma, wdec.lam, dec.AH, src, dst)
         chain = chain or []  # None when dst is in another class
-        valid = (connection_chain_valid(chain, dec.gamma, wdec.lam,
+        valid = (connection_chain_valid(chain, dec.forms, wdec.forms,
                                         dec.AH, src, dst)
                  if chain else ok)
         obj = {"command": "connect", "bundle": B.name,
@@ -461,13 +470,12 @@ def cmd_connect(args) -> int:
                           f"  chain length {len(chain)}, valid: {valid}",
                           _elapsed_line(args._t0)])
         return EXIT_OK
-    partition = root_classes(dec.gamma, wdec.lam, dec.AH)
-    classes = [[dec.gamma.index(f) for f in cls]
-               for cls in partition.classes]
+    classes = [[dec.forms.index(f) for f in cls]
+               for cls in partition]
     obj = {"command": "connect", "bundle": B.name,
-           "roots": [_form_obj(f) for f in dec.gamma],
+           "roots": [_form_obj(f) for f in dec.forms],
            "classes": classes}
-    _emit(args, obj, [f"connect {B.name!r}: {len(dec.gamma)} roots, "
+    _emit(args, obj, [f"connect {B.name!r}: {len(dec.forms)} roots, "
                       f"{len(classes)} classes: {classes}",
                       _elapsed_line(args._t0)])
     return EXIT_OK

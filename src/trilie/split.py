@@ -3,25 +3,33 @@
 Given a bundle and an abelian, twist-stable subalgebra H, the bracket
 with two H-slots and the anchor on H-pairs become commuting families
 of operators; their simultaneous rational eigenspaces grade L and A by
-antisymmetric bilinear forms on H (roots and weights).  On top of the
-decomposition this module implements the connection-of-roots
-equivalence, class ideals with their closure and orthogonality laws,
-the two direct-sum theorems, and the weight-side mirror.
+antisymmetric bilinear forms on H (roots and weights).  The gradings
+mirror each other, [h1,h2,x] = gamma(h1,h2) alpha(x) on L and
+rho(h1,h2) a = lambda(h1,h2) phi(a) on A, so one engine, `_grade`,
+builds both from a side: the pair operator (ad or rho), the twist
+(alpha or phi) and the window messages.  On top of the decomposition
+this module implements the connection-of-roots equivalence, class
+ideals with their closure and orthogonality laws, the two direct-sum
+theorems, and the weight-side mirror.  Connections walk pullback
+orbits, which close within `_orbit_bound(dim H)` steps or never.
 
 All arithmetic is exact.  Failure to split over Q is reported, never
 patched: the decomposition either exhausts the space with rational
 eigenvalues or raises SplitError with the failing condition, which
-includes a twist that is not invertible and a window that leaves an
-operator of H undetermined.  A
-computed result that breaks an invariant the theory guarantees (an
+includes a twist that is not invertible, a window that leaves an
+operator of H undetermined and a pullback orbit that does not close.
+A computed result that breaks an invariant the theory guarantees (an
 eigenvector off its eigenvalue, a connection relation that is not an
 equivalence) raises InternalError: that is a bug here, not bad input.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import combinations, combinations_with_replacement
+from collections import deque, namedtuple
+from functools import lru_cache, partial
+from itertools import (combinations, combinations_with_replacement,
+                       product, starmap)
+from math import lcm
 
 from .core3lie import ad_columns
 from .exactq import (
@@ -129,59 +137,35 @@ def pullback_root(form: RootForm, AH: MatrixQ, k: int) -> RootForm:
 # -- decompositions ------------------------------------------------------
 
 
-class RootDecomposition:
-    """H plus the graded pieces of L, all exact subspaces."""
+class Decomposition:
+    """L graded by roots (zero part L_0 = H) or A by weights (A_0).
 
-    __slots__ = ("H", "basis", "AH", "roots", "index", "zero")
+    `pieces` are the (form, space) pairs in form key order; `index`
+    maps a form to its space and `sparse` to its basis as sparse
+    vectors.  AH is the matrix of alpha on H in H's basis.
+    """
 
-    def __init__(self, H, basis, AH, roots, zero):
+    __slots__ = ("H", "AH", "pieces", "forms", "index", "sparse", "zero")
+
+    def __init__(self, H, AH, pieces, zero):
         self.H = H
-        self.basis = basis
         self.AH = AH
-        self.roots = tuple(roots)
-        self.index = {form: space for form, space in self.roots}
+        self.pieces = tuple(pieces)
+        self.forms = tuple(form for form, _ in self.pieces)
+        self.index = dict(self.pieces)
+        self.sparse = {form: [sv_from_seq(v) for v in space.basis]
+                       for form, space in self.pieces}
         self.zero = zero
-
-    @property
-    def gamma(self):
-        return tuple(form for form, _ in self.roots)
-
-    def __repr__(self):
-        return (f"RootDecomposition(dim H={self.H.dim},"
-                f" roots={len(self.roots)})")
-
-
-class WeightDecomposition:
-    """A_0 plus the weight spaces of A for the same H."""
-
-    __slots__ = ("H", "basis", "AH", "weights", "index", "zero")
-
-    def __init__(self, H, basis, AH, weights, zero):
-        self.H = H
-        self.basis = basis
-        self.AH = AH
-        self.weights = tuple(weights)
-        self.index = {form: space for form, space in self.weights}
-        self.zero = zero
-
-    @property
-    def lam(self):
-        return tuple(form for form, _ in self.weights)
-
-    def __repr__(self):
-        return (f"WeightDecomposition(dim A0={self.zero.dim},"
-                f" weights={len(self.weights)})")
 
 
 def _h_frame(B: RinehartBundle, H: SubspaceQ):
-    """Validate H and return (basis rows, matrix of alpha on H)."""
+    """Validate H; return (its basis as sparse vectors, alpha on H)."""
     n = B.L.n
     if H.ambient != n:
         raise ValueError("H does not live in L")
     if H.dim == 0:
         raise ValueError("H must be nonzero")
-    basis = H.basis
-    svs = [sv_from_seq(v) for v in basis]
+    svs = [sv_from_seq(v) for v in H.basis]
     for i, j, k in combinations_with_replacement(range(H.dim), 3):
         vec = B.L.sc.trilinear(svs[i], svs[j], svs[k])
         if vec is None:
@@ -192,31 +176,39 @@ def _h_frame(B: RinehartBundle, H: SubspaceQ):
             raise SplitError("not abelian", f"basis triple {(i, j, k)}")
     if not B.L.alpha.is_invertible():
         raise SplitError("alpha not invertible")
-    cols = []
-    for v in basis:
-        img = B.L.alpha.apply(v)
-        coord = H.coordinates(img)
-        if coord is None:
-            raise SplitError("H not alpha-stable")
-        cols.append(coord)
-    AH = MatrixQ([[cols[j][i] for j in range(H.dim)]
-                  for i in range(H.dim)])
+    coords = [H.coordinates(B.L.alpha.apply(v)) for v in H.basis]
+    if None in coords:
+        raise SplitError("H not alpha-stable")
+    AH = MatrixQ(coords).transpose()
     if not AH.is_invertible():
         raise SplitError("H not alpha-stable", "alpha collapses H")
-    return basis, AH
+    return svs, AH
 
 
-def _simultaneous_eigenspaces(operators, ambient: int):
-    """Refine the full space along rational eigenvalues of each operator.
+def _grade(H: SubspaceQ, frame, twist: MatrixQ, pair_columns, name: str,
+           window: str, unsplit: str) -> Decomposition:
+    """Grade a space by simultaneous eigenvalues of twist^{-1} op(h_a, h_b).
 
-    Returns a list of (subspace, eigenvalue dict) pairs; the subspaces
-    are independent by construction but need not exhaust the ambient
-    space (that is the caller's splitness check).  Each eigenspace is
-    computed once per operator, and one that is the whole space (a
-    scalar operator) leaves every candidate as it is.
+    `frame` is what `_h_frame` returns and `pair_columns(u, v)` the
+    columns of the pair operator `name`.  A None column raises
+    SplitError(window); eigenspaces that do not exhaust the space raise
+    SplitError(unsplit).  The eigen-identity op(h_a, h_b) v =
+    form(h_a, h_b) twist(v) is re-verified from the same columns on
+    every reported generator, so a successful return is a proof.
     """
+    svs, AH = frame
+    h, ambient = H.dim, twist.nrows
+    twist_inv = twist.inverse()
+    columns = {}
+    # refine the whole space along the rational eigenvalues of each
+    # operator; an eigenspace that is everything leaves a piece as it is
     cands = [(SubspaceQ.full(ambient), {})]
-    for key, op in operators:
+    for a, b in combinations(range(h), 2):
+        cols = pair_columns(svs[a], svs[b])
+        if any(c is None for c in cols):
+            raise SplitError(window, f"{name}(h_{a}, h_{b}) undetermined")
+        columns[a, b] = cols
+        op = twist_inv @ mat_from_columns_sv(cols, ambient)
         eigen = [(lam, eigenspace(op, lam))
                  for lam in sorted(rational_spectrum(op))]
         nxt = []
@@ -225,134 +217,65 @@ def _simultaneous_eigenspaces(operators, ambient: int):
                 piece = (space if espace.dim == ambient
                          else space.intersect(espace))
                 if piece.dim:
-                    nxt.append((piece, {**ev, key: lam}))
+                    nxt.append((piece, {**ev, (a, b): lam}))
         cands = nxt
-    return cands
+    total = sum(space.dim for space, _ in cands)
+    if total < ambient:
+        raise SplitError(unsplit, f"eigenspaces span {total} of {ambient}")
+
+    zero = SubspaceQ.zero(ambient)
+    pieces = []
+    for space, ev in cands:
+        form = RootForm(MatrixQ([[ev.get((a, b), 0) - ev.get((b, a), 0)
+                                  for b in range(h)] for a in range(h)]))
+        if form.is_zero():
+            zero = space
+        else:
+            pieces.append((form, space))
+    pieces.sort(key=lambda item: item[0].key())
+    dec = Decomposition(H, AH, pieces, zero)
+
+    for form, space in dec.pieces:
+        for v, vs in zip(space.basis, dec.sparse[form]):
+            image = twist.apply(v)
+            for (a, b), cols in columns.items():
+                lam = form.mat.rows[a][b]
+                want = tuple(lam * c for c in image)
+                if sv_to_tuple(op_apply(cols, vs), ambient) != want:
+                    raise InternalError(f"eigenvector fails the {name}"
+                                        f" eigen-identity")
+    return dec
 
 
-def _form_from_eigs(h: int, ev: dict) -> RootForm:
-    rows = [[0] * h for _ in range(h)]
-    for (a, b), lam in ev.items():
-        rows[a][b] = lam
-        rows[b][a] = -lam
-    return RootForm(MatrixQ(rows))
-
-
-def root_decompose(B: RinehartBundle, H: SubspaceQ) -> RootDecomposition:
+def root_decompose(B: RinehartBundle, H: SubspaceQ) -> Decomposition:
     """Grade L by simultaneous eigenvalues of alpha^{-1} ad(h_i, h_j).
 
-    The eigen-identity [h1,h2,x] = gamma(h1,h2) alpha(x) is re-verified
-    on every reported generator, so a successful return is a proof.
+    The zero part must be exactly H.
     """
-    basis, AH = _h_frame(B, H)
-    n, h = B.L.n, H.dim
-    svs = [sv_from_seq(v) for v in basis]
-    alpha_inv = B.L.alpha.inverse()
-    operators = []
-    for a, b in combinations(range(h), 2):
-        cols = ad_columns(B.L, svs[a], svs[b])
-        if any(c is None for c in cols):
-            raise SplitError("bracket window too small",
-                             f"ad(h_{a}, h_{b}) undetermined")
-        operators.append(((a, b), alpha_inv @ mat_from_columns_sv(cols, n)))
-
-    cands = _simultaneous_eigenspaces(operators, n)
-    total = sum(space.dim for space, _ in cands)
-    if total < n:
-        raise SplitError("not split over Q",
-                         f"eigenspaces span {total} of {n}")
-
-    zero = SubspaceQ.zero(n)
-    graded = []
-    for space, ev in cands:
-        form = _form_from_eigs(h, ev)
-        if form.is_zero():
-            zero = space
-        else:
-            graded.append((form, space))
-    if not zero.contains_space(H):
+    dec = _grade(H, _h_frame(B, H), B.L.alpha, partial(ad_columns, B.L),
+                 "ad", "bracket window too small", "not split over Q")
+    if not dec.zero.contains_space(H):
         raise SplitError("not split over Q", "H escapes its own eigenspace")
-    if zero != H:
+    if dec.zero != H:
         raise SplitError("L_0 strictly larger than H",
-                         f"dim L_0 = {zero.dim}, dim H = {H.dim}")
-
-    for form, space in graded:
-        for v in space.basis:
-            image = B.L.alpha.apply(v)
-            vs = sv_from_seq(v)
-            for (a, b), lam in _pairs_of(form):
-                got = B.L.sc.trilinear(svs[a], svs[b], vs)
-                if got is None:
-                    raise SplitError("bracket window too small",
-                                     f"[h_{a}, h_{b}, L_gamma] undetermined"
-                                     f" for root {form!r}")
-                want = tuple(lam * c for c in image)
-                if sv_to_tuple(got, n) != want:
-                    raise InternalError("eigenvector fails the"
-                                        " root identity")
-
-    graded.sort(key=lambda item: item[0].key())
-    return RootDecomposition(H, basis, AH, graded, zero)
+                         f"dim L_0 = {dec.zero.dim}, dim H = {H.dim}")
+    return dec
 
 
-def _pairs_of(form: RootForm):
-    h = form.h
-    for a in range(h):
-        for b in range(a + 1, h):
-            yield (a, b), form.mat.rows[a][b]
-
-
-def weight_decompose(B: RinehartBundle, H: SubspaceQ) -> WeightDecomposition:
+def weight_decompose(B: RinehartBundle, H: SubspaceQ) -> Decomposition:
     """Grade A by simultaneous eigenvalues of phi^{-1} rho(h_i, h_j)."""
-    basis, AH = _h_frame(B, H)
-    m, h = B.A.dim, H.dim
+    frame = _h_frame(B, H)
     if not B.A.phi.is_invertible():
         raise SplitError("phi not invertible")
-    svs = [sv_from_seq(v) for v in basis]
-    phi_inv = B.A.phi.inverse()
-    operators = []
-    for a, b in combinations(range(h), 2):
-        cols = B.rho.bilinear(svs[a], svs[b])
-        if any(c is None for c in cols):
-            raise SplitError("anchor window too small",
-                             f"rho(h_{a}, h_{b}) undetermined")
-        operators.append(((a, b), phi_inv @ mat_from_columns_sv(cols, m)))
-
-    cands = _simultaneous_eigenspaces(operators, m)
-    total = sum(space.dim for space, _ in cands)
-    if total < m:
-        raise SplitError("A not split over Q",
-                         f"eigenspaces span {total} of {m}")
-
-    zero = SubspaceQ.zero(m)
-    weights = []
-    for space, ev in cands:
-        form = _form_from_eigs(h, ev)
-        if form.is_zero():
-            zero = space
-        else:
-            weights.append((form, space))
-
-    for form, space in weights:
-        for v in space.basis:
-            image = B.A.phi.apply(v)
-            vs = sv_from_seq(v)
-            for (a, b), lam in _pairs_of(form):
-                got = op_apply(B.rho.bilinear(svs[a], svs[b]), vs)
-                want = tuple(lam * c for c in image)
-                if sv_to_tuple(got, m) != want:
-                    raise InternalError("weight vector fails the"
-                                        " weight identity")
-
-    weights.sort(key=lambda item: item[0].key())
-    return WeightDecomposition(H, basis, AH, weights, zero)
+    return _grade(H, frame, B.A.phi, B.rho.bilinear, "rho",
+                  "anchor window too small", "A not split over Q")
 
 
 # -- the graded-structure regression suite -------------------------------
 
 
-def _image_space(P: MatrixQ, space: SubspaceQ) -> SubspaceQ:
-    return SubspaceQ(P.nrows, [P.apply(v) for v in space.basis])
+# the twist powers k of laws 1 and 2
+_THM1_POWERS = (-2, -1, 0, 1, 2)
 
 
 def _pullback_uppers(forms, AH: MatrixQ, k: int) -> list:
@@ -362,20 +285,37 @@ def _pullback_uppers(forms, AH: MatrixQ, k: int) -> list:
     return [_upper(Pt @ f.mat @ P) for f in forms]
 
 
-def _upper_index(pieces, zero_space: SubspaceQ, h: int) -> dict:
-    """Strict upper triangle of each form -> its piece; zero -> zero_space.
+def _upper_index(dec: Decomposition) -> dict:
+    """Strict upper triangle of each form -> its piece; zero -> zero part.
 
     Forms are antisymmetric, so the upper triangle determines one, and a
     sum of forms is looked up by the sum of their triangles.
     """
-    index = {_upper(form.mat): space for form, space in pieces}
-    index[(0,) * (h * (h - 1) // 2)] = zero_space
+    h = dec.H.dim
+    index = {_upper(form.mat): space for form, space in dec.pieces}
+    index[(0,) * (h * (h - 1) // 2)] = dec.zero
     return index
 
 
-def check_thm1_properties(B: RinehartBundle, dec: RootDecomposition,
-                          wdec: WeightDecomposition,
-                          k_range=(-2, -1, 0, 1, 2)) -> SuiteReport:
+def _law(report: CheckReport, target, values, witness) -> None:
+    """Count the values of a "vanish or land in the target" law.
+
+    None is undetermined, a skip.  Any other value must vanish when
+    target is None, else lie in the subspace target, or it records
+    `witness`.
+    """
+    for vec in values:
+        if vec is None:
+            report.skip()
+            continue
+        report.tick()
+        if (vec if target is None
+                else not target.contains(sv_to_tuple(vec, target.ambient))):
+            report.record(witness)
+
+
+def check_thm1_properties(B: RinehartBundle, dec: Decomposition,
+                          wdec: Decomposition) -> SuiteReport:
     """The six graded-structure laws, checked exactly on generators.
 
     Powers of the twists move graded pieces onto the pullback-indexed
@@ -384,94 +324,59 @@ def check_thm1_properties(B: RinehartBundle, dec: RootDecomposition,
     anchor is involved (laws 3, 5 use none; see each check).  A target
     index that is not a root/weight forces the value to vanish.
     """
-    n, m = B.L.n, B.A.dim
     suite = SuiteReport("thm1")
-    h = dec.H.dim
-    l_index = _upper_index(dec.roots, dec.H, h)
-    a_index = _upper_index(wdec.weights, wdec.zero, h)
+    l_index, a_index = _upper_index(dec), _upper_index(wdec)
 
-    c1 = suite.add(CheckReport("phi-moves-weights"))
-    for k in k_range:
-        P = _int_power(B.A.phi, k)
-        pulled = _pullback_uppers(wdec.lam, wdec.AH, k)
-        for (lam, space), up in zip(wdec.weights, pulled):
-            target = a_index.get(up)
-            c1.tick()
-            if target is None or _image_space(P, space) != target:
-                c1.record({"weight": lam.key(), "k": k})
-
-    c2 = suite.add(CheckReport("alpha-moves-roots"))
-    for k in k_range:
-        P = _int_power(B.L.alpha, k)
-        pulled = _pullback_uppers(dec.gamma, dec.AH, k)
-        for (gam, space), up in zip(dec.roots, pulled):
-            target = l_index.get(up)
-            c2.tick()
-            if target is None or _image_space(P, space) != target:
-                c2.record({"root": gam.key(), "k": k})
-
-    def member(report, target, vec, dense_len, witness):
-        if vec is None:
-            report.skip()
-            return
-        report.tick()
-        dense = sv_to_tuple(vec, dense_len)
-        ok = viszero(dense) if target is None else target.contains(dense)
-        if not ok:
-            report.record(witness)
+    for name, twist, side, index, key in (
+            ("phi-moves-weights", B.A.phi, wdec, a_index, "weight"),
+            ("alpha-moves-roots", B.L.alpha, dec, l_index, "root")):
+        report = suite.add(CheckReport(name))
+        for k in _THM1_POWERS:
+            P = _int_power(twist, k)
+            pulled = _pullback_uppers(side.forms, side.AH, k)
+            for (form, space), up in zip(side.pieces, pulled):
+                target = index.get(up)
+                report.tick()
+                if target is None or target != SubspaceQ(
+                        P.nrows, [P.apply(v) for v in space.basis]):
+                    report.record({key: form.key(), "k": k})
 
     # pullback is linear, so a pulled-back sum is the sum of pullbacks
-    up_r = [_upper(f.mat) for f in dec.gamma]
-    up_w = [_upper(f.mat) for f in wdec.lam]
-    pb_r = _pullback_uppers(dec.gamma, dec.AH, 1)
-    pb_w = _pullback_uppers(wdec.lam, dec.AH, 1)
+    gam, lam = dec.forms, wdec.forms
+    up_r = [_upper(f.mat) for f in gam]
+    up_w = [_upper(f.mat) for f in lam]
+    pb_r = _pullback_uppers(gam, dec.AH, 1)
+    pb_w = _pullback_uppers(lam, dec.AH, 1)
+    sv_r = [dec.sparse[f] for f in gam]
+    sv_w = [wdec.sparse[f] for f in lam]
 
     c3 = suite.add(CheckReport("bracket-adds-roots"))
-    for i, j, k in combinations_with_replacement(range(len(dec.roots)), 3):
-        (f1, s1), (f2, s2), (f3, s3) = dec.roots[i], dec.roots[j], dec.roots[k]
-        target = l_index.get(vadd(vadd(pb_r[i], pb_r[j]), pb_r[k]))
-        for x in s1.basis:
-            for y in s2.basis:
-                for z in s3.basis:
-                    vec = B.L.sc.trilinear(sv_from_seq(x), sv_from_seq(y),
-                                           sv_from_seq(z))
-                    member(c3, target, vec, n,
-                           {"roots": [f1.key(), f2.key(), f3.key()]})
+    for i, j, k in combinations_with_replacement(range(len(gam)), 3):
+        _law(c3, l_index.get(vadd(vadd(pb_r[i], pb_r[j]), pb_r[k])),
+             starmap(B.L.sc.trilinear, product(sv_r[i], sv_r[j], sv_r[k])),
+             {"roots": [gam[i].key(), gam[j].key(), gam[k].key()]})
 
     c4 = suite.add(CheckReport("product-adds-weights"))
-    for i, j in combinations_with_replacement(range(len(wdec.weights)), 2):
-        (f1, s1), (f2, s2) = wdec.weights[i], wdec.weights[j]
-        target = a_index.get(vadd(up_w[i], up_w[j]))
-        for x in s1.basis:
-            for y in s2.basis:
-                vec = B.A.product(sv_from_seq(x), sv_from_seq(y))
-                member(c4, target, vec, m,
-                       {"weights": [f1.key(), f2.key()]})
+    for i, j in combinations_with_replacement(range(len(lam)), 2):
+        _law(c4, a_index.get(vadd(up_w[i], up_w[j])),
+             starmap(B.A.product, product(sv_w[i], sv_w[j])),
+             {"weights": [lam[i].key(), lam[j].key()]})
 
     c5 = suite.add(CheckReport("action-adds-grading"))
-    for (lam, sa), uw in zip(wdec.weights, up_w):
-        for (gam, sl), ur in zip(dec.roots, up_r):
-            target = l_index.get(vadd(uw, ur))
-            for a in sa.basis:
-                for x in sl.basis:
-                    vec = B.act.act(sv_from_seq(a), sv_from_seq(x))
-                    member(c5, target, vec, n,
-                           {"weight": lam.key(), "root": gam.key()})
+    for w, sa, uw in zip(lam, sv_w, up_w):
+        for g, sl, ur in zip(gam, sv_r, up_r):
+            _law(c5, l_index.get(vadd(uw, ur)),
+                 starmap(B.act.act, product(sa, sl)),
+                 {"weight": w.key(), "root": g.key()})
 
     c6 = suite.add(CheckReport("anchor-adds-grading"))
-    for i, j in combinations_with_replacement(range(len(dec.roots)), 2):
-        (f1, s1), (f2, s2) = dec.roots[i], dec.roots[j]
+    for i, j in combinations_with_replacement(range(len(gam)), 2):
         pair = vadd(pb_r[i], pb_r[j])
-        for (lam, sa), pw in zip(wdec.weights, pb_w):
-            target = a_index.get(vadd(pair, pw))
-            for x in s1.basis:
-                for y in s2.basis:
-                    cols = B.rho.bilinear(sv_from_seq(x), sv_from_seq(y))
-                    for a in sa.basis:
-                        vec = op_apply(cols, sv_from_seq(a))
-                        member(c6, target, vec, m,
-                               {"roots": [f1.key(), f2.key()],
-                                "weight": lam.key()})
+        ops = [B.rho.bilinear(x, y) for x, y in product(sv_r[i], sv_r[j])]
+        for w, sa, pw in zip(lam, sv_w, pb_w):
+            _law(c6, a_index.get(vadd(pair, pw)),
+                 starmap(op_apply, product(ops, sa)),
+                 {"roots": [gam[i].key(), gam[j].key()], "weight": w.key()})
 
     return suite
 
@@ -479,28 +384,58 @@ def check_thm1_properties(B: RinehartBundle, dec: RootDecomposition,
 # -- connection of roots -------------------------------------------------
 
 
-def _orbit(form: RootForm, AH: MatrixQ, limit: int = 10000):
-    """The pullback orbit {form(alpha^k, alpha^k)} as a list."""
+@lru_cache(maxsize=None)
+def _orbit_bound(h: int) -> int:
+    """The longest pullback orbit that closes, for dim H = h.
+
+    Pulling back is an invertible linear map T of the d = h(h-1)/2
+    dimensional space of forms.  If T^L F = F, then T^L fixes the span
+    Z of the orbit of F, so the orbit length is the order of T on Z: a
+    rational matrix of finite order and size at most d.  Its minimal
+    polynomial divides x^L - 1, so it is a product of distinct
+    cyclotomic polynomials Phi_k, of degrees phi(k) summing to at most
+    d, and the order is the lcm of those k.  phi(k) >= sqrt(k / 2), so
+    each k is at most 2 d^2.  The bound is the largest such lcm, found
+    by a 0/1 knapsack over k: 1, 2, 6, 30 for h = 1, 2, 3, 4.  It grows
+    fast (13,860 at h = 8), so past small H an orbit that never closes
+    is refused only after a long walk.
+    """
+    d = h * (h - 1) // 2
+    top = 2 * d * d
+    phi = list(range(top + 1))      # Euler's totient, by a sieve
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            for m in range(p, top + 1, p):
+                phi[m] -= phi[m] // p
+    reach = {0: {1}}    # degree used -> the lcms reached with it
+    for k in range(2, top + 1):
+        for used in sorted(reach, reverse=True):
+            if used + phi[k] <= d:
+                reach.setdefault(used + phi[k], set()).update(
+                    lcm(m, k) for m in reach[used])
+    return max(max(lcms) for lcms in reach.values())
+
+
+def _orbit(form: RootForm, AH: MatrixQ):
+    """The pullback orbit {form(alpha^k, alpha^k)} as a list.
+
+    Pulling back is invertible, so an orbit that closes returns to
+    `form` itself, within `_orbit_bound` steps; one that has not by
+    then is infinite, a SplitError.
+    """
     out = [form]
-    seen = {form}
     cur = form
-    for _ in range(limit):
+    for _ in range(_orbit_bound(AH.nrows)):
         cur = pullback_root(cur, AH, 1)
-        if cur in seen:
+        if cur == form:
             return out
-        seen.add(cur)
         out.append(cur)
-    raise ValueError("pullback orbit does not close; system is not finite")
+    raise SplitError("pullback orbit does not close",
+                     f"{form!r} has an infinite orbit under alpha on H")
 
 
 def _alphabet(gamma, lam, h: int):
-    forms = {zero_form(h)}
-    for f in gamma:
-        forms.add(f)
-        forms.add(-f)
-    for f in lam:
-        forms.add(f)
-        forms.add(-f)
+    forms = _signed(gamma) | _signed(lam) | {zero_form(h)}
     return sorted(forms, key=lambda f: f.key())
 
 
@@ -659,26 +594,11 @@ def connection_chain_valid(chain, gamma, lam, AH: MatrixQ,
     return True
 
 
-class RootClassPartition:
-    """Connection-equivalence classes, deterministically ordered."""
-
-    __slots__ = ("classes",)
-
-    def __init__(self, classes):
-        self.classes = tuple(tuple(c) for c in classes)
-
-    def __iter__(self):
-        return iter(self.classes)
-
-    def __len__(self):
-        return len(self.classes)
-
-    def __repr__(self):
-        return f"RootClassPartition({[len(c) for c in self.classes]})"
-
-
-def _partition(forms, gamma, lam, AH) -> RootClassPartition:
+def _partition(forms, gamma, lam, AH) -> tuple:
     """Partition `forms` by connection, verifying the equivalence laws.
+
+    Returns the classes as tuples of forms in key order, ordered by
+    their first form.
 
     One `_StateTable` over the +-forms serves every search.  Each
     form's pullback orbit is computed once: its states start that
@@ -710,81 +630,89 @@ def _partition(forms, gamma, lam, AH) -> RootClassPartition:
                 if conn[j][k] and not conn[i][k]:
                     raise InternalError(
                         "connection relation is not transitive")
-    assigned = [-1] * n
-    classes = []
-    for i in range(n):
-        if assigned[i] >= 0:
-            continue
-        idx = len(classes)
-        members = [j for j in range(n) if conn[i][j]]
-        for j in members:
-            assigned[j] = idx
-        classes.append([forms[j] for j in members])
-    return RootClassPartition(classes)
+    # each class once, from its first member
+    return tuple(tuple(forms[j] for j in range(n) if conn[i][j])
+                 for i in range(n) if conn[i].index(True) == i)
 
 
-def root_classes(gamma, lam, AH: MatrixQ) -> RootClassPartition:
+def root_classes(gamma, lam, AH: MatrixQ) -> tuple:
     return _partition(gamma, gamma, lam, AH)
 
 
 # -- class ideals --------------------------------------------------------
 
 
-class ClassIdeal:
-    """I = L_{0,[gamma]} (+) L_{[gamma]} for one connection class."""
-
-    __slots__ = ("roots", "zero_part", "graded_part", "space")
-
-    def __init__(self, roots, zero_part, graded_part, space):
-        self.roots = tuple(roots)
-        self.zero_part = zero_part
-        self.graded_part = graded_part
-        self.space = space
-
-    def __repr__(self):
-        return (f"ClassIdeal(roots={len(self.roots)},"
-                f" dim={self.space.dim})")
+# I = L_{0,[gamma]} (+) L_{[gamma]} for one connection class
+ClassIdeal = namedtuple("ClassIdeal", "roots zero_part space")
 
 
-def _zero_part_vectors(B: RinehartBundle, dec: RootDecomposition,
-                       wdec: WeightDecomposition, roots) -> list:
+def _generators(ambient: int, op, factors, window: str, detail: str):
+    """Yield op(x_1, .., x_k) as dense vectors over every tuple of
+    sparse vectors, one from each factor, in product order; a value
+    the window leaves undetermined raises SplitError(window, detail)."""
+    for args in product(*factors):
+        vec = op(*args)
+        if vec is None:
+            raise SplitError(window, detail)
+        yield sv_to_tuple(vec, ambient)
+
+
+def _zero_part_vectors(B: RinehartBundle, dec: Decomposition,
+                       wdec: Decomposition, roots) -> list:
     """Generators of A_{-xi} L_xi sums plus zero-sum triple brackets."""
     n = B.L.n
     vecs = []
     for xi in roots:
-        sp_a = wdec.index.get(-xi)
-        sp_l = dec.index[xi]
-        if sp_a is None:
-            continue
-        for a in sp_a.basis:
-            for x in sp_l.basis:
-                out = B.act.act(sv_from_seq(a), sv_from_seq(x))
-                if out is None:
-                    raise SplitError("action window too small",
-                                     f"A_(-xi) L_xi undetermined for root"
-                                     f" xi = {xi!r}")
-                vecs.append(sv_to_tuple(out, n))
+        if -xi in wdec.index:
+            vecs.extend(_generators(
+                n, B.act.act, (wdec.sparse[-xi], dec.sparse[xi]),
+                "action window too small",
+                f"A_(-xi) L_xi undetermined for root xi = {xi!r}"))
     ups = [_upper(f.mat) for f in roots]
     for i, j, k in combinations_with_replacement(range(len(roots)), 3):
-        if not viszero(vadd(vadd(ups[i], ups[j]), ups[k])):
-            continue
-        xi, eta, delta = roots[i], roots[j], roots[k]
-        for x in dec.index[xi].basis:
-            for y in dec.index[eta].basis:
-                for z in dec.index[delta].basis:
-                    out = B.L.sc.trilinear(sv_from_seq(x), sv_from_seq(y),
-                                           sv_from_seq(z))
-                    if out is None:
-                        raise SplitError("bracket window too small",
-                                         f"[L_xi, L_eta, L_delta]"
-                                         f" undetermined for the zero-sum"
-                                         f" roots {xi!r}, {eta!r}, {delta!r}")
-                    vecs.append(sv_to_tuple(out, n))
+        if viszero(vadd(vadd(ups[i], ups[j]), ups[k])):
+            xi, eta, delta = roots[i], roots[j], roots[k]
+            vecs.extend(_generators(
+                n, B.L.sc.trilinear,
+                (dec.sparse[xi], dec.sparse[eta], dec.sparse[delta]),
+                "bracket window too small",
+                f"[L_xi, L_eta, L_delta] undetermined for the zero-sum"
+                f" roots {xi!r}, {eta!r}, {delta!r}"))
     return vecs
 
 
-def class_ideal(B: RinehartBundle, dec: RootDecomposition,
-                wdec: WeightDecomposition, roots) -> ClassIdeal:
+def _weight_zero_vectors(B: RinehartBundle, dec: Decomposition,
+                         wdec: Decomposition, weights) -> list:
+    """Generators of A_{-beta} A_beta sums plus the anchor images
+    rho(L_gamma, L_delta) A_beta with gamma + delta + beta = 0."""
+    m = B.A.dim
+    vecs = []
+    for beta in weights:
+        if -beta in wdec.index:
+            vecs.extend(_generators(
+                m, B.A.product, (wdec.sparse[-beta], wdec.sparse[beta]),
+                "product window too small",
+                f"A_(-beta) A_beta undetermined for weight beta = {beta!r}"))
+    gam = dec.forms
+    up_r = [_upper(f.mat) for f in gam]
+    up_w = [_upper(f.mat) for f in weights]
+    for i, j in combinations_with_replacement(range(len(gam)), 2):
+        pair = vadd(up_r[i], up_r[j])
+        for beta, uw in zip(weights, up_w):
+            if not viszero(vadd(pair, uw)):
+                continue
+            ops = [B.rho.bilinear(x, y)
+                   for x, y in product(dec.sparse[gam[i]], dec.sparse[gam[j]])]
+            vecs.extend(_generators(
+                m, op_apply, (ops, wdec.sparse[beta]),
+                "anchor window too small",
+                f"rho(L_gamma, L_delta) A_beta undetermined for roots"
+                f" {gam[i]!r}, {gam[j]!r} and weight {beta!r}"))
+    return vecs
+
+
+def class_ideal(B: RinehartBundle, dec: Decomposition,
+                wdec: Decomposition, roots) -> ClassIdeal:
     """Assemble I for one class and certify its two structure facts.
 
     The zero part must land inside H, and must meet the graded part
@@ -803,12 +731,12 @@ def class_ideal(B: RinehartBundle, dec: RootDecomposition,
     space = zero_part.sum_with(graded)
     if space.dim != zero_part.dim + graded.dim:
         raise InternalError("class zero part meets the graded part")
-    return ClassIdeal(roots, zero_part, graded, space)
+    return ClassIdeal(tuple(roots), zero_part, space)
 
 
-def check_class_ideal_laws(B: RinehartBundle, dec: RootDecomposition,
-                           wdec: WeightDecomposition,
-                           partition: RootClassPartition):
+def check_class_ideal_laws(B: RinehartBundle, dec: Decomposition,
+                           wdec: Decomposition,
+                           partition):
     """Closure, orthogonality and ideal laws for every class ideal.
 
     Returns (suite, ideals).  Closure: [I,I,I] in I, alpha(I) in I,
@@ -824,83 +752,44 @@ def check_class_ideal_laws(B: RinehartBundle, dec: RootDecomposition,
     bundles where it is meaningful.
     """
     ideals = [class_ideal(B, dec, wdec, cls) for cls in partition]
+    gens = [[sv_from_seq(v) for v in ci.space.basis] for ci in ideals]
     n = B.L.n
+    bracket = B.L.sc.trilinear
     suite = SuiteReport("class-ideals")
 
     close_b = suite.add(CheckReport("closure-bracket"))
     close_t = suite.add(CheckReport("closure-twist"))
     close_a = suite.add(CheckReport("closure-action"))
-    for idx, ci in enumerate(ideals):
-        gens = [sv_from_seq(v) for v in ci.space.basis]
-        for i, j, k in combinations_with_replacement(range(len(gens)), 3):
-            vec = B.L.sc.trilinear(gens[i], gens[j], gens[k])
-            if vec is None:
-                close_b.skip()
-                continue
-            close_b.tick()
-            if not ci.space.contains(sv_to_tuple(vec, n)):
-                close_b.record({"class": idx, "triple": [i, j, k]})
+    for idx, (ci, g) in enumerate(zip(ideals, gens)):
+        for i, j, k in combinations_with_replacement(range(len(g)), 3):
+            _law(close_b, ci.space, [bracket(g[i], g[j], g[k])],
+                 {"class": idx, "triple": [i, j, k]})
         for v in ci.space.basis:
             close_t.tick()
             if not ci.space.contains(B.L.alpha.apply(v)):
                 close_t.record({"class": idx})
         for a in range(B.A.dim):
-            for g in gens:
-                out = B.act.act({a: 1}, g)
-                if out is None:
-                    close_a.skip()
-                    continue
-                close_a.tick()
-                if not ci.space.contains(sv_to_tuple(out, n)):
-                    close_a.record({"class": idx, "a": a})
+            _law(close_a, ci.space, (B.act.act({a: 1}, x) for x in g),
+                 {"class": idx, "a": a})
 
     ortho = suite.add(CheckReport("orthogonality"))
     for i, j in combinations(range(len(ideals)), 2):
-        gi = [sv_from_seq(v) for v in ideals[i].space.basis]
-        gj = [sv_from_seq(v) for v in ideals[j].space.basis]
-        for x, y in combinations_with_replacement(gi, 2):
-            for z in gj:
-                vec = B.L.sc.trilinear(x, y, z)
-                if vec is None:
-                    ortho.skip()
-                    continue
-                ortho.tick()
-                if not viszero(sv_to_tuple(vec, n)):
-                    ortho.record({"classes": [i, i, j]})
-        for x in gi:
-            for y, z in combinations_with_replacement(gj, 2):
-                vec = B.L.sc.trilinear(x, y, z)
-                if vec is None:
-                    ortho.skip()
-                    continue
-                ortho.tick()
-                if not viszero(sv_to_tuple(vec, n)):
-                    ortho.record({"classes": [i, j, j]})
+        _law(ortho, None, (bracket(x, y, z) for x, y in
+                           combinations_with_replacement(gens[i], 2)
+                           for z in gens[j]), {"classes": [i, i, j]})
+        _law(ortho, None, (bracket(x, y, z) for x in gens[i] for y, z in
+                           combinations_with_replacement(gens[j], 2)),
+             {"classes": [i, j, j]})
     for i, j, k in combinations(range(len(ideals)), 3):
-        for x in ideals[i].space.basis:
-            for y in ideals[j].space.basis:
-                for z in ideals[k].space.basis:
-                    vec = B.L.sc.trilinear(sv_from_seq(x), sv_from_seq(y),
-                                           sv_from_seq(z))
-                    if vec is None:
-                        ortho.skip()
-                        continue
-                    ortho.tick()
-                    if not viszero(sv_to_tuple(vec, n)):
-                        ortho.record({"classes": [i, j, k]})
+        _law(ortho, None, starmap(bracket, product(gens[i], gens[j], gens[k])),
+             {"classes": [i, j, k]})
 
     ideal_law = suite.add(CheckReport("three-lie-ideal"))
-    for idx, ci in enumerate(ideals):
-        gens = [sv_from_seq(v) for v in ci.space.basis]
-        for g in gens:
+    for idx, (ci, g) in enumerate(zip(ideals, gens)):
+        for x in g:
             for i, j in combinations_with_replacement(range(n), 2):
-                vec = B.L.sc.trilinear(g, {i: 1}, {j: 1})
-                if vec is None:
-                    ideal_law.skip()
-                    continue
-                ideal_law.tick()
-                if not ci.space.contains(sv_to_tuple(vec, n)):
-                    ideal_law.record({"class": idx, "pair": [i, j]})
+                _law(ideal_law, ci.space, [bracket(x, {i: 1}, {j: 1})],
+                     {"class": idx, "pair": [i, j]})
 
     return suite, ideals
 
@@ -908,30 +797,42 @@ def check_class_ideal_laws(B: RinehartBundle, dec: RootDecomposition,
 # -- direct-sum theorems -------------------------------------------------
 
 
-def direct_sum_decompose(B: RinehartBundle, dec: RootDecomposition,
-                         wdec: WeightDecomposition,
-                         partition: RootClassPartition) -> SuiteReport:
+def _direct_sum(report: CheckReport, why: list, parts, ambient: int,
+                witness) -> None:
+    """The conclusion of a direct-sum theorem: blocked when a hypothesis
+    failed (`why` names them), else the parts must sum directly to the
+    whole space or `witness(their sum)` is recorded."""
+    if why:
+        report.block("hypothesis failed: " + ", ".join(why))
+        return
+    total = SubspaceQ.sum_of(parts, ambient)
+    report.tick()
+    if total.dim != sum(p.dim for p in parts) or total.dim != ambient:
+        report.record(witness(total))
+
+
+def direct_sum_decompose(B: RinehartBundle, dec: Decomposition,
+                         wdec: Decomposition, ideals) -> SuiteReport:
     """Evaluate the two hypotheses and, when they hold, the direct sum.
 
     Hypothesis 1: the bracket-and-anchor center of L is zero.
     Hypothesis 2: H is generated by the A_{-xi} L_xi images together
     with the zero-sum triple brackets, over the whole root system.
-    When both hold the class ideals of `partition` must sum directly
-    to L; a failed hypothesis blocks the direct-sum check and is
-    reported with its defect instead.
+    When both hold the class ideals (as `check_class_ideal_laws`
+    returns them) must sum directly to L; a failed hypothesis blocks
+    the direct-sum check and is reported with its defect instead.
     """
     n = B.L.n
     suite = SuiteReport("direct-sum")
 
-    zc = centers(B)
     c1 = suite.add(CheckReport("center-trivial"))
     c1.tick()
-    z = zc["Z_rho_L"]
+    z = centers(B)["Z_rho_L"]
     if z.dim:
         c1.record({"dim": z.dim, "generator": [qstr(x) for x in z.basis[0]]})
 
     c2 = suite.add(CheckReport("H-generated"))
-    gen = SubspaceQ(n, _zero_part_vectors(B, dec, wdec, list(dec.gamma)))
+    gen = SubspaceQ(n, _zero_part_vectors(B, dec, wdec, dec.forms))
     if not dec.H.contains_space(gen):
         raise InternalError("generated space escapes H")
     c2.tick()
@@ -941,24 +842,18 @@ def direct_sum_decompose(B: RinehartBundle, dec: RootDecomposition,
                    "gap": [[qstr(x) for x in v] for v in missing[:2]]})
 
     c3 = suite.add(CheckReport("ideal-direct-sum"))
-    if c1.passed and c2.passed:
-        ideals = [class_ideal(B, dec, wdec, cls) for cls in partition]
-        total = SubspaceQ.sum_of([ci.space for ci in ideals], n)
-        c3.tick()
-        if total.dim != sum(ci.space.dim for ci in ideals) or total.dim != n:
-            c3.record({"total_dim": total.dim,
-                       "parts": [ci.space.dim for ci in ideals]})
-    else:
-        failed = [c.name for c in (c1, c2) if not c.passed]
-        c3.block("hypothesis failed: " + ", ".join(failed))
+    parts = [ci.space for ci in ideals]
+    _direct_sum(c3, [c.name for c in (c1, c2) if not c.passed], parts, n,
+                lambda t: {"total_dim": t.dim,
+                           "parts": [p.dim for p in parts]})
     return suite
 
 
 # -- the weight-side mirror ----------------------------------------------
 
 
-def weight_class_decompose(B: RinehartBundle, dec: RootDecomposition,
-                           wdec: WeightDecomposition):
+def weight_class_decompose(B: RinehartBundle, dec: Decomposition,
+                           wdec: Decomposition):
     """Classes of weights and the induced decomposition of A.
 
     Mirrors the root-side construction: weights are partitioned with
@@ -971,49 +866,12 @@ def weight_class_decompose(B: RinehartBundle, dec: RootDecomposition,
     """
     m = B.A.dim
     suite = SuiteReport("weight-classes")
-    partition = _partition(wdec.lam, dec.gamma, wdec.lam, wdec.AH)
-    up_r = [_upper(f.mat) for f in dec.gamma]
-    up_w = {f: _upper(f.mat) for f in wdec.lam}
-
-    def zero_vectors(weights):
-        vecs = []
-        for beta in weights:
-            sp_n = wdec.index.get(-beta)
-            if sp_n is None:
-                continue
-            for x in sp_n.basis:
-                for y in wdec.index[beta].basis:
-                    out = B.A.product(sv_from_seq(x), sv_from_seq(y))
-                    if out is None:
-                        raise SplitError("product window too small",
-                                         f"A_(-beta) A_beta undetermined"
-                                         f" for weight beta = {beta!r}")
-                    vecs.append(sv_to_tuple(out, m))
-        for i, j in combinations_with_replacement(range(len(dec.roots)), 2):
-            (f1, s1), (f2, s2) = dec.roots[i], dec.roots[j]
-            pair = vadd(up_r[i], up_r[j])
-            for beta in weights:
-                if not viszero(vadd(pair, up_w[beta])):
-                    continue
-                for x in s1.basis:
-                    for y in s2.basis:
-                        cols = B.rho.bilinear(sv_from_seq(x),
-                                              sv_from_seq(y))
-                        for a in wdec.index[beta].basis:
-                            out = op_apply(cols, sv_from_seq(a))
-                            if out is None:
-                                raise SplitError(
-                                    "anchor window too small",
-                                    f"rho(L_gamma, L_delta) A_beta"
-                                    f" undetermined for roots {f1!r},"
-                                    f" {f2!r} and weight {beta!r}")
-                            vecs.append(sv_to_tuple(out, m))
-        return vecs
+    partition = _partition(wdec.forms, dec.forms, wdec.forms, wdec.AH)
 
     spaces = []
     inside = suite.add(CheckReport("zero-parts-in-A0"))
     for cls in partition:
-        zero_part = SubspaceQ(m, zero_vectors(cls))
+        zero_part = SubspaceQ(m, _weight_zero_vectors(B, dec, wdec, cls))
         graded = SubspaceQ.sum_of([wdec.index[f] for f in cls], m)
         inside.tick()
         if not wdec.zero.contains_space(zero_part):
@@ -1024,31 +882,19 @@ def weight_class_decompose(B: RinehartBundle, dec: RootDecomposition,
         spaces.append(total)
 
     annih = suite.add(CheckReport("classes-annihilate"))
+    gens = [[sv_from_seq(v) for v in s.basis] for s in spaces]
     for i, j in combinations(range(len(spaces)), 2):
-        for x in spaces[i].basis:
-            for y in spaces[j].basis:
-                out = B.A.product(sv_from_seq(x), sv_from_seq(y))
-                if out is None:
-                    annih.skip()
-                    continue
-                annih.tick()
-                if not viszero(sv_to_tuple(out, m)):
-                    annih.record({"classes": [i, j]})
+        _law(annih, None, starmap(B.A.product, product(gens[i], gens[j])),
+             {"classes": [i, j]})
 
     ds = suite.add(CheckReport("A-direct-sum"))
     z = centers(B)["Z_L_A"]
-    gen = SubspaceQ(m, zero_vectors(list(wdec.lam)))
-    if z.dim == 0 and gen == wdec.zero:
-        total = SubspaceQ.sum_of(spaces, m)
-        ds.tick()
-        if total.dim != sum(s.dim for s in spaces) or total.dim != m:
-            ds.record({"total_dim": total.dim})
-    else:
-        why = []
-        if z.dim:
-            why.append("Z_L(A) is nonzero")
-        if gen != wdec.zero:
-            why.append(f"A_0 generated dim {gen.dim} of {wdec.zero.dim}")
-        ds.block("hypothesis failed: " + ", ".join(why))
+    gen = SubspaceQ(m, _weight_zero_vectors(B, dec, wdec, wdec.forms))
+    why = []
+    if z.dim:
+        why.append("Z_L(A) is nonzero")
+    if gen != wdec.zero:
+        why.append(f"A_0 generated dim {gen.dim} of {wdec.zero.dim}")
+    _direct_sum(ds, why, spaces, m, lambda t: {"total_dim": t.dim})
 
     return suite, partition, spaces

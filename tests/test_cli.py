@@ -4,6 +4,7 @@ except the entry-point smoke tests: `python -m trilie` and the console
 script declared in pyproject.toml run as subprocesses from the source
 tree, and the installed `trilie` runs only where it is on PATH."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -348,6 +349,107 @@ def test_broken_invariant_is_an_internal_error_not_an_input_error(
     malformed.write_text('{"format_version": "1", "L": {"dim": 0}}')
     code, _, err = run(capsys, "decompose", str(malformed))
     assert code == 2 and "L.dim" in err
+
+
+def test_a_pullback_orbit_that_never_closes_is_a_split_error(
+        tmp_path, capsys, monkeypatch):
+    """toy-split window 1, flags stripped, alpha scaled by 2: alpha is
+    2 Id on H, so pulling a root back divides it by 4 and no orbit
+    closes.  decompose and connect report a split error after the
+    bounded walk, and check keeps its other sections."""
+    obj = json.loads(dumps_bundle(toy_split(1)))
+    obj["flags"] = {}
+    obj["L"]["alpha"] = [[i, j, str(2 * int(v))]
+                         for i, j, v in obj["L"]["alpha"]]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(obj))
+    calls = []
+    real = split.pullback_root
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(split, "pullback_root", counted)
+    detail = "RootForm[0 -1/2; 1/2 0] has an infinite orbit under alpha on H"
+    for argv in (["decompose"], ["connect"],
+                 ["connect", "--src", "0", "--dst", "1"]):
+        calls.clear()
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:],
+                             "--report", "json")
+        assert (code, err) == (1, "")
+        got = json.loads(out)
+        assert got["split_error"] == "pullback orbit does not close"
+        assert got["detail"] == detail
+        assert len(calls) == split._orbit_bound(2) == 2
+
+    code, out, err = run(capsys, "check", str(path), "--report", "json")
+    assert (code, err) == (1, "")
+    got = json.loads(out)
+    assert [sec["suite"] for sec in got["sections"]] == [
+        "core", "hom-rep", "weak-rinehart", "full-rinehart", "anchor",
+        "identities", "decomposition"]
+    assert "decomposition.splits-over-H" in got["failures"]
+    gate = got["sections"][-1]["checks"][0]
+    assert gate["witnesses"] == [{"code": "pullback orbit does not close",
+                                  "detail": detail}]
+
+    # the split suite runs no connection search; its witnesses name
+    # roots with non-integral entries, written as in every report
+    code, out, err = run(capsys, "check", str(path), "--suite", "split",
+                         "--report", "json")
+    assert (code, err) == (1, "")
+    moves = json.loads(out)["sections"][1]["checks"][1]
+    assert moves["name"] == "alpha-moves-roots"
+    assert moves["witnesses"][0] == {"k": -2,
+                                     "root": [[0, "-1/2"], ["1/2", 0]]}
+
+
+# SHA-256 of the `--report json` stdout of each split command, with its
+# exit code, on the corpus files as `trilie corpus` writes them.  They
+# were recorded from the separate root and weight implementations
+# that the one grading engine of split.py replaced, so any refactor of
+# split.py must reproduce these reports byte for byte.
+SPLIT_COMMANDS = {
+    "decompose": ("decompose",),
+    "classes": ("check", "--suite", "classes"),
+    "connect": ("connect",),
+    "connect-0-1": ("connect", "--src", "0", "--dst", "1"),
+}
+SPLIT_PINS = {
+    ("two-block", "2"): {
+        "decompose": (0, "defa011584ae2d73f1c58057243950ff"
+                         "0f6a5c979b68a8f2668ef4e752750246"),
+        "classes": (0, "9b281b3c4c21d88d9a86137f3771f9dc"
+                       "4d365b89dcaeb85bc44ff75f5da76b0f"),
+        "connect": (0, "9582a91b4bb19712383110e60fb0f848"
+                       "40bf479fbf72b61012cef93af6454fb6"),
+        "connect-0-1": (0, "cfdbe2fa2fd75e0113456f097861edcf"
+                           "24b7fbcc83b9a7bc30d1176c9d04c396"),
+    },
+    ("tprime-split", "3"): {
+        "decompose": (0, "f927f5b7fc3148f25157228e4ca26cfc"
+                         "f6a72d157f62ff5dcc60c40b558e1c9d"),
+        "classes": (0, "372dad076570f12709bd50500481eeaa"
+                       "fa4475c43f4c53e9cad504889e541fec"),
+        "connect": (0, "999eba2fb2800a4a818940c4cb953c08"
+                       "4856f91691ebfd178ebd4e9f5960c467"),
+        "connect-0-1": (0, "4c5fa8945b779ed775c6c3e9303a5c53"
+                           "d459e1229453fcc21f90d20cb43a8966"),
+    },
+}
+
+
+@pytest.mark.parametrize("name, window", sorted(SPLIT_PINS))
+def test_split_reports_match_their_pinned_bytes(tmp_path, capsys, name,
+                                                window):
+    path = corpus_file(tmp_path, capsys, name, "--window", window)
+    got = {}
+    for key, argv in SPLIT_COMMANDS.items():
+        code, out, _ = run(capsys, argv[0], path, *argv[1:],
+                           "--report", "json")
+        got[key] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == SPLIT_PINS[name, window]
 
 
 # -- construct ---------------------------------------------------------------

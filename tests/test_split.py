@@ -7,7 +7,8 @@ by a literal power-sum recurrence written here with plain Fractions.
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 
 import pytest
 
@@ -149,7 +150,7 @@ def test_tprime_roots_frozen(tprime):
     B, dec, _ = tprime
     spaces = {1: (3, 4), -1: (5, 6), 2: (7, 8),
               -2: (9, 10), 3: (11, 12), -3: (13, 14)}
-    assert len(dec.roots) == 6
+    assert len(dec.pieces) == 6
     for k, idxs in spaces.items():
         space = dec.index[form3(k)]
         assert space.basis == tuple(unit(15, i) for i in idxs)
@@ -163,7 +164,7 @@ def test_tprime_weights_frozen(tprime):
     assert wdec.zero.basis == (unit(7, 0),)
     assert B.A_labels[0] == "1"
     by_k = {1: 1, -1: 2, 2: 3, -2: 4, 3: 5, -3: 6}
-    assert len(wdec.weights) == 6
+    assert len(wdec.pieces) == 6
     for k, a_idx in by_k.items():
         space = wdec.index[form3(k)]
         assert space.basis == (unit(7, a_idx),)
@@ -197,17 +198,17 @@ def test_upper_triangle_lookup_matches_the_form_sums(name, window):
     B = generate(name, window=window)
     H = h_space(B)
     dec, wdec = root_decompose(B, H), weight_decompose(B, H)
-    AH, h = dec.AH, H.dim
-    gamma, lam = dec.gamma, wdec.lam
-    l_index = split._upper_index(dec.roots, dec.H, h)
-    a_index = split._upper_index(wdec.weights, wdec.zero, h)
+    AH = dec.AH
+    gamma, lam = dec.forms, wdec.forms
+    l_index = split._upper_index(dec)
+    a_index = split._upper_index(wdec)
     up_r = [split._upper(f.mat) for f in gamma]
     up_w = [split._upper(f.mat) for f in lam]
     pb_r = split._pullback_uppers(gamma, AH, 1)
     pb_w = split._pullback_uppers(lam, AH, 1)
 
     def l_old(form):
-        return _form_target(dec.index, dec.H, form)
+        return _form_target(dec.index, dec.zero, form)
 
     def a_old(form):
         return _form_target(wdec.index, wdec.zero, form)
@@ -245,13 +246,13 @@ def test_root_class_sizes():
     for B in (toy_split(2), tprime_split(3), two_block(1)):
         H = h_space(B)
         dec, wdec = root_decompose(B, H), weight_decompose(B, H)
-        part = root_classes(dec.gamma, wdec.lam, dec.AH)
+        part = root_classes(dec.forms, wdec.forms, dec.AH)
         assert sorted(len(c) for c in part) == sorted(sizes[B.name])
 
 
 def test_tprime_class_ideal(tprime):
     B, dec, wdec = tprime
-    part = root_classes(dec.gamma, wdec.lam, dec.AH)
+    part = root_classes(dec.forms, wdec.forms, dec.AH)
     ci = class_ideal(B, dec, wdec, list(part)[0])
     assert ci.space.dim == 14
     # A_{-k} L_k lands on x and y; the constant never appears
@@ -263,7 +264,7 @@ def test_class_ideal_laws_pass_on_split_corpus():
     for B in (toy_split(2), tprime_split(3), two_block(1)):
         H = h_space(B)
         dec, wdec = root_decompose(B, H), weight_decompose(B, H)
-        part = root_classes(dec.gamma, wdec.lam, dec.AH)
+        part = root_classes(dec.forms, wdec.forms, dec.AH)
         suite, ideals = check_class_ideal_laws(B, dec, wdec, part)
         assert suite.passed, (B.name, suite.to_text())
         assert sum(ci.space.dim for ci in ideals) <= B.L.n
@@ -280,13 +281,13 @@ def test_d4_class_is_closed_but_not_an_ideal():
     H = SubspaceQ(4, [unit(4, 0), unit(4, 1)])
     dec = root_decompose(B, H)
     wdec = weight_decompose(B, H)
-    assert len(wdec.weights) == 0 and wdec.zero.dim == 3
+    assert len(wdec.pieces) == 0 and wdec.zero.dim == 3
 
     plus = RootForm(MatrixQ([[0, 1], [-1, 0]]))
     assert dec.index[plus].basis == ((0, 0, 1, 1),)
     assert dec.index[-plus].basis == ((0, 0, 1, -1),)
 
-    part = root_classes(dec.gamma, wdec.lam, dec.AH)
+    part = root_classes(dec.forms, wdec.forms, dec.AH)
     assert [len(c) for c in part] == [2]
     ci = class_ideal(B, dec, wdec, list(part)[0])
     assert ci.zero_part.dim == 0
@@ -358,6 +359,64 @@ def _orbit_mats(mat_rows, ah_rows, limit=64):
     raise AssertionError("orbit did not close")
 
 
+def _signed_permutations(h):
+    for perm in permutations(range(h)):
+        for signs in product((1, -1), repeat=h):
+            yield MatrixQ([[signs[r] if perm[r] == c else 0
+                            for c in range(h)] for r in range(h)])
+
+
+def test_orbit_bound_is_the_largest_finite_order():
+    """The largest order of a finite-order rational matrix of size d =
+    h(h-1)/2: 2, 6, 30 and 120 at d = 1, 3, 6, 10 (OEIS A005417)."""
+    assert [split._orbit_bound(h) for h in (1, 2, 3, 4, 5)] == [
+        1, 2, 6, 30, 120]
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_orbits_of_finite_order_twists_match_the_oracle(h):
+    """Every signed permutation of H has finite order: each orbit must
+    close within the bound and equal the plain-Fraction orbit."""
+    forms = [RootForm(MatrixQ([[(r == a and c == b) - (r == b and c == a)
+                                for c in range(h)] for r in range(h)]))
+             for a, b in combinations(range(h), 2)]
+    forms.append(sum(forms[1:], forms[0]) + forms[-1])     # a generic one
+    for AH in _signed_permutations(h):
+        for form in forms:
+            orbit = split._orbit(form, AH)
+            assert len(orbit) <= split._orbit_bound(h)
+            assert [[list(r) for r in f.mat.rows] for f in orbit] == \
+                _orbit_mats(form.mat.rows, AH.rows)
+
+
+@pytest.mark.parametrize("ah_rows, form_rows", [
+    # det 4: every pullback divides the form by 4
+    ([[2, 0], [0, 2]], [[0, 1], [-1, 0]]),
+    # det 1 but unipotent: e0^e2 pulls back to e0^e2 - k e1^e2
+    ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
+])
+def test_a_twist_of_infinite_order_on_h_is_a_split_error(ah_rows,
+                                                          form_rows):
+    with pytest.raises(SplitError, match="pullback orbit does not close"):
+        split._orbit(RootForm(MatrixQ(form_rows)), MatrixQ(ah_rows))
+
+
+def test_scaled_alpha_toy_fails_to_connect_not_to_decompose():
+    """toy-split window 1 with alpha scaled by 2: the decomposition
+    splits, but alpha is 2 Id on H, so no root orbit closes."""
+    B = toy_split(1)
+    B2 = RinehartBundle(Hom3Lie(B.L.sc, B.L.alpha.scale(2)), B.A, B.rho,
+                        B.act)
+    H = h_space(B)
+    dec, wdec = root_decompose(B2, H), weight_decompose(B2, H)
+    assert len(dec.forms) == 2
+    with pytest.raises(SplitError) as err:
+        root_classes(dec.forms, wdec.forms, dec.AH)
+    assert err.value.code == "pullback orbit does not close"
+    assert err.value.detail == ("RootForm[0 -1/2; 1/2 0] has an infinite"
+                                " orbit under alpha on H")
+
+
 def _literal_chain_holds(chain, gamma, lam, AH, src, dst):
     """The recurrence from scratch: chain[0] pulled back i times plus
     the pair sums each pulled back i+1-j times, membership at every
@@ -399,27 +458,27 @@ def _literal_chain_holds(chain, gamma, lam, AH, src, dst):
 
 def test_tprime_roots_form_one_connected_system(tprime):
     _, dec, wdec = tprime
-    by_k = {f.mat.rows[0][1]: f for f in dec.gamma}
+    by_k = {f.mat.rows[0][1]: f for f in dec.forms}
     src, dst = by_k[-1], by_k[-2]  # gamma_1 to gamma_2
-    ok, chain = connected(dec.gamma, wdec.lam, dec.AH, src, dst)
+    ok, chain = connected(dec.forms, wdec.forms, dec.AH, src, dst)
     assert ok and len(chain) == 3
-    assert connection_chain_valid(chain, dec.gamma, wdec.lam, dec.AH,
+    assert connection_chain_valid(chain, dec.forms, wdec.forms, dec.AH,
                                   src, dst)
-    assert _literal_chain_holds(chain, dec.gamma, wdec.lam, dec.AH,
+    assert _literal_chain_holds(chain, dec.forms, wdec.forms, dec.AH,
                                 src, dst)
 
-    ok2, far = connected(dec.gamma, wdec.lam, dec.AH, by_k[-1], by_k[3])
+    ok2, far = connected(dec.forms, wdec.forms, dec.AH, by_k[-1], by_k[3])
     assert ok2
-    assert connection_chain_valid(far, dec.gamma, wdec.lam, dec.AH,
+    assert connection_chain_valid(far, dec.forms, wdec.forms, dec.AH,
                                   by_k[-1], by_k[3])
-    assert _literal_chain_holds(far, dec.gamma, wdec.lam, dec.AH,
+    assert _literal_chain_holds(far, dec.forms, wdec.forms, dec.AH,
                                 by_k[-1], by_k[3])
 
     # corrupting the chain must fail both validators identically
     for bad in (chain[:-2], chain[:-1] + [-chain[-1]]):
-        assert not connection_chain_valid(bad, dec.gamma, wdec.lam,
+        assert not connection_chain_valid(bad, dec.forms, wdec.forms,
                                           dec.AH, src, dst)
-        assert not _literal_chain_holds(bad, dec.gamma, wdec.lam,
+        assert not _literal_chain_holds(bad, dec.forms, wdec.forms,
                                         dec.AH, src, dst)
 
 
@@ -427,20 +486,20 @@ def test_connected_orbit_and_cross_class_cases():
     B = two_block(1)
     H = h_space(B)
     dec, wdec = root_decompose(B, H), weight_decompose(B, H)
-    part = root_classes(dec.gamma, wdec.lam, dec.AH)
+    part = root_classes(dec.forms, wdec.forms, dec.AH)
     classes = [sorted(c, key=lambda f: f.key()) for c in part]
     assert sorted(len(c) for c in classes) == [2, 2]
 
-    ok, chain = connected(dec.gamma, wdec.lam, dec.AH,
+    ok, chain = connected(dec.forms, wdec.forms, dec.AH,
                           classes[0][0], classes[0][1])
     assert ok and chain == []  # negatives share an orbit up to sign
 
-    cross, witness = connected(dec.gamma, wdec.lam, dec.AH,
+    cross, witness = connected(dec.forms, wdec.forms, dec.AH,
                                classes[0][0], classes[1][0])
     assert cross is False and witness is None
 
     with pytest.raises(ValueError, match="not in the root system"):
-        connected(dec.gamma, wdec.lam, dec.AH, classes[0][0],
+        connected(dec.forms, wdec.forms, dec.AH, classes[0][0],
                   RootForm(MatrixQ([[0, 7, 0], [-7, 0, 0], [0, 0, 0]])
                            if dec.AH.nrows == 3 else MatrixQ.zeros(4, 4)))
 
@@ -501,7 +560,7 @@ def test_state_table_search_matches_the_matrix_bfs(name, window):
     H = (h_space(B) if "H" in B.meta
          else SubspaceQ(B.L.n, [unit(B.L.n, 0), unit(B.L.n, 1)]))
     dec, wdec = root_decompose(B, H), weight_decompose(B, H)
-    gamma, lam, AH = dec.gamma, wdec.lam, dec.AH
+    gamma, lam, AH = dec.forms, wdec.forms, dec.AH
     letters = split._alphabet(gamma, lam, AH.nrows)
     for states in (gamma, lam):
         table = split._StateTable(states, letters, AH)
@@ -536,8 +595,8 @@ def test_root_classes_pull_back_only_the_orbits(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(split, "pullback_root", counted)
-    part = root_classes(dec.gamma, wdec.lam, dec.AH)
-    assert sum(len(c) for c in part) == len(dec.gamma) == 8
+    part = root_classes(dec.forms, wdec.forms, dec.AH)
+    assert sum(len(c) for c in part) == len(dec.forms) == 8
     assert len(calls) <= 16
 
 
@@ -548,8 +607,9 @@ def test_direct_sum_hypotheses_hold_on_toy():
     B = toy_split(2)
     H = h_space(B)
     dec, wdec = root_decompose(B, H), weight_decompose(B, H)
-    part = root_classes(dec.gamma, wdec.lam, dec.AH)
-    suite = direct_sum_decompose(B, dec, wdec, part)
+    part = root_classes(dec.forms, wdec.forms, dec.AH)
+    ideals = [class_ideal(B, dec, wdec, cls) for cls in part]
+    suite = direct_sum_decompose(B, dec, wdec, ideals)
     assert [c.status for c in suite.checks] == ["pass", "pass", "pass"]
     assert [len(c) for c in part] == [4]
 
@@ -558,8 +618,9 @@ def test_direct_sum_hypotheses_fail_on_tprime(tprime):
     """The constant vector field is central and is not generated from
     the graded parts, so the direct-sum conclusion must be withheld."""
     B, dec, wdec = tprime
-    part = root_classes(dec.gamma, wdec.lam, dec.AH)
-    suite = direct_sum_decompose(B, dec, wdec, part)
+    part = root_classes(dec.forms, wdec.forms, dec.AH)
+    ideals = [class_ideal(B, dec, wdec, cls) for cls in part]
+    suite = direct_sum_decompose(B, dec, wdec, ideals)
     by_name = {c.name: c for c in suite.checks}
     one = ["0", "0", "1"] + ["0"] * 12
 
@@ -599,7 +660,7 @@ def split_ideal(B: RinehartBundle, dec, ideal: SubspaceQ):
 
     in_h = ideal.intersect(dec.H)
     parts = []
-    for gam, space in dec.roots:
+    for gam, space in dec.pieces:
         piece = ideal.intersect(space)
         if piece.dim:
             parts.append((gam, piece))
@@ -675,15 +736,15 @@ def direct_sum_vs_split(B1: RinehartBundle, H1: SubspaceQ,
     h1, h = H1.dim, H.dim
 
     expected = {}
-    for gam, space in dec1.roots:
+    for gam, space in dec1.pieces:
         expected[_embed_form(gam, 0, h)] = _embed_space(space, 0, n)
-    for gam, space in dec2.roots:
+    for gam, space in dec2.pieces:
         expected[_embed_form(gam, h1, h)] = _embed_space(space, n1, n)
 
     ru = suite.add(CheckReport("roots-are-the-union"))
     ru.tick()
     if set(dec.index) != set(expected):
-        ru.record({"combined": len(dec.roots), "expected": len(expected)})
+        ru.record({"combined": len(dec.pieces), "expected": len(expected)})
     sm = suite.add(CheckReport("root-spaces-match"))
     for form, space in expected.items():
         sm.tick()
@@ -694,8 +755,8 @@ def direct_sum_vs_split(B1: RinehartBundle, H1: SubspaceQ,
     # weight from each block at once; the combined weight is the sum of
     # the two embeddings and its space the eigenspace intersection.
     expected_w = {}
-    pairs1 = [(zero_form(H1.dim), wdec1.zero)] + list(wdec1.weights)
-    pairs2 = [(zero_form(H2.dim), wdec2.zero)] + list(wdec2.weights)
+    pairs1 = [(zero_form(H1.dim), wdec1.zero)] + list(wdec1.pieces)
+    pairs2 = [(zero_form(H2.dim), wdec2.zero)] + list(wdec2.pieces)
     for mu1, sp1 in pairs1:
         for mu2, sp2 in pairs2:
             inter = sp1.intersect(sp2)
@@ -708,7 +769,7 @@ def direct_sum_vs_split(B1: RinehartBundle, H1: SubspaceQ,
     wu = suite.add(CheckReport("weights-combine-blocks"))
     wu.tick()
     if set(wdec.index) != set(expected_w):
-        wu.record({"combined": len(wdec.weights),
+        wu.record({"combined": len(wdec.pieces),
                    "expected": len(expected_w)})
     wr = suite.add(CheckReport("weight-spaces-match"))
     for form, space in expected_w.items():
@@ -731,7 +792,7 @@ def direct_sum_vs_split(B1: RinehartBundle, H1: SubspaceQ,
         if ok:
             got = {form: space for form, space in comps["roots"]}
             want = {_embed_form(g, h_off, h):
-                    _embed_space(s, block_off, n) for g, s in dj.roots}
+                    _embed_space(s, block_off, n) for g, s in dj.pieces}
             ok = got == want
         if not ok:
             rec.record({"block": 1 if block_off == 0 else 2})
@@ -750,9 +811,9 @@ def test_direct_sum_vs_split_on_a_twin():
         "root-spaces-match", "weights-combine-blocks",
         "weight-spaces-match", "A0-is-the-intersection",
         "split-recovers-blocks"]
-    assert BB.L.n == 20 and len(dec.roots) == 8
+    assert BB.L.n == 20 and len(dec.pieces) == 8
     # shared A: each weight space is an eigenspace for both blocks
-    assert len(wdec.weights) == 4 and wdec.zero.dim == 1
+    assert len(wdec.pieces) == 4 and wdec.zero.dim == 1
 
 
 def test_direct_sum_vs_split_recovers_two_block():
@@ -761,13 +822,13 @@ def test_direct_sum_vs_split_recovers_two_block():
     suite, BB, dec, wdec = direct_sum_vs_split(F1, H, F2, H,
                                                name="two-block")
     assert suite.passed, suite.to_text()
-    assert len(dec.roots) == 4 and len(wdec.weights) == 4
+    assert len(dec.pieces) == 4 and len(wdec.pieces) == 4
     assert wdec.zero.dim == 2  # the two block units
 
 
 def test_split_ideal_components(tprime):
     B, dec, wdec = tprime
-    part = root_classes(dec.gamma, wdec.lam, dec.AH)
+    part = root_classes(dec.forms, wdec.forms, dec.AH)
     ci = class_ideal(B, dec, wdec, list(part)[0])
     comps, suite = split_ideal(B, dec, ci.space)
     by_name = {c.name: c for c in suite.checks}
