@@ -122,11 +122,12 @@ class StructureConstants3:
 class Hom3Lie:
     """A bracket table together with a linear twist map alpha.
 
-    The last three fields hold the reports of check_jacobi,
-    check_hom_jacobi and check_multiplicative once they have run.
+    `_brackets` holds its bracket rows once a check has read them, and
+    the last three fields the reports of check_jacobi, check_hom_jacobi
+    and check_multiplicative once they have run.
     """
 
-    __slots__ = ("sc", "alpha", "_alpha_cols",
+    __slots__ = ("sc", "alpha", "_alpha_cols", "_brackets",
                  "_jacobi", "_hom_jacobi", "_multiplicative")
 
     def __init__(self, sc: StructureConstants3, alpha: MatrixQ):
@@ -171,22 +172,6 @@ def _signed_rows(half: dict) -> dict:
     return rows
 
 
-def bracket_rows(sc: StructureConstants3) -> dict:
-    """[e_i, e_j, e_k] as a row over k, for every ordered pair i != j.
-
-    An entry is None where the triple is missing and {} where k repeats
-    i or j.  By the even cyclic shift the same entry is [e_k, e_i, e_j].
-    """
-    half = {}
-    for i, j in combinations(range(sc.n), 2):
-        row = []
-        for k in range(sc.n):
-            vec, sign = sc.lookup(i, j, k)
-            row.append(vec if vec is None or sign == 1 else sv_scale(vec, -1))
-        half[(i, j)] = row
-    return _signed_rows(half)
-
-
 def _bits(indices) -> int:
     """A set of indices (the support of a sparse vector) as a bit mask."""
     out = 0
@@ -195,14 +180,69 @@ def _bits(indices) -> int:
     return out
 
 
-def _row_masks(rows: dict) -> dict:
-    """(bits of the None entries, support bits of each entry) per row.
+def ones(mask: int):
+    """The indices of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    A None entry has support 0: the first mask already rules it out.
-    """
+
+def _row_masks(rows: dict) -> dict:
+    """(bits of the None entries, bits of the nonzero entries) per row."""
     return {key: (_bits(k for k, vec in enumerate(row) if vec is None),
-                  [0 if vec is None else _bits(vec) for vec in row])
+                  _bits(k for k, vec in enumerate(row) if vec))
             for key, row in rows.items()}
+
+
+class PairRows:
+    """Rows over the basis, one per ordered pair i != j, with the masks
+    the law kernels read from them.
+
+    Built from the rows of the pairs i < j; the row of (j, i) is the
+    negated row of (i, j).  An entry is a sparse vector or None where a
+    window leaves it undetermined.  `masks` holds each row's (None bits,
+    nonzero bits) over k.  The rest are masks over `pairs`, the pairs
+    i < j in order, bit b for pairs[b]: `none_at[k]` and `nonzero_at[k]`
+    mark the pairs whose row is None or nonzero at k, and `has[k][m]`
+    those whose entry at k has m in its support.
+    """
+
+    __slots__ = ("pairs", "rows", "masks", "none_at", "nonzero_at", "has")
+
+    def __init__(self, n: int, half: dict):
+        self.pairs = list(combinations(range(n), 2))
+        self.rows = _signed_rows(half)
+        self.masks = _row_masks(self.rows)
+        self.none_at = [0] * n
+        self.nonzero_at = [0] * n
+        self.has = [[0] * n for _ in range(n)]
+        for b, pq in enumerate(self.pairs):
+            for k, vec in enumerate(half[pq]):
+                if vec is None:
+                    self.none_at[k] |= 1 << b
+                elif vec:
+                    self.nonzero_at[k] |= 1 << b
+                    for m in vec:
+                        self.has[k][m] |= 1 << b
+
+
+@stored_on("_brackets")
+def brackets(alg: Hom3Lie) -> PairRows:
+    """[e_i, e_j, e_k] as a row over k for every ordered pair i != j,
+    kept with the algebra.
+
+    An entry is None where the triple is missing and {} where k repeats
+    i or j.  By the even cyclic shift the same entry is [e_k, e_i, e_j].
+    """
+    half = {}
+    for i, j in combinations(range(alg.n), 2):
+        row = []
+        for k in range(alg.n):
+            vec, sign = alg.sc.lookup(i, j, k)
+            row.append(vec if vec is None or sign == 1 else sv_scale(vec, -1))
+        half[(i, j)] = row
+    return PairRows(alg.n, half)
 
 
 # -- axiom checkers ----------------------------------------------------
@@ -214,46 +254,72 @@ def _row_masks(rows: dict) -> dict:
 #     sum_m t_m outer[P][m] - sum_(k, Q) sum_m [P, e_k]_m outer[Q][m]
 #
 # where outer[P][m] is [e_m, P] (Jacobi) or [e_m, alpha P] (Hom-Jacobi).
-# The bracket rows and the outer rows of every pair are built once per
-# check, with bit masks of their None entries and of each entry's
-# support.  A missing triple skips all its pairs in one step; otherwise
-# an instance is undetermined exactly when the support of a term meets
-# the None mask of the row it is read from, which a few ANDs decide
-# before any vector is summed.
+# The bracket rows and their masks are kept with the algebra; the outer
+# rows of Hom-Jacobi are built once per check with the same masks
+# (`PairRows`).  The masks are indexed by pair, so for each triple a few ORs over the bits of t and
+# of the three outer rows Q give every pair at once:
+#
+# - dead: some term reads a None entry.  t_m meets a pair whose outer
+#   row is None at m; the pair's row is None at x, y or z; or the entry
+#   [P, e_k] has in its support an m where outer[Q] is None.
+# - possibly nonzero: t_m meets a pair whose outer row is nonzero at m,
+#   or [P, e_k] has in its support an m where outer[Q] is nonzero.
+#
+# Dead pairs are skipped and the rest are checked, both counted by
+# popcount.  A missing triple skips all its pairs in one step.  The
+# residual is summed only for the live pairs: not dead and possibly
+# nonzero.  They are visited in ascending order, so witnesses keep the
+# order of a loop over every pair.
 
 
-def _jacobi_residuals(rep: CheckReport, n: int, rows: dict, outer: dict,
+def _residual(t: SVec, out_row: list, row: list, cyc) -> SVec:
+    """The residual above for one pair, whose terms are all determined."""
+    acc: SVec = {}
+    for m, c in t.items():
+        sv_axpy(acc, c, out_row[m])
+    for k, q_row in cyc:
+        for m, cm in row[k].items():
+            sv_axpy(acc, -cm, q_row[m])
+    return acc
+
+
+def _jacobi_residuals(rep: CheckReport, br: PairRows, outer: PairRows,
                       witness) -> CheckReport:
     """Count or record every (triple, pair) instance of the residual
-    above; witness(triple, pair) starts the record of a failure."""
-    masks = _row_masks(rows)
-    outer_none = {key: none for key, (none, _) in _row_masks(outer).items()}
-    pairs = [(pq, rows[pq], *masks[pq], outer[pq], outer_none[pq])
-             for pq in combinations(range(n), 2)]
+    above, br holding the bracket rows; witness(triple, pair) starts
+    the record of a failure."""
+    rows, pairs, has = br.rows, br.pairs, br.has
+    n = len(has)
+    operands = [(pq, rows[pq], outer.rows[pq]) for pq in pairs]
     skipped = checked = 0
     for x, y, z in combinations(range(n), 3):
         t = rows[(x, y)][z]
         if t is None:
             skipped += len(pairs)
             continue
-        t_bits = _bits(t)
-        trip = 1 << x | 1 << y | 1 << z
-        cyc = [(x, outer[(y, z)]), (y, outer[(z, x)]), (z, outer[(x, y)])]
-        gx, gy, gz = outer_none[(y, z)], outer_none[(z, x)], outer_none[(x, y)]
-        for pq, row, none, support, out_row, out_none in pairs:
-            if (t_bits & out_none or trip & none or support[x] & gx
-                    or support[y] & gy or support[z] & gz):
-                skipped += 1
-                continue
-            checked += 1
-            if not t and not (support[x] | support[y] | support[z]):
-                continue
-            acc: SVec = {}
-            for m, c in t.items():
-                sv_axpy(acc, c, out_row[m])
-            for k, q_row in cyc:
-                for m, cm in row[k].items():
-                    sv_axpy(acc, -cm, q_row[m])
+        dead = br.none_at[x] | br.none_at[y] | br.none_at[z]
+        live = 0
+        for m in t:
+            dead |= outer.none_at[m]
+            live |= outer.nonzero_at[m]
+        cyc = ((x, (y, z)), (y, (z, x)), (z, (x, y)))
+        for k, q in cyc:
+            q_none, q_nonzero = outer.masks[q]
+            has_k = has[k]
+            for m in ones(q_none):
+                dead |= has_k[m]
+            for m in ones(q_nonzero):
+                live |= has_k[m]
+        gaps = dead.bit_count()
+        skipped += gaps
+        checked += len(pairs) - gaps
+        live &= ~dead
+        if not live:
+            continue
+        cyc = [(k, outer.rows[q]) for k, q in cyc]
+        for b in ones(live):
+            pq, row, out_row = operands[b]
+            acc = _residual(t, out_row, row, cyc)
             if acc:
                 rep.record({**witness((x, y, z), pq),
                             "residual_support": sorted(acc)})
@@ -269,8 +335,8 @@ def check_jacobi(alg: Hom3Lie) -> CheckReport:
     [[x1,x2,x3],y2,y3] = [[x1,y2,y3],x2,x3] + [[x2,y2,y3],x3,x1]
                          + [[x3,y2,y3],x1,x2].
     """
-    rows = bracket_rows(alg.sc)
-    return _jacobi_residuals(CheckReport("jacobi"), alg.n, rows, rows,
+    br = brackets(alg)
+    return _jacobi_residuals(CheckReport("jacobi"), br, br,
                              lambda t, p: {"x": list(t), "y": list(p)})
 
 
@@ -284,12 +350,12 @@ def check_hom_jacobi(alg: Hom3Lie) -> CheckReport:
     """
     sc, n, acols = alg.sc, alg.n, alg._alpha_cols
     # [alpha e_i, alpha e_j, e_m], which is [e_m, alpha e_i, alpha e_j]
-    aa = _signed_rows({(i, j): [sc.trilinear(acols[i], acols[j], {m: 1})
-                                for m in range(n)]
-                       for i, j in combinations(range(n), 2)})
-    return _jacobi_residuals(CheckReport("hom-jacobi"), n, bracket_rows(sc),
-                             aa, lambda t, p: {"x": list(p),
-                                               "triple": list(t)})
+    aa = PairRows(n, {(i, j): [sc.trilinear(acols[i], acols[j], {m: 1})
+                               for m in range(n)]
+                      for i, j in combinations(range(n), 2)})
+    return _jacobi_residuals(CheckReport("hom-jacobi"), brackets(alg), aa,
+                             lambda t, p: {"x": list(p),
+                                           "triple": list(t)})
 
 
 @stored_on("_multiplicative")

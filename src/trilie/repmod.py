@@ -6,18 +6,36 @@ as lists of columns (sparse vectors over the module), and a column may
 be None when a windowed corpus does not determine it.  Checks then count
 the affected (tuple, column) instances as skipped.
 
-check_hom_rep builds its operands once per call: rho(alpha e_i,
-alpha e_j) for i < j (kept with the representation, so check_hr4
-reuses it), rho(e_m, alpha e_j) phi for all m, j, the signed bracket
-rows [e_i, e_j, .] and the nonzero columns of each stored operator.
-The phi-terms of hr2 and hr3 are then sums of table rows, a triple
-outside the bracket window skips its hr2 instances in one step, and a
-product rho(alpha e_a, alpha e_b) rho(e_c, e_d) is composed only in
-the columns that the rest of its law leaves determined.
+check_hom_rep settles most instances of hr2 and hr3 by bit masks,
+before any arithmetic.  Its operands are built once per call, each
+with one int mask of its None columns and one of its nonzero columns:
+rho(alpha e_i, alpha e_j) for i < j (kept with the representation per
+algebra, so check_hr4 reuses it), rho(e_m, alpha e_j) phi for all m, j,
+and each stored operator rho(e_c, e_d) as its nonzero columns with
+their support bits.  A column k of a product rho(alpha e_a, alpha e_b)
+rho(e_c, e_d) is undetermined when column k of rho(e_c, e_d) is None
+or its support meets the None columns of the outer factor, and can be
+nonzero only when its support meets the outer's nonzero columns; the
+phi-terms, sums of rows rho(e_m, alpha e_j) phi, OR the masks of their
+rows.  So a few ANDs and ORs give each instance its undetermined
+columns, counted as skipped, and the columns where some term may be
+nonzero.  An instance with none of the latter is only counted as
+checked; the rest sum their terms on those columns alone.  The bracket
+rows and their masks are the algebra's (`core3lie.brackets`): a triple
+outside the bracket window skips its hr2 instances in one step, and
+hr3 skips (p, q) when [p, q_1] or [p, q_2] is missing.
+
+hr3 takes the instances (p, q) and (q, p) together.  Both compare
+D = rho(alpha p) rho(q) - rho(alpha q) rho(p) with their phi-terms,
+D = Phi(p, q) and -D = Phi(q, p), so D is composed once per unordered
+pair.  The smallest MAX_FAILURES failure keys (p, q, column) are kept
+with a count, so the witnesses are those of a loop over every (p, q)
+in order.  hr4 uses the same product kernel.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import combinations
 
 from .exactq import (
@@ -29,8 +47,8 @@ from .exactq import (
     sv_axpy,
     sv_scale,
 )
-from .core3lie import Hom3Lie, bracket_rows
-from .report import CheckReport, SuiteReport, stored_on
+from .core3lie import Hom3Lie, PairRows, _bits, brackets, ones
+from .report import MAX_FAILURES, CheckReport, SuiteReport, stored_on
 
 SVec = dict
 
@@ -178,61 +196,212 @@ def _rho_on_vec_left(act: PairAction, vec: SVec, j: int) -> Columns:
 # -- Hom representation axioms -----------------------------------------
 
 
+def _masks(cols: Columns) -> tuple[int, int]:
+    """(bits of the None columns, bits of the nonzero columns)."""
+    none = nonzero = 0
+    for k, col in enumerate(cols):
+        if col is None:
+            none |= 1 << k
+        elif col:
+            nonzero |= 1 << k
+    return none, nonzero
+
+
+def _operand(cols: Columns) -> tuple:
+    """An operator with its `_masks`: (columns, None bits, nonzero bits)."""
+    return (cols, *_masks(cols))
+
+
 @stored_on("_alpha_pairs", owner=1)
 def _alpha_pair_table(alg: Hom3Lie, rep: HomRepresentation) -> dict:
-    """rho(alpha e_i, alpha e_j) for i < j, kept with rep per algebra."""
+    """rho(alpha e_i, alpha e_j) for i < j as `_operand`s, kept with
+    rep per algebra."""
     act = rep.action
     acols = alg._alpha_cols
-    return {(i, j): act.bilinear(acols[i], acols[j])
+    return {(i, j): _operand(act.bilinear(acols[i], acols[j]))
             for i, j in combinations(range(alg.n), 2)}
 
 
-def _ra(table: dict, i: int, j: int):
-    if i == j:
-        return None, 0
-    if i < j:
-        return table[(i, j)], 1
-    return table[(j, i)], -1
-
-
 def _sparse_ops(act: PairAction) -> dict:
-    """The (index, column) pairs of each stored operator that are not
-    the zero column."""
-    return {key: [(k, col) for k, col in enumerate(op) if col != {}]
+    """Each stored operator as (bits of its None columns, [(index,
+    column, support bits)] over its nonzero columns)."""
+    return {key: (_masks(op)[0],
+                  [(k, col, _bits(col)) for k, col in enumerate(op) if col])
             for key, op in act.ops.items()}
 
 
-def _add_products(acc: Columns, ra: dict, sparse: dict, terms) -> None:
-    """acc += rho(alpha e_a, alpha e_b) rho(e_c, e_d) over the terms.
+def _product(ra: dict, sparse: dict, a: int, b: int, c: int, d: int):
+    """rho(alpha e_a, alpha e_b) rho(e_c, e_d) as (outer, inner, sign),
+    or None when it is the zero operator whatever the tables hold: an
+    index repeats, or rho(e_c, e_d) is not stored."""
+    if a == b or c == d:
+        return None
+    inner = sparse.get((c, d) if c < d else (d, c))
+    if inner is None:
+        return None
+    sign = 1 if c < d else -1
+    if a > b:
+        a, b, sign = b, a, -sign
+    return ra[(a, b)], inner, sign
 
-    sparse holds the operators rho(e_c, e_d) as `_sparse_ops` gives
-    them.  Only the columns of acc that are still determined are
-    computed.  A term with a repeated index, or whose pair (c, d) has
-    no stored operator, is the zero operator whatever the other factor
-    holds, so it is not composed.
-    """
-    for (a, b), (c, d) in terms:
-        if a == b or c == d:
+
+def _product_masks(outer: tuple, inner: tuple) -> tuple[int, int]:
+    """(undetermined, possibly nonzero) columns of a product."""
+    _, o_none, o_nonzero = outer
+    none, cols = inner
+    nonzero = 0
+    if o_none or o_nonzero:
+        for k, _, support in cols:
+            if support & o_none:
+                none |= 1 << k
+            elif support & o_nonzero:
+                nonzero |= 1 << k
+    return none, nonzero
+
+
+def _add_product(acc: dict, outer: tuple, inner: tuple, sign) -> None:
+    """acc[k] += sign (outer inner)[k] for the columns k of acc, which
+    the masks have shown determined."""
+    o_cols, _, o_nonzero = outer
+    for k, col, support in inner[1]:
+        out = acc.get(k)
+        if out is None or not support & o_nonzero:
             continue
-        ocd = sparse.get((c, d) if c < d else (d, c))
-        if ocd is None:
-            continue
-        oab, sab = _ra(ra, a, b)
-        sign = sab if c < d else -sab
-        for k, col in ocd:
-            if acc[k] is None:
-                continue
-            out = None if col is None else op_apply(oab, col)
-            if out is None:
-                acc[k] = None
+        for r, c in col.items():
+            if o_cols[r]:
+                sv_axpy(out, sign * c, o_cols[r])
+
+
+def _phi_masks(rmp: dict, terms) -> tuple[int, int]:
+    """(undetermined, possibly nonzero) columns of the sum of
+    s rho(vec, alpha e_y) phi over the terms (vec, y, s)."""
+    none = nonzero = 0
+    for vec, y, _ in terms:
+        for m in vec:
+            _, m_none, m_nonzero = rmp[(m, y)]
+            none |= m_none
+            nonzero |= m_nonzero
+    return none, nonzero
+
+
+def _add_phi(acc: dict, rmp: dict, terms) -> None:
+    """acc[k] += that sum at column k, for the columns k of acc."""
+    for vec, y, s in terms:
+        for m, c in vec.items():
+            cols = rmp[(m, y)][0]
+            for k, out in acc.items():
+                if cols[k]:
+                    sv_axpy(out, s * c, cols[k])
+
+
+def _settle(rmp: dict, phi, prods) -> tuple[int, list]:
+    """One instance of phi-terms = sum of products, settled by masks
+    first: phi as for `_phi_masks`, prods the non-None `_product`s.
+    Returns the number of undetermined columns and the determined
+    columns where the sides differ."""
+    none, nonzero = _phi_masks(rmp, phi)
+    for outer, inner, _ in prods:
+        p_none, p_nonzero = _product_masks(outer, inner)
+        none |= p_none
+        nonzero |= p_nonzero
+    acc = {k: {} for k in ones(nonzero & ~none)}
+    if acc:
+        _add_phi(acc, rmp, phi)
+        for outer, inner, sign in prods:
+            _add_product(acc, outer, inner, -sign)
+    return none.bit_count(), [k for k, out in acc.items() if out]
+
+
+def _keep(kept: list, key) -> None:
+    """Insert key into the sorted list kept, holding its MAX_FAILURES
+    smallest keys."""
+    if len(kept) < MAX_FAILURES:
+        insort(kept, key)
+    elif key < kept[-1]:
+        insort(kept, key)
+        kept.pop()
+
+
+def _check_hr3(br: PairRows, ra: dict, rmp: dict, sparse: dict,
+               dim_v: int) -> CheckReport:
+    """hr3 over the pairs p <= q, each composing D once for the
+    instances (p, q) and (q, p); see the module docstring."""
+    rows, pairs = br.rows, br.pairs
+    dead = [br.masks[pq][0] for pq in pairs]
+    bits = [1 << i | 1 << j for i, j in pairs]
+    kept: list = []
+    failed = skipped = checked = 0
+    for ip, p in enumerate(pairs):
+        x1, x2 = p
+        row_p, ra_p, op_p = rows[p], ra[p], sparse.get(p)
+        # (p, p): D = 0 and both brackets repeat an index
+        if op_p is not None:
+            gaps = _product_masks(ra_p, op_p)[0].bit_count()
+            skipped += gaps
+            checked -= gaps
+        checked += dim_v
+        for iq in range(ip + 1, len(pairs)):
+            # the sides the bracket window determines, as (key,
+            # phi-terms, sign of D in rhs - lhs)
+            sides = []
+            if bits[iq] & dead[ip]:
+                skipped += dim_v
             else:
-                sv_axpy(acc[k], sign, out)
-
-
-def _beside(cols: Columns) -> Columns:
-    """The zero operator, undetermined where cols is: the start of the
-    other side of a law, whose columns there are skipped anyway."""
-    return [None if col is None else {} for col in cols]
+                x3, x4 = pairs[iq]
+                sides.append(((ip, iq), ((row_p[x3], x4, 1),
+                                         (row_p[x4], x3, -1)), -1))
+            if bits[ip] & dead[iq]:
+                skipped += dim_v
+            else:
+                row_q = rows[pairs[iq]]
+                sides.append(((iq, ip), ((row_q[x1], x2, 1),
+                                         (row_q[x2], x1, -1)), 1))
+            if not sides:
+                continue
+            # D = rho(alpha p) rho(q) - rho(alpha q) rho(p)
+            ra_q, op_q = ra[pairs[iq]], sparse.get(pairs[iq])
+            d_none = d_nonzero = 0
+            if op_q is not None:
+                d_none, d_nonzero = _product_masks(ra_p, op_q)
+            if op_p is not None:
+                q_none, q_nonzero = _product_masks(ra_q, op_p)
+                d_none |= q_none
+                d_nonzero |= q_nonzero
+            wants = []
+            for key, phi, sign in sides:
+                none, nonzero = _phi_masks(rmp, phi)
+                none |= d_none
+                gaps = none.bit_count()
+                skipped += gaps
+                checked += dim_v - gaps
+                want = (nonzero | d_nonzero) & ~none
+                if want:
+                    wants.append((key, phi, sign, want))
+            if not wants:
+                continue
+            cols = 0
+            for *_, want in wants:
+                cols |= want
+            d = {k: {} for k in ones(cols & d_nonzero)}
+            if d and op_q is not None:
+                _add_product(d, ra_p, op_q, 1)
+            if d and op_p is not None:
+                _add_product(d, ra_q, op_p, -1)
+            for key, phi, sign, want in wants:
+                acc = {k: {} for k in ones(want)}
+                _add_phi(acc, rmp, phi)
+                for k, out in acc.items():
+                    sv_axpy(out, sign, d.get(k))
+                    if out:
+                        failed += 1
+                        _keep(kept, (*key, k))
+    r3 = CheckReport("hr3")
+    r3.skip(skipped)
+    r3.tick(checked)
+    for ip, iq, k in kept:
+        r3.record({"pairs": [list(pairs[ip]), list(pairs[iq])], "column": k})
+    r3.failure_count = failed
+    return r3
 
 
 @stored_on("_hom_rep", owner=1)
@@ -248,16 +417,15 @@ def check_hom_rep(alg: Hom3Lie, rep: HomRepresentation) -> SuiteReport:
     ra = _alpha_pair_table(alg, rep)
     # rho(e_m, alpha e_j) phi: the phi-terms of hr2 and hr3 are sums of
     # these rows, since composing with phi distributes over the sum
-    rmp = {(m, j): op_compose(act.bilinear({m: 1}, acols[j]), phi)
+    rmp = {(m, j): _operand(op_compose(act.bilinear({m: 1}, acols[j]), phi))
            for m in range(n) for j in range(n)}
-    rows = bracket_rows(alg.sc)
+    br = brackets(alg)
     sparse = _sparse_ops(act)
-    pairs = list(combinations(range(n), 2))
 
     # hr1: rho(alpha x1, alpha x2) phi = phi rho(x1, x2)
     r1 = CheckReport("hr1")
-    for i, j in pairs:
-        lhs = op_compose(ra[(i, j)], phi)
+    for i, j in br.pairs:
+        lhs = op_compose(ra[(i, j)][0], phi)
         raw, _ = act.pair(i, j)
         rhs = op_compose(phi, raw)
         _compare_columns(r1, {"pair": [i, j]}, lhs, rhs)
@@ -266,44 +434,23 @@ def check_hom_rep(alg: Hom3Lie, rep: HomRepresentation) -> SuiteReport:
     #      rho(a1,a2)rho(3,4) + rho(a2,a3)rho(1,4) + rho(a3,a1)rho(2,4)
     r2 = CheckReport("hr2")
     for x1, x2, x3 in combinations(range(n), 3):
-        b123 = rows[(x1, x2)][x3]
+        b123 = br.rows[(x1, x2)][x3]
         if b123 is None:
             r2.skip(dim_v * n)
             continue
         for x4 in range(n):
-            lhs = op_zero(dim_v)
-            for m, coeff in b123.items():
-                op_axpy(lhs, coeff, rmp[(m, x4)])
-            rhs = _beside(lhs)
-            _add_products(rhs, ra, sparse, (((x1, x2), (x3, x4)),
-                                            ((x2, x3), (x1, x4)),
-                                            ((x3, x1), (x2, x4))))
-            _compare_columns(r2, {"triple": [x1, x2, x3], "x4": x4}, lhs, rhs)
+            prods = [t for t in (_product(ra, sparse, x1, x2, x3, x4),
+                                 _product(ra, sparse, x2, x3, x1, x4),
+                                 _product(ra, sparse, x3, x1, x2, x4)) if t]
+            gaps, bad = _settle(rmp, ((b123, x4, 1),), prods)
+            r2.skip(gaps)
+            r2.tick(dim_v - gaps)
+            for k in bad:
+                r2.record({"triple": [x1, x2, x3], "x4": x4, "column": k})
 
     # hr3: rho(a x1, a x2) rho(x3, x4) = rho(a x3, a x4) rho(x1, x2)
     #      + rho([x1,x2,x3], a x4) phi + rho(a x3, [x1,x2,x4]) phi
-    r3 = CheckReport("hr3")
-    for x1, x2 in pairs:
-        row = rows[(x1, x2)]
-        for x3, x4 in pairs:
-            b123, b124 = row[x3], row[x4]
-            if b123 is None or b124 is None:
-                r3.skip(dim_v)
-                continue
-            # the phi-terms first: no product is composed where they
-            # are undetermined
-            rhs = op_zero(dim_v)
-            for m, coeff in b123.items():
-                op_axpy(rhs, coeff, rmp[(m, x4)])
-            # rho(a x3, vec) = -rho(vec, a x3)
-            for m, coeff in b124.items():
-                op_axpy(rhs, -coeff, rmp[(m, x3)])
-            lhs = _beside(rhs)
-            _add_products(lhs, ra, sparse, (((x1, x2), (x3, x4)),))
-            rhs = [None if col is None else r for col, r in zip(lhs, rhs)]
-            _add_products(rhs, ra, sparse, (((x3, x4), (x1, x2)),))
-            _compare_columns(r3, {"pairs": [[x1, x2], [x3, x4]]}, lhs, rhs)
-
+    r3 = _check_hr3(br, ra, rmp, sparse, dim_v)
     return SuiteReport("hom-rep", [r1, r2, r3])
 
 
@@ -317,27 +464,24 @@ def check_hr4(alg: Hom3Lie, rep: HomRepresentation) -> CheckReport:
     Antisymmetric in (x1,x2) and in (x3,x4), symmetric under swapping
     the pairs, so tuples run over x1<x2, x3<x4, (x1,x2) <= (x3,x4).
     """
-    act = rep.action
     ra = _alpha_pair_table(alg, rep)
-    sparse = _sparse_ops(act)
+    sparse = _sparse_ops(rep.action)
+    dim_v = rep.action.dim_v
     rep4 = CheckReport("hr4")
     pairs = list(combinations(range(alg.n), 2))
-    for a1, a2 in pairs:
-        for b1, b2 in pairs:
-            if (b1, b2) < (a1, a2):
-                continue
-            acc = op_zero(act.dim_v)
-            _add_products(acc, ra, sparse, (
-                ((a1, a2), (b1, b2)),
-                ((a2, b1), (a1, b2)),
-                ((b1, a1), (a2, b2)),
-                ((b1, b2), (a1, a2)),
-                ((a1, b2), (a2, b1)),
-                ((a2, b2), (b1, a1)),
-            ))
-            _compare_columns(
-                rep4, {"pairs": [[a1, a2], [b1, b2]]}, acc, op_zero(act.dim_v)
-            )
+    for ia, (a1, a2) in enumerate(pairs):
+        for b1, b2 in pairs[ia:]:
+            prods = [t for t in (_product(ra, sparse, a1, a2, b1, b2),
+                                 _product(ra, sparse, a2, b1, a1, b2),
+                                 _product(ra, sparse, b1, a1, a2, b2),
+                                 _product(ra, sparse, b1, b2, a1, a2),
+                                 _product(ra, sparse, a1, b2, a2, b1),
+                                 _product(ra, sparse, a2, b2, b1, a1)) if t]
+            gaps, bad = _settle({}, (), prods)
+            rep4.skip(gaps)
+            rep4.tick(dim_v - gaps)
+            for k in bad:
+                rep4.record({"pairs": [[a1, a2], [b1, b2]], "column": k})
     return rep4
 
 

@@ -28,6 +28,7 @@ from .exactq import (
 from .core3lie import (
     Hom3Lie,
     _bits,
+    brackets,
     center,
     check_hom_jacobi,
     check_multiplicative,
@@ -370,41 +371,42 @@ def check_action_twist(B: RinehartBundle) -> CheckReport:
 
 
 def check_bracket_action_leibniz(B: RinehartBundle) -> CheckReport:
-    """[x, y, a z] == phi(a) [x, y, z] + rho(x, y)(a) alpha(z)."""
+    """[x, y, a z] == phi(a) [x, y, z] + rho(x, y)(a) alpha(z).
+
+    [e_i, e_j, a z] is the bracket row of (i, j) applied to a z, and
+    [e_i, e_j, e_z] its entry at z, both signed already.
+    """
     rep = CheckReport("bracket-action-leibniz")
     L, A, act = B.L, B.A, B.act
-    n = L.n
-    acols = mat_columns_sv(L.alpha)
+    acols = L._alpha_cols
     pc = A._phi_cols
-    sc = L.sc
-    for i in range(n):
-        for j in range(i + 1, n):
-            cols, sign = B.rho.pair(i, j)
-            for m in range(n):
-                br, bsign = sc.lookup(i, j, m)
-                alpham = acols[m]
-                for a in range(A.dim):
-                    az = act.basis_act(a, m)
-                    lhs = None
-                    if az is not None:
-                        lhs = sc.trilinear({i: 1}, {j: 1}, az)
-                    rho_a = cols[a]
-                    if lhs is None or br is None or rho_a is None:
-                        rep.skip()
-                        continue
-                    rhs = act.act(pc[a], br if bsign == 1 else
-                                  sv_scale(br, bsign))
-                    t2 = act.act(rho_a if sign == 1 else
-                                 sv_scale(rho_a, sign), alpham)
-                    if rhs is None or t2 is None:
-                        rep.skip()
-                        continue
-                    total = dict(rhs)
-                    sv_axpy(total, 1, t2)
-                    if lhs == total:
-                        rep.tick()
-                    else:
-                        rep.record({"i": i, "j": j, "a": a, "z": m})
+    rows = brackets(L).rows
+    for i, j in combinations(range(L.n), 2):
+        row = rows[(i, j)]
+        cols, _ = B.rho.pair(i, j)
+        for m, br in enumerate(row):
+            if br is None:
+                rep.skip(A.dim)
+                continue
+            alpham = acols[m]
+            for a in range(A.dim):
+                az = act.basis_act(a, m)
+                lhs = None if az is None else op_apply(row, az)
+                rho_a = cols[a]
+                if lhs is None or rho_a is None:
+                    rep.skip()
+                    continue
+                rhs = act.act(pc[a], br)
+                t2 = act.act(rho_a, alpham)
+                if rhs is None or t2 is None:
+                    rep.skip()
+                    continue
+                total = dict(rhs)
+                sv_axpy(total, 1, t2)
+                if lhs == total:
+                    rep.tick()
+                else:
+                    rep.record({"i": i, "j": j, "a": a, "z": m})
     return rep
 
 

@@ -1,14 +1,17 @@
 """The law kernels against literal per-instance references.
 
-`check_hom_rep`, `check_hr4`, `check_rho_derivations`, `check_jacobi`
-and `check_hom_jacobi` build their loop-invariant operands once per call
-and count whole blocks of undetermined instances at a time.  The
+`check_hom_rep`, `check_hr4`, `check_rho_derivations`, `check_jacobi`,
+`check_hom_jacobi` and `check_bracket_action_leibniz` build their
+loop-invariant operands once per call or per algebra, and settle
+undetermined and trivially zero instances by masks, many at a time.  The
 references below evaluate every instance on its own, in the kernels'
 enumeration order, composing each operator where it is used.  Reports
 must agree exactly: verdict, checked and skipped counts, failure counts
 and witnesses in order.
 """
 
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from families import rep_family
 
+from trilie import core3lie, repmod
 from trilie.construct import tensor_extension
 from trilie.core3lie import (
     Hom3Lie,
@@ -25,7 +29,7 @@ from trilie.core3lie import (
     check_jacobi,
 )
 from trilie.corpus import generate
-from trilie.exactq import sv_axpy
+from trilie.exactq import mat_columns_sv, sv_axpy, sv_scale
 from trilie.report import MAX_FAILURES, CheckReport, SuiteReport
 from trilie.repmod import (
     HomRepresentation,
@@ -41,6 +45,7 @@ from trilie.rinehart import (
     CommAlgebra,
     ModuleAction,
     RinehartBundle,
+    check_bracket_action_leibniz,
     check_rho_derivations,
 )
 
@@ -324,6 +329,44 @@ def reference_hom_jacobi(alg) -> CheckReport:
     return rep
 
 
+def reference_bracket_action_leibniz(B) -> CheckReport:
+    rep = CheckReport("bracket-action-leibniz")
+    L, A, act = B.L, B.A, B.act
+    n = L.n
+    acols = mat_columns_sv(L.alpha)
+    pc = A._phi_cols
+    sc = L.sc
+    for i in range(n):
+        for j in range(i + 1, n):
+            cols, sign = B.rho.pair(i, j)
+            for m in range(n):
+                br, bsign = sc.lookup(i, j, m)
+                alpham = acols[m]
+                for a in range(A.dim):
+                    az = act.basis_act(a, m)
+                    lhs = None
+                    if az is not None:
+                        lhs = sc.trilinear({i: 1}, {j: 1}, az)
+                    rho_a = cols[a]
+                    if lhs is None or br is None or rho_a is None:
+                        rep.skip()
+                        continue
+                    rhs = act.act(pc[a], br if bsign == 1 else
+                                  sv_scale(br, bsign))
+                    t2 = act.act(rho_a if sign == 1 else
+                                 sv_scale(rho_a, sign), alpham)
+                    if rhs is None or t2 is None:
+                        rep.skip()
+                        continue
+                    total = dict(rhs)
+                    sv_axpy(total, 1, t2)
+                    if lhs == total:
+                        rep.tick()
+                    else:
+                        rep.record({"i": i, "j": j, "a": a, "z": m})
+    return rep
+
+
 # --- the comparison -------------------------------------------------------
 
 
@@ -343,6 +386,9 @@ def assert_same_reports(B, hr4=True):
             == reference_hom_rep(B.L, rep).to_dict())
     assert (check_rho_derivations(B.A, rep).to_dict()
             == reference_rho_derivations(B.A, B.rho).to_dict())
+    fresh = RinehartBundle(L, B.A, B.rho, B.act)
+    assert (check_bracket_action_leibniz(fresh).to_dict()
+            == reference_bracket_action_leibniz(B).to_dict())
 
 
 CORPUS_CASES = [
@@ -468,3 +514,67 @@ def test_one_changed_anchor_column_fails_many_instances():
     assert fast.to_dict() == reference_hom_rep(B.L, rep).to_dict()
     assert (derivations.to_dict()
             == reference_rho_derivations(B.A, rho).to_dict())
+
+
+def test_hr3_witnesses_keep_order_across_paired_instances():
+    """hr3 settles (p, q) and (q, p) together.  One changed anchor
+    column of tprime-split fails hr3 25 times, and the five kept
+    witnesses hold both orientations of the pair {(0, 1), (0, 2)},
+    in the order of a loop over every (p, q)."""
+    B = generate("tprime-split", window=1)
+    ops = {key: list(cols) for key, cols in B.rho.ops.items()}
+    cols = ops.setdefault((0, 2), [{} for _ in range(B.A.dim)])
+    cols[0] = {**cols[0], 1: cols[0].get(1, 0) + 1}
+    rep = HomRepresentation(PairAction(B.L.n, B.A.dim, ops), B.A.phi)
+    hr3 = check_hom_rep(B.L, rep).find("hr3")
+    assert hr3.failure_count == 25 > MAX_FAILURES
+    kept = [w["pairs"] for w in hr3.failures]
+    assert kept[:2] == [[[0, 1], [0, 2]], [[0, 2], [0, 1]]]
+    assert (check_hom_rep(B.L, rep).to_dict()
+            == reference_hom_rep(B.L, rep).to_dict())
+
+
+def test_hr3_composes_each_product_once(monkeypatch):
+    """hr3 composes rho(alpha p) rho(q) and rho(alpha q) rho(p) once
+    for both instances (p, q) and (q, p), and only where the masks
+    leave a determined column that may be nonzero: on jacobian-weak
+    degree cap 2, 714 products, each at most once.  A loop over every
+    instance composes 2,250 there, of 1,293 distinct products."""
+    B = generate("jacobian-weak", degree_cap=2)
+    L = Hom3Lie(B.L.sc, B.L.alpha)
+    rep = HomRepresentation(B.rho, B.A.phi)
+    add_product = repmod._add_product
+    composed = Counter()
+
+    def spied(acc, outer, inner, sign):
+        if sys._getframe(1).f_code.co_name == "_check_hr3":
+            composed[id(outer), id(inner)] += 1
+        return add_product(acc, outer, inner, sign)
+
+    monkeypatch.setattr(repmod, "_add_product", spied)
+    suite = check_hom_rep(L, rep)
+    assert (sum(composed.values()), max(composed.values())) == (714, 1)
+    assert suite.to_dict() == reference_hom_rep(B.L, rep).to_dict()
+
+
+def test_jacobi_sums_residuals_only_on_live_pairs(monkeypatch):
+    """The pair masks settle dead and trivially zero (triple, pair)
+    instances by popcount: on jacobian-weak degree cap 2, each Jacobi
+    check sums 456 of its 5,400 residuals."""
+    B = generate("jacobian-weak", degree_cap=2)
+    L = Hom3Lie(B.L.sc, B.L.alpha)
+    residual = core3lie._residual
+    calls = []
+
+    def spied(*args):
+        calls.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(core3lie, "_residual", spied)
+    jacobi = check_jacobi(L)
+    assert jacobi.checked + jacobi.skipped == 5400
+    assert len(calls) == 456
+    hom_jacobi = check_hom_jacobi(L)
+    assert len(calls) == 2 * 456
+    assert jacobi.to_dict() == reference_jacobi(B.L).to_dict()
+    assert hom_jacobi.to_dict() == reference_hom_jacobi(B.L).to_dict()
