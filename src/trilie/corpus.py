@@ -147,10 +147,10 @@ def _exp_bases(K: int):
     return l_polys, a_polys
 
 
-def _check_bounds(value: int, cap: int, what: str) -> int:
+def _check_bounds(value: int, cap: int, what: str, low: int = 0) -> int:
     value = int(value)
-    if not 0 <= value <= cap:
-        raise ValueError(f"{what} {value} out of bounds (0..{cap})")
+    if not low <= value <= cap:
+        raise ValueError(f"{what} {value} out of bounds ({low}..{cap})")
     return value
 
 
@@ -412,9 +412,7 @@ def two_block_factors(window: int = 1
     the second; block j acts through factor j only, so the annihilator
     of the action of A on the sum of the blocks is zero.
     """
-    K = _check_bounds(window, MAX_WINDOW, "window")
-    if K < 1:
-        raise ValueError("two-block needs window >= 1")
+    K = _check_bounds(window, MAX_WINDOW, "window", low=1)
     l_polys, a_polys = _exp_bases(K)
     lb, ab = _Basis(l_polys), _Basis(a_polys)
     span = len(ab)

@@ -25,6 +25,11 @@ rows and their masks are the algebra's (`core3lie.brackets`): a triple
 outside the bracket window skips its hr2 instances in one step, and
 hr3 skips (p, q) when [p, q_1] or [p, q_2] is missing.
 
+hr2 lays the same masks out over every (x4, column) of a triple at
+once (`_x4_masks`), so a triple costs a few ORs and two popcounts, and
+only its (x4, column) instances that are determined and may be nonzero
+reach arithmetic.
+
 hr3 takes the instances (p, q) and (q, p) together.  Both compare
 D = rho(alpha p) rho(q) - rho(alpha q) rho(p) with their phi-terms,
 D = Phi(p, q) and -D = Phi(q, p), so D is composed once per unordered
@@ -184,15 +189,6 @@ def _compare_columns(rep: CheckReport, witness, lhs: Columns, rhs: Columns) -> N
     rep.tick(len(lhs) - gaps)
 
 
-def _rho_on_vec_left(act: PairAction, vec: SVec, j: int) -> Columns:
-    """Columns of rho(vec, e_j) for a sparse L-vector in the first slot."""
-    acc = op_zero(act.dim_v)
-    for m, coeff in vec.items():
-        cols, sign = act.pair(m, j)
-        op_axpy(acc, coeff * sign, cols)
-    return acc
-
-
 # -- Hom representation axioms -----------------------------------------
 
 
@@ -294,22 +290,28 @@ def _add_phi(acc: dict, rmp: dict, terms) -> None:
                     sv_axpy(out, s * c, cols[k])
 
 
-def _settle(rmp: dict, phi, prods) -> tuple[int, list]:
-    """One instance of phi-terms = sum of products, settled by masks
-    first: phi as for `_phi_masks`, prods the non-None `_product`s.
-    Returns the number of undetermined columns and the determined
-    columns where the sides differ."""
-    none, nonzero = _phi_masks(rmp, phi)
+def _differ(rmp: dict, phi, prods, want: int) -> list:
+    """The columns in the mask want, each determined, where the
+    phi-terms (as for `_phi_masks`) and the sum of the non-None
+    `_product`s prods differ."""
+    acc = {k: {} for k in ones(want)}
+    _add_phi(acc, rmp, phi)
+    for outer, inner, sign in prods:
+        _add_product(acc, outer, inner, -sign)
+    return [k for k, out in acc.items() if out]
+
+
+def _settle(prods) -> tuple[int, list]:
+    """One instance of 0 = sum of products, settled by masks first:
+    the number of undetermined columns and the determined columns
+    where the sum is not zero."""
+    none = nonzero = 0
     for outer, inner, _ in prods:
         p_none, p_nonzero = _product_masks(outer, inner)
         none |= p_none
         nonzero |= p_nonzero
-    acc = {k: {} for k in ones(nonzero & ~none)}
-    if acc:
-        _add_phi(acc, rmp, phi)
-        for outer, inner, sign in prods:
-            _add_product(acc, outer, inner, -sign)
-    return none.bit_count(), [k for k, out in acc.items() if out]
+    want = nonzero & ~none
+    return none.bit_count(), _differ({}, (), prods, want) if want else []
 
 
 def _keep(kept: list, key) -> None:
@@ -404,9 +406,92 @@ def _check_hr3(br: PairRows, ra: dict, rmp: dict, sparse: dict,
     return r3
 
 
+def _x4_masks(n: int, dim_v: int, rmp: dict, sparse: dict):
+    """Masks over the (x4, column k) bits x4 * dim_v + k of hr2.
+
+    Per m, the None and nonzero columns of rho(e_m, alpha e_x4) phi;
+    per c, the None columns of rho(e_c, e_x4), and per c and module
+    index r, its nonzero columns with r in their support.
+    """
+    phi_none, phi_nonzero = [0] * n, [0] * n
+    for (m, x4), (_, none, nonzero) in rmp.items():
+        phi_none[m] |= none << x4 * dim_v
+        phi_nonzero[m] |= nonzero << x4 * dim_v
+    inner_none = [0] * n
+    inner_has = [[0] * dim_v for _ in range(n)]
+    for (c, d), (none, cols) in sparse.items():
+        for u, x4 in ((c, d), (d, c)):
+            shift = x4 * dim_v
+            inner_none[u] |= none << shift
+            has = inner_has[u]
+            for k, _, support in cols:
+                for r in ones(support):
+                    has[r] |= 1 << shift + k
+    return phi_none, phi_nonzero, inner_none, inner_has
+
+
+def _check_hr2(br: PairRows, ra: dict, rmp: dict, sparse: dict,
+               dim_v: int) -> CheckReport:
+    """hr2, rho([x1,x2,x3], alpha x4) phi = rho(a1,a2)rho(3,4)
+    + rho(a2,a3)rho(1,4) + rho(a3,a1)rho(2,4), settled per triple by
+    masks over every (x4, column) at once.
+
+    A column of the left side is undetermined or possibly nonzero where
+    a row rho(e_m, alpha e_x4) phi with m in the bracket's support is;
+    a column of rho(alpha e_a, alpha e_b) rho(e_c, e_x4) where
+    rho(e_c, e_x4) is None, or its support meets the None (or, for
+    possibly nonzero, the nonzero) columns of the outer factor.  So a
+    few ORs of the `_x4_masks` give all of a triple's undetermined and
+    possibly nonzero (x4, column) instances: the first are skipped, the
+    rest checked by popcount, and terms are summed only on the
+    determined, possibly nonzero columns, x4 by x4 in ascending order.
+    """
+    n = len(br.none_at)
+    phi_none, phi_nonzero, inner_none, inner_has = _x4_masks(
+        n, dim_v, rmp, sparse)
+    full = (1 << dim_v) - 1
+    r2 = CheckReport("hr2")
+    skipped = checked = 0
+    for x1, x2, x3 in combinations(range(n), 3):
+        b123 = br.rows[(x1, x2)][x3]
+        if b123 is None:
+            skipped += dim_v * n
+            continue
+        none = nonzero = 0
+        for m in b123:
+            none |= phi_none[m]
+            nonzero |= phi_nonzero[m]
+        for outer, c in (((x1, x2), x3), ((x2, x3), x1), ((x1, x3), x2)):
+            _, o_none, o_nonzero = ra[outer]
+            has = inner_has[c]
+            none |= inner_none[c]
+            for r in ones(o_none):
+                none |= has[r]
+            for r in ones(o_nonzero):
+                nonzero |= has[r]
+        gaps = none.bit_count()
+        skipped += gaps
+        checked += dim_v * n - gaps
+        live = nonzero & ~none
+        while live:
+            x4 = ((live & -live).bit_length() - 1) // dim_v
+            shift = x4 * dim_v
+            want = live >> shift & full
+            live ^= want << shift
+            prods = [t for t in (_product(ra, sparse, x1, x2, x3, x4),
+                                 _product(ra, sparse, x2, x3, x1, x4),
+                                 _product(ra, sparse, x3, x1, x2, x4)) if t]
+            for k in _differ(rmp, ((b123, x4, 1),), prods, want):
+                r2.record({"triple": [x1, x2, x3], "x4": x4, "column": k})
+    r2.skip(skipped)
+    r2.tick(checked)
+    return r2
+
+
 @stored_on("_hom_rep", owner=1)
 def check_hom_rep(alg: Hom3Lie, rep: HomRepresentation) -> SuiteReport:
-    """hr1 on basis pairs, hr2 and hr3 on basis 4-tuples."""
+    """hr1 on basis pairs, hr2 and hr3 on basis 4-tuples, hr2 and hr3
+    settled by masks first (see the module docstring)."""
     act = rep.action
     if act.dim_l != alg.n:
         raise ValueError("action source dimension mismatch")
@@ -430,23 +515,7 @@ def check_hom_rep(alg: Hom3Lie, rep: HomRepresentation) -> SuiteReport:
         rhs = op_compose(phi, raw)
         _compare_columns(r1, {"pair": [i, j]}, lhs, rhs)
 
-    # hr2: rho([x1,x2,x3], alpha x4) phi =
-    #      rho(a1,a2)rho(3,4) + rho(a2,a3)rho(1,4) + rho(a3,a1)rho(2,4)
-    r2 = CheckReport("hr2")
-    for x1, x2, x3 in combinations(range(n), 3):
-        b123 = br.rows[(x1, x2)][x3]
-        if b123 is None:
-            r2.skip(dim_v * n)
-            continue
-        for x4 in range(n):
-            prods = [t for t in (_product(ra, sparse, x1, x2, x3, x4),
-                                 _product(ra, sparse, x2, x3, x1, x4),
-                                 _product(ra, sparse, x3, x1, x2, x4)) if t]
-            gaps, bad = _settle(rmp, ((b123, x4, 1),), prods)
-            r2.skip(gaps)
-            r2.tick(dim_v - gaps)
-            for k in bad:
-                r2.record({"triple": [x1, x2, x3], "x4": x4, "column": k})
+    r2 = _check_hr2(br, ra, rmp, sparse, dim_v)
 
     # hr3: rho(a x1, a x2) rho(x3, x4) = rho(a x3, a x4) rho(x1, x2)
     #      + rho([x1,x2,x3], a x4) phi + rho(a x3, [x1,x2,x4]) phi
@@ -477,7 +546,7 @@ def check_hr4(alg: Hom3Lie, rep: HomRepresentation) -> CheckReport:
                                  _product(ra, sparse, b1, b2, a1, a2),
                                  _product(ra, sparse, a1, b2, a2, b1),
                                  _product(ra, sparse, a2, b2, b1, a1)) if t]
-            gaps, bad = _settle({}, (), prods)
+            gaps, bad = _settle(prods)
             rep4.skip(gaps)
             rep4.tick(dim_v - gaps)
             for k in bad:

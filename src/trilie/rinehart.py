@@ -32,6 +32,7 @@ from .core3lie import (
     center,
     check_hom_jacobi,
     check_multiplicative,
+    ones,
     sort3,
 )
 from .repmod import (
@@ -42,7 +43,6 @@ from .repmod import (
     kernel_of_rep,
     op_apply,
     op_compose,
-    _rho_on_vec_left,
 )
 from .report import MAX_FAILURES, CheckReport, SuiteReport, stored_on
 
@@ -370,43 +370,130 @@ def check_action_twist(B: RinehartBundle) -> CheckReport:
     return rep
 
 
+def _entry_masks(table: dict, dim: int):
+    """Per first index p < dim of a sparse table keyed (p, q), the q
+    where the entry is None and where it is nonzero, as two lists of
+    masks."""
+    none, nonzero = [0] * dim, [0] * dim
+    for (p, q), vec in table.items():
+        if vec is None:
+            none[p] |= 1 << q
+        elif vec:
+            nonzero[p] |= 1 << q
+    return none, nonzero
+
+
+def _reach(vecs, masks) -> list:
+    """Per vec, the OR of masks[p] over p in its support."""
+    out = []
+    for vec in vecs:
+        acc = 0
+        for p in vec:
+            acc |= masks[p]
+        out.append(acc)
+    return out
+
+
+def _leibniz_holds(B: RinehartBundle, row: list, cols: Columns, a: int,
+                   z: int) -> bool:
+    """One determined instance: [x, y, e_a e_z] == phi(e_a) [x, y, e_z]
+    + rho(x, y)(e_a) alpha(e_z), row and cols being [x, y, .] and
+    rho(x, y)."""
+    act = B.act
+    total = act.act(B.A._phi_cols[a], row[z])
+    sv_axpy(total, 1, act.act(cols[a], B.L._alpha_cols[z]))
+    return op_apply(row, act.table.get((a, z), _EMPTY)) == total
+
+
 def check_bracket_action_leibniz(B: RinehartBundle) -> CheckReport:
     """[x, y, a z] == phi(a) [x, y, z] + rho(x, y)(a) alpha(z).
 
     [e_i, e_j, a z] is the bracket row of (i, j) applied to a z, and
     [e_i, e_j, e_z] its entry at z, both signed already.
+
+    Per pair (i, j) the instances (z, a) are settled by masks over the
+    bits z * dim A + a, before any arithmetic.  An instance is
+    undetermined when the bracket entry at z is None, e_a e_z is None
+    or meets a None entry of the row, rho(e_i, e_j)(e_a) is None, or
+    one of the actions phi(e_a) [e_i, e_j, e_z] and
+    rho(e_i, e_j)(e_a) alpha(e_z) reads a None entry of the action
+    table; it may be nonzero when e_a e_z meets a nonzero entry of the
+    row, or one of those actions reads a nonzero entry.  The masks come
+    from the per-index None and nonzero bits of the action table, the
+    row's bits and the supports of its entries and of rho's columns.
+    Undetermined instances are skipped and trivially zero ones held by
+    popcount; the rest are evaluated in ascending (z, a) order.
     """
     rep = CheckReport("bracket-action-leibniz")
     L, A, act = B.L, B.A, B.act
+    n, dim_a = L.n, A.dim
     acols = L._alpha_cols
     pc = A._phi_cols
-    rows = brackets(L).rows
-    for i, j in combinations(range(L.n), 2):
-        row = rows[(i, j)]
+    br = brackets(L)
+    block = (1 << dim_a) - 1
+    every_z = sum(1 << z * dim_a for z in range(n))
+    # over (z, a): e_a e_z None, and per q, e_a e_z with q in its support
+    act_none = 0
+    act_has = [0] * n
+    for (a, z), vec in act.table.items():
+        if vec is None:
+            act_none |= 1 << z * dim_a + a
+        else:
+            for q in vec:
+                act_has[q] |= 1 << z * dim_a + a
+    p_none, p_nonzero = _entry_masks(act.table, dim_a)
+    # per L-index q, the a where phi(e_a) e_q reads a None (nonzero)
+    # entry; per A-index p, the z where e_p alpha(e_z) does
+    phi_none = [0] * n
+    phi_nonzero = [0] * n
+    for a, (none, nonzero) in enumerate(zip(_reach(pc, p_none),
+                                            _reach(pc, p_nonzero))):
+        for q in ones(none):
+            phi_none[q] |= 1 << a
+        for q in ones(nonzero):
+            phi_nonzero[q] |= 1 << a
+    alpha_bits = [_bits(col) for col in acols]
+    alpha_none = [sum(1 << z * dim_a for z, bits in enumerate(alpha_bits)
+                      if bits & none) for none in p_none]
+    alpha_nonzero = [sum(1 << z * dim_a for z, bits in enumerate(alpha_bits)
+                         if bits & nonzero) for nonzero in p_nonzero]
+    skipped = checked = 0
+    for i, j in br.pairs:
+        row = br.rows[(i, j)]
+        row_none, row_nonzero = br.masks[(i, j)]
         cols, _ = B.rho.pair(i, j)
-        for m, br in enumerate(row):
-            if br is None:
-                rep.skip(A.dim)
-                continue
-            alpham = acols[m]
-            for a in range(A.dim):
-                az = act.basis_act(a, m)
-                lhs = None if az is None else op_apply(row, az)
-                rho_a = cols[a]
-                if lhs is None or rho_a is None:
-                    rep.skip()
-                    continue
-                rhs = act.act(pc[a], br)
-                t2 = act.act(rho_a, alpham)
-                if rhs is None or t2 is None:
-                    rep.skip()
-                    continue
-                total = dict(rhs)
-                sv_axpy(total, 1, t2)
-                if lhs == total:
-                    rep.tick()
-                else:
-                    rep.record({"i": i, "j": j, "a": a, "z": m})
+        # the row's entry at k is [e_i, e_j, e_z] for z = k, and is
+        # read by [e_i, e_j, e_a e_z] where e_a e_z has k in its support
+        dead = act_none
+        nonzero = 0
+        for k in ones(row_none):
+            dead |= act_has[k] | block << k * dim_a
+        for k in ones(row_nonzero):
+            nonzero |= act_has[k]
+        spread: dict = {}
+        for z in ones(row_nonzero):
+            for q in row[z]:
+                spread[q] = spread.get(q, 0) | 1 << z * dim_a
+        for q, zs in spread.items():
+            dead |= zs * phi_none[q]
+            nonzero |= zs * phi_nonzero[q]
+        for a, col in enumerate(cols):
+            if col is None:
+                dead |= every_z << a
+            else:
+                for p in col:
+                    dead |= alpha_none[p] << a
+                    nonzero |= alpha_nonzero[p] << a
+        gaps = dead.bit_count()
+        skipped += gaps
+        checked += n * dim_a - gaps
+        for b in ones(nonzero & ~dead):
+            z, a = divmod(b, dim_a)
+            if not _leibniz_holds(B, row, cols, a, z):
+                checked -= 1
+                rep.record({"i": i, "j": j, "a": a, "z": z})
+    rep.skip(skipped)
+    rep.tick(checked)
     return rep
 
 
@@ -428,49 +515,108 @@ def check_weak_rinehart(B: RinehartBundle) -> SuiteReport:
     return suite
 
 
+def _column_masks(rho: PairAction) -> dict:
+    """Per ordered pair (i, j) with a stored operator, the None and
+    nonzero column bits of rho(e_i, e_j) and, per index r of A, the
+    columns with r in their support."""
+    out = {}
+    for (i, j), cols in rho.ops.items():
+        none = nonzero = 0
+        has = [0] * rho.dim_v
+        for c, col in enumerate(cols):
+            if col is None:
+                none |= 1 << c
+            elif col:
+                nonzero |= 1 << c
+                for r in col:
+                    has[r] |= 1 << c
+        out[(i, j)] = out[(j, i)] = none, nonzero, has
+    return out
+
+
+def _rho_column(ops: dict, vec: SVec, j: int, c: int) -> SVec:
+    """Column c of rho(vec, e_j), which the masks have shown determined."""
+    out: SVec = {}
+    for m, coeff in vec.items():
+        if m < j and (m, j) in ops:
+            col = ops[(m, j)][c]
+        elif m > j and (j, m) in ops:
+            col, coeff = ops[(j, m)][c], -coeff
+        else:
+            continue
+        if col:
+            sv_axpy(out, coeff, col)
+    return out
+
+
+def _compat_leg(B: RinehartBundle, a: int, i: int, j: int,
+                c: int) -> str | None:
+    """The first side of rho(a x, y) == phi(a) rho(x, y) == rho(x, a y)
+    that fails at (a, e_i, e_j, column c), all determined, or None."""
+    ops = B.rho.ops
+    col = ops[(i, j)][c] if (i, j) in ops else None
+    mid = B.A.product(B.A._phi_cols[a], col) if col else {}
+    if _rho_column(ops, B.act.table.get((a, i), _EMPTY), j, c) != mid:
+        return "rho(a*x,y) vs phi(a)rho(x,y)"
+    if mid != sv_scale(_rho_column(ops, B.act.table.get((a, j), _EMPTY),
+                                   i, c), -1):
+        return "phi(a)rho(x,y) vs rho(x,a*y)"
+    return None
+
+
 def check_action_rho_compat(B: RinehartBundle) -> CheckReport:
-    """rho(a x, y) == phi(a) rho(x, y) == rho(x, a y) as operators on A."""
+    """rho(a x, y) == phi(a) rho(x, y) == rho(x, a y) as operators on A.
+
+    Instances (a, i, j, column) are settled by masks over the columns
+    before any arithmetic.  A pair is skipped in one step when e_a e_i
+    or e_a e_j is None.  Otherwise a column is undetermined when it is
+    None in some rho(e_m, e_j) with m in the support of e_a e_i, or in
+    some rho(e_m, e_i) with m in that of e_a e_j, or in rho(e_i, e_j),
+    or when the support of that column meets the r where
+    phi(e_a) e_r is None; it may be nonzero when one of these meets a
+    nonzero column or product instead.  Undetermined columns are
+    skipped and trivially zero ones held by popcount; the three sides
+    are computed only on the rest, in ascending column order.
+    """
     rep = CheckReport("action-rho-compat")
-    A, act, rho = B.A, B.act, B.rho
-    n = B.L.n
+    A, act = B.A, B.act
+    n, dim_a = B.L.n, A.dim
     pc = A._phi_cols
-    for a in range(A.dim):
-        fa = pc[a]
-        for i in range(n):
-            for j in range(i + 1, n):
-                cols, sign = rho.pair(i, j)
-                ax = act.basis_act(a, i)
-                ay = act.basis_act(a, j)
-                left = None if ax is None else _rho_on_vec_left(rho, ax, j)
-                right = None
-                if ay is not None:
-                    r = _rho_on_vec_left(rho, ay, i)
-                    right = [None if c is None else sv_scale(c, -1)
-                             for c in r]
-                mid: Columns = []
-                for c in range(A.dim):
-                    col = cols[c]
-                    if col is None:
-                        mid.append(None)
-                    else:
-                        prod = A.product(fa, col if sign == 1 else
-                                         sv_scale(col, sign))
-                        mid.append(prod)
-                for c in range(A.dim):
-                    m = mid[c]
-                    lc = None if left is None else left[c]
-                    rc = None if right is None else right[c]
-                    if m is None or lc is None or rc is None:
-                        rep.skip()
-                        continue
-                    if lc != m:
-                        rep.record({"a": a, "i": i, "j": j, "column": c,
-                                    "leg": "rho(a*x,y) vs phi(a)rho(x,y)"})
-                    elif m != rc:
-                        rep.record({"a": a, "i": i, "j": j, "column": c,
-                                    "leg": "phi(a)rho(x,y) vs rho(x,a*y)"})
-                    else:
-                        rep.tick()
+    masks = _column_masks(B.rho)
+    zero = (0, 0, [0] * dim_a)
+    # per a, the r where phi(e_a) e_r reads a None (nonzero) product
+    r_none, r_nonzero = _entry_masks(A._lookup, dim_a)
+    prod_none, prod_nonzero = _reach(pc, r_none), _reach(pc, r_nonzero)
+    pairs = n * (n - 1) // 2
+    skipped = checked = 0
+    for a in range(dim_a):
+        acted = {i: vec for i in range(n)
+                 if (vec := act.table.get((a, i), _EMPTY)) is not None}
+        skipped += (pairs - len(acted) * (len(acted) - 1) // 2) * dim_a
+        for i, j in combinations(acted, 2):
+            ax, ay = acted[i], acted[j]
+            none, _, has = masks.get((i, j), zero)
+            for r in ones(prod_none[a]):
+                none |= has[r]
+            live = 0
+            for r in ones(prod_nonzero[a]):
+                live |= has[r]
+            for vec, y in ((ax, j), (ay, i)):
+                for m in vec:
+                    m_none, m_nonzero, _ = masks.get((m, y), zero)
+                    none |= m_none
+                    live |= m_nonzero
+            gaps = none.bit_count()
+            skipped += gaps
+            checked += dim_a - gaps
+            for c in ones(live & ~none):
+                leg = _compat_leg(B, a, i, j, c)
+                if leg:
+                    checked -= 1
+                    rep.record({"a": a, "i": i, "j": j, "column": c,
+                                "leg": leg})
+    rep.skip(skipped)
+    rep.tick(checked)
     return rep
 
 

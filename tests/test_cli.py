@@ -65,6 +65,13 @@ def test_corpus_rejects_out_of_range_window(capsys):
     assert "window" in err
 
 
+@pytest.mark.parametrize("window", ["-1", "0", "7"])
+def test_two_block_window_bounds_name_its_lower_bound(capsys, window):
+    code, out, err = run(capsys, "corpus", "two-block", "--window", window)
+    assert (code, out) == (2, "")
+    assert err == f"error: window {window} out of bounds (1..6)\n"
+
+
 # -- check -----------------------------------------------------------------
 
 
@@ -450,6 +457,49 @@ def test_split_reports_match_their_pinned_bytes(tmp_path, capsys, name,
                            "--report", "json")
         got[key] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert got == SPLIT_PINS[name, window]
+
+
+# (exit code, SHA-256 of `check --suite SUITE --report json`) of the
+# law suites, which run on load too: flagged corpus files, pinned before
+# the mask kernels of hr2, Leibniz and action-rho-compat.
+LAW_PINS = {
+    ("jacobian-weak", "--degree-cap", "2"): {
+        "rinehart": (1, "3dd1b1ce75db43eedf53f7fa965a8f68"
+                        "f99d84e9d420f10cdcaa987ec4f79dcb"),
+        "rep": (0, "b01a0f3013a66658277dce8e20118900"
+                   "40ecc160e87345511413710fea0681b0"),
+    },
+    ("tb-rinehart", "--degree-cap", "3"): {
+        "rinehart": (0, "0cd182f8a44d2322fa32da6c7c31dd6c"
+                        "690e7822c9196ffcacc24faf317c96ca"),
+        "rep": (0, "ec3de255da87eda96a1738c9393788a6"
+                   "13b811bf620f067f13729bbd349967fa"),
+    },
+    ("two-block", "--window", "1"): {
+        "rinehart": (0, "dea86321ac463801dd914ffa7fd36e7b"
+                        "0faf21f6e33237852ff5acddafacee50"),
+        "rep": (0, "71643272c0d25999305e6f0de3557645"
+                   "bea5063befb975568e613ec45c3c3ee6"),
+    },
+    ("tprime-split", "--window", "2"): {
+        "rinehart": (0, "f2635deda72187862f3e0e5ea1fe3deb"
+                        "c3085bd8d78e01c2f04e7dadb9c235e6"),
+        "rep": (0, "70e8a17bcd153689990d3eb075dd3024"
+                   "6cec3b935a5669453fa65f1ca0cf83f6"),
+    },
+}
+
+
+@pytest.mark.parametrize("name, option, value", sorted(LAW_PINS))
+def test_law_reports_match_their_pinned_bytes(tmp_path, capsys, name,
+                                              option, value):
+    path = corpus_file(tmp_path, capsys, name, option, value)
+    got = {}
+    for suite in LAW_PINS[name, option, value]:
+        code, out, _ = run(capsys, "check", path, "--suite", suite,
+                           "--report", "json")
+        got[suite] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == LAW_PINS[name, option, value]
 
 
 # -- construct ---------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The law kernels against literal per-instance references.
 
 `check_hom_rep`, `check_hr4`, `check_rho_derivations`, `check_jacobi`,
-`check_hom_jacobi` and `check_bracket_action_leibniz` build their
-loop-invariant operands once per call or per algebra, and settle
+`check_hom_jacobi`, `check_bracket_action_leibniz` and
+`check_action_rho_compat` build their loop-invariant operands once per
+call or per algebra, and settle
 undetermined and trivially zero instances by masks, many at a time.  The
 references below evaluate every instance on its own, in the kernels'
 enumeration order, composing each operator where it is used.  Reports
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from families import rep_family
 
-from trilie import core3lie, repmod
+from trilie import core3lie, repmod, rinehart
 from trilie.construct import tensor_extension
 from trilie.core3lie import (
     Hom3Lie,
@@ -45,6 +46,7 @@ from trilie.rinehart import (
     CommAlgebra,
     ModuleAction,
     RinehartBundle,
+    check_action_rho_compat,
     check_bracket_action_leibniz,
     check_rho_derivations,
 )
@@ -367,6 +369,53 @@ def reference_bracket_action_leibniz(B) -> CheckReport:
     return rep
 
 
+def rho_on_vec_left(act, vec, j):
+    """Columns of rho(vec, e_j) for a sparse L-vector in the first slot."""
+    acc = op_zero(act.dim_v)
+    for m, coeff in vec.items():
+        cols, sign = act.pair(m, j)
+        op_axpy(acc, coeff * sign, cols)
+    return acc
+
+
+def reference_action_rho_compat(B) -> CheckReport:
+    rep = CheckReport("action-rho-compat")
+    A, act, rho = B.A, B.act, B.rho
+    n = B.L.n
+    pc = A._phi_cols
+    for a in range(A.dim):
+        fa = pc[a]
+        for i in range(n):
+            for j in range(i + 1, n):
+                cols, sign = rho.pair(i, j)
+                ax = act.basis_act(a, i)
+                ay = act.basis_act(a, j)
+                left = None if ax is None else rho_on_vec_left(rho, ax, j)
+                right = None
+                if ay is not None:
+                    r = rho_on_vec_left(rho, ay, i)
+                    right = [None if c is None else sv_scale(c, -1)
+                             for c in r]
+                for c in range(A.dim):
+                    col = cols[c]
+                    m = None if col is None else A.product(
+                        fa, col if sign == 1 else sv_scale(col, sign))
+                    lc = None if left is None else left[c]
+                    rc = None if right is None else right[c]
+                    if m is None or lc is None or rc is None:
+                        rep.skip()
+                        continue
+                    if lc != m:
+                        rep.record({"a": a, "i": i, "j": j, "column": c,
+                                    "leg": "rho(a*x,y) vs phi(a)rho(x,y)"})
+                    elif m != rc:
+                        rep.record({"a": a, "i": i, "j": j, "column": c,
+                                    "leg": "phi(a)rho(x,y) vs rho(x,a*y)"})
+                    else:
+                        rep.tick()
+    return rep
+
+
 # --- the comparison -------------------------------------------------------
 
 
@@ -389,6 +438,8 @@ def assert_same_reports(B, hr4=True):
     fresh = RinehartBundle(L, B.A, B.rho, B.act)
     assert (check_bracket_action_leibniz(fresh).to_dict()
             == reference_bracket_action_leibniz(B).to_dict())
+    assert (check_action_rho_compat(fresh).to_dict()
+            == reference_action_rho_compat(B).to_dict())
 
 
 CORPUS_CASES = [
@@ -578,3 +629,69 @@ def test_jacobi_sums_residuals_only_on_live_pairs(monkeypatch):
     assert len(calls) == 2 * 456
     assert jacobi.to_dict() == reference_jacobi(B.L).to_dict()
     assert hom_jacobi.to_dict() == reference_hom_jacobi(B.L).to_dict()
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name from then on, per caller."""
+    calls = Counter()
+    body = getattr(module, name)
+
+    def spied(*args):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return body(*args)
+
+    monkeypatch.setattr(module, name, spied)
+    return calls
+
+
+def test_law_kernels_reach_arithmetic_only_on_live_instances(monkeypatch):
+    """On jacobian-weak degree cap 3 the masks leave few instances to
+    arithmetic.  hr2 sums terms on 2,698 (triple, x4) instances; a call
+    per instance settled 12,660.  Leibniz evaluates 1,803 of the 8,040
+    (pair, z, a) instances it checks, and action-rho-compat 1,509 of
+    the 4,589 columns it does not skip, 933 of which fail."""
+    B = generate("jacobian-weak", degree_cap=3)
+    L = Hom3Lie(B.L.sc, B.L.alpha)
+    fresh = RinehartBundle(L, B.A, B.rho, B.act)
+    differ = _count_calls(monkeypatch, repmod, "_differ")
+    holds = _count_calls(monkeypatch, rinehart, "_leibniz_holds")
+    legs = _count_calls(monkeypatch, rinehart, "_compat_leg")
+    hr2 = check_hom_rep(L, fresh.rep).find("hr2")
+    leibniz = check_bracket_action_leibniz(fresh)
+    compat = check_action_rho_compat(fresh)
+    assert differ["_check_hr2"] == 2698 < 12660
+    assert hr2.checked + hr2.skipped == 1140 * 20 * 20
+    assert holds["check_bracket_action_leibniz"] == 1803 < leibniz.checked
+    assert (leibniz.checked, leibniz.skipped) == (8040, 67960)
+    assert legs["check_action_rho_compat"] == 1509
+    assert (compat.checked, compat.skipped, compat.failure_count) == (
+        3656, 71411, 933)
+
+
+def test_action_rho_compat_keeps_its_first_witnesses_in_order():
+    """jacobian-weak degree cap 3 fails action-rho-compat 933 times;
+    the kept witnesses are the first in (a, i, j, column) order."""
+    B = generate("jacobian-weak", degree_cap=3)
+    fast = check_action_rho_compat(B)
+    assert fast.failure_count == 933
+    keys = [(w["a"], w["i"], w["j"], w["column"]) for w in fast.failures]
+    assert len(keys) == MAX_FAILURES and keys == sorted(keys)
+    assert fast.to_dict() == reference_action_rho_compat(B).to_dict()
+
+
+def test_hr2_keeps_its_first_witnesses_in_order():
+    """One changed anchor column of jacobian-weak degree cap 2 fails hr2
+    15 times, several per triple at different x4; the kept witnesses
+    are the first in (triple, x4, column) order."""
+    B = generate("jacobian-weak", degree_cap=2)
+    ops = {key: list(cols) for key, cols in B.rho.ops.items()}
+    ops[(1, 2)][1] = {**ops[(1, 2)][1], 0: ops[(1, 2)][1].get(0, 0) + 1}
+    rep = HomRepresentation(PairAction(B.L.n, B.A.dim, ops), B.A.phi)
+    hr2 = check_hom_rep(B.L, rep).find("hr2")
+    assert hr2.failure_count == 15
+    keys = [(w["triple"], w["x4"], w["column"]) for w in hr2.failures]
+    assert keys == sorted(keys) == [([1, 2, 3], 1, 5), ([1, 2, 3], 2, 4),
+                                    ([1, 2, 3], 4, 2), ([1, 2, 3], 5, 1),
+                                    ([1, 2, 4], 2, 3)]
+    assert (check_hom_rep(B.L, rep).to_dict()
+            == reference_hom_rep(B.L, rep).to_dict())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from test_law_kernels import rho_on_vec_left
 from trilie.corpus import (
     _phi_matrix,
     _truncated_poly_algebra,
@@ -17,7 +18,6 @@ from trilie.exactq import MatrixQ, SubspaceQ, mat_columns_sv, sv_to_tuple
 from trilie.repmod import (
     HomRepresentation,
     PairAction,
-    _rho_on_vec_left,
     check_hom_rep,
     kernel_of_rep,
     op_apply,
@@ -111,7 +111,7 @@ def rinehart_ideal_check(B: RinehartBundle, space: SubspaceQ) -> SuiteReport:
     anchor = suite.add(CheckReport("anchor-closed"))
     for g in gens:
         for j in range(n):
-            cols = _rho_on_vec_left(B.rho, g, j)
+            cols = rho_on_vec_left(B.rho, g, j)
             for a in range(B.A.dim):
                 u = cols[a]
                 for z in range(n):
