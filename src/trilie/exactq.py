@@ -7,6 +7,14 @@ package. Keeping integral values as int is a deliberate speed choice: the
 structure constants we push through these routines are almost always
 integers, and int arithmetic is roughly an order of magnitude faster than
 Fraction arithmetic.
+
+The operators and spanning sets are mostly zeros, so the dense kernels
+skip zero entries: `rref` eliminates over the pivot row's nonzero
+columns, and `MatrixQ @` and `MatrixQ.apply` sum over nonzero entries
+only.  Each normalises its input entries once, so integral results come
+back as int.  Subspace membership is sparse: `SubspaceQ.contains_sv`
+reduces a vector over its own nonzero entries, and the dense
+`contains` and `coordinates` go through it.
 """
 
 from __future__ import annotations
@@ -23,6 +31,11 @@ def qnorm(x):
     if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
+
+
+def _normed(row) -> list:
+    """qnorm of every entry; int entries, the common case, pass as they are."""
+    return [x if type(x) is int else qnorm(x) for x in row]
 
 
 def qparse(value):
@@ -73,8 +86,13 @@ def viszero(v) -> bool:
 
 
 def rref(rows: Iterable[Sequence]) -> tuple[list[tuple], list[int]]:
-    """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form. Returns (nonzero rows, pivot columns).
+
+    Entries are normalised once on the way in.  Elimination then runs
+    over the pivot row's nonzero columns only, on the rows with a
+    nonzero entry at the pivot column, so zero entries cost nothing.
+    """
+    m = [_normed(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
@@ -82,19 +100,24 @@ def rref(rows: Iterable[Sequence]) -> tuple[list[tuple], list[int]]:
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
+        row = m[r]
+        # rows r.. are zero left of c, so the pivot row's support starts at c
+        support = [j for j in range(c, ncols) if row[j]]
+        pv = row[c]
         if pv != 1:
             inv = 1 / Fraction(pv)
-            m[r] = [qnorm(inv * a) for a in m[r]]
+            for j in support:
+                row[j] = qnorm(inv * row[j])
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                row = m[r]
-                m[i] = [qnorm(a - f * b) for a, b in zip(m[i], row)]
+            other = m[i]
+            f = other[c]
+            if f and i != r:
+                for j in support:
+                    other[j] = qnorm(other[j] - f * row[j])
         pivots.append(c)
         r += 1
     return [tuple(row) for row in m[:r]], pivots
@@ -122,7 +145,7 @@ class MatrixQ:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols: int | None = None):
-        rws = tuple(tuple(qnorm(x) for x in r) for r in rows)
+        rws = tuple(tuple(_normed(r)) for r in rows)
         self.rows = rws
         self.nrows = len(rws)
         if rws:
@@ -194,20 +217,25 @@ class MatrixQ:
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows)) if other.rows else []
+        right = [[(j, b) for j, b in enumerate(row) if b]
+                 for row in other.rows]
         out = []
         for r in self.rows:
-            if cols:
-                out.append([qnorm(sum(a * b for a, b in zip(r, c))) for c in cols])
-            else:
-                out.append([])
+            acc = [0] * other.ncols
+            for a, terms in zip(r, right):
+                if a:
+                    for j, b in terms:
+                        acc[j] += a * b
+            out.append(acc)
         return MatrixQ(out, ncols=other.ncols)
 
     def apply(self, v) -> tuple:
         """Matrix times column vector."""
         if len(v) != self.ncols:
             raise ValueError("shape mismatch")
-        return tuple(qnorm(sum(a * b for a, b in zip(r, v))) for r in self.rows)
+        terms = [(k, x) for k, x in enumerate(v) if x]
+        return tuple(qnorm(sum(r[k] * x for k, x in terms))
+                     for r in self.rows)
 
     def transpose(self) -> "MatrixQ":
         return MatrixQ(list(zip(*self.rows)) if self.rows else [], ncols=self.nrows)
@@ -414,20 +442,26 @@ class SubspaceQ:
     """Subspace of Q^n in canonical form: basis rows are the RREF.
 
     Equal subspaces compare (and hash) equal regardless of the spanning set
-    they were built from.
+    they were built from.  Membership is tested on sparse vectors: the
+    basis rows are kept, the first time a test needs them, as a map from
+    pivot column to the row's other nonzero entries.
     """
 
-    __slots__ = ("ambient", "basis", "_pivots")
+    __slots__ = ("ambient", "basis", "_pivots", "_rows")
 
     def __init__(self, ambient: int, vectors: Iterable = ()):
-        rows = [v for v in vectors if not viszero(v)]
-        for v in rows:
+        rows = []
+        for v in vectors:
             if len(v) != ambient:
-                raise ValueError("vector length does not match ambient dimension")
+                raise ValueError(
+                    "vector length does not match ambient dimension")
+            if not viszero(v):
+                rows.append(v)
         red, pivots = rref(rows)
         self.ambient = ambient
         self.basis = tuple(red)
         self._pivots = tuple(pivots)
+        self._rows = None
 
     @staticmethod
     def zero(ambient: int) -> "SubspaceQ":
@@ -455,6 +489,30 @@ class SubspaceQ:
         rows = "; ".join(" ".join(qstr(x) for x in r) for r in self.basis)
         return f"SubspaceQ[dim {self.dim} of Q^{self.ambient}: {rows}]"
 
+    def contains_sv(self, vec: dict) -> bool:
+        """Whether the sparse vector {index: coeff} lies in the subspace.
+
+        In RREF the coefficient of the basis row with pivot p is vec's
+        entry at p, so vec minus its expansion is zero at every pivot;
+        what is left at the other columns is the sum of vec's own
+        non-pivot entries and -vec[p] times row p over the pivots p in
+        vec's support.  Only vec's nonzero entries are visited.
+        """
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = {
+                p: [(j, x) for j, x in enumerate(row) if x and j != p]
+                for p, row in zip(self._pivots, self.basis)}
+        residual: dict = {}
+        for j, c in vec.items():
+            row = rows.get(j)
+            if row is None:
+                residual[j] = residual.get(j, 0) + c
+            else:
+                for k, x in row:
+                    residual[k] = residual.get(k, 0) - c * x
+        return not any(residual.values())
+
     def coordinates(self, v):
         """Coefficients of v in the canonical basis, or None if v is outside.
 
@@ -463,14 +521,9 @@ class SubspaceQ:
         """
         if len(v) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
-        coeffs = tuple(v[p] for p in self._pivots)
-        residual = list(v)
-        for c, row in zip(coeffs, self.basis):
-            if c != 0:
-                residual = [qnorm(a - c * b) for a, b in zip(residual, row)]
-        if any(a != 0 for a in residual):
+        if not self.contains_sv({i: x for i, x in enumerate(v) if x}):
             return None
-        return coeffs
+        return tuple(v[p] for p in self._pivots)
 
     def contains(self, v) -> bool:
         return self.coordinates(v) is not None

@@ -114,12 +114,19 @@ def zero_form(h: int) -> RootForm:
     return RootForm(MatrixQ.zeros(h, h))
 
 
-def _int_power(mat: MatrixQ, k: int) -> MatrixQ:
-    if k < 0:
-        return _int_power(mat.inverse(), -k)
-    out = MatrixQ.identity(mat.nrows)
-    for _ in range(k):
-        out = out @ mat
+def _powers(mat: MatrixQ, ks) -> dict:
+    """{k: mat^k} for every k from min(0, *ks) to max(0, *ks).
+
+    Positive powers are successive products of mat, negative ones of its
+    inverse, which is computed once and only when a k is negative.
+    """
+    out = {0: MatrixQ.identity(mat.nrows)}
+    for sign, top in ((1, max(ks)), (-1, -min(ks))):
+        if top > 0:
+            base = mat if sign > 0 else mat.inverse()
+            out[sign] = cur = base
+            for k in range(2, top + 1):
+                out[sign * k] = cur = cur @ base
     return out
 
 
@@ -130,7 +137,7 @@ def pullback_root(form: RootForm, AH: MatrixQ, k: int) -> RootForm:
     alpha^k(L_gamma); AH is the matrix of alpha restricted to H in the
     same basis the form is written in.
     """
-    P = _int_power(AH, -k)
+    P = _powers(AH, (-k,))[-k]
     return RootForm(P.transpose() @ form.mat @ P)
 
 
@@ -280,7 +287,7 @@ _THM1_POWERS = (-2, -1, 0, 1, 2)
 
 def _pullback_uppers(forms, AH: MatrixQ, k: int) -> list:
     """Strict upper triangles of pullback_root(f, AH, k), one per form."""
-    P = _int_power(AH, -k)
+    P = _powers(AH, (-k,))[-k]
     Pt = P.transpose()
     return [_upper(Pt @ f.mat @ P) for f in forms]
 
@@ -309,8 +316,7 @@ def _law(report: CheckReport, target, values, witness) -> None:
             report.skip()
             continue
         report.tick()
-        if (vec if target is None
-                else not target.contains(sv_to_tuple(vec, target.ambient))):
+        if vec if target is None else not target.contains_sv(vec):
             report.record(witness)
 
 
@@ -331,8 +337,9 @@ def check_thm1_properties(B: RinehartBundle, dec: Decomposition,
             ("phi-moves-weights", B.A.phi, wdec, a_index, "weight"),
             ("alpha-moves-roots", B.L.alpha, dec, l_index, "root")):
         report = suite.add(CheckReport(name))
+        powers = _powers(twist, _THM1_POWERS)
         for k in _THM1_POWERS:
-            P = _int_power(twist, k)
+            P = powers[k]
             pulled = _pullback_uppers(side.forms, side.AH, k)
             for (form, space), up in zip(side.pieces, pulled):
                 target = index.get(up)

@@ -444,6 +444,28 @@ SPLIT_PINS = {
         "connect-0-1": (0, "4c5fa8945b779ed775c6c3e9303a5c53"
                            "d459e1229453fcc21f90d20cb43a8966"),
     },
+    # the two shapes of the benchmark's split workload, recorded before
+    # exactq skipped zero entries and tested membership sparsely
+    ("two-block", "3"): {
+        "decompose": (0, "24ccf11f6125ac6a5c200559d04a3386"
+                         "523a6d9b650a9f37e9d8b224994c3d0d"),
+        "classes": (0, "760ed13e8dd4fe46a3de0643c688d72d"
+                       "51c04f2a921e2f016ab3d46a3e57289b"),
+        "connect": (0, "78765e3313f6283006899f691e0c80de"
+                       "a6bfdb2da4ce88d8fa0875cea094ee92"),
+        "connect-0-1": (0, "c775556bfcc58c1b51d8bd78b190c670"
+                           "00cebeeff6fd08538c4fdaa79bd052c7"),
+    },
+    ("tprime-split", "4"): {
+        "decompose": (0, "0a974fb987f0fd91bf3f73b605b6ddf8"
+                         "96bf71f616d0e903ef7b734961404162"),
+        "classes": (0, "b168f025fc7eb33da3b355051027b035"
+                       "008d9f7d5e315ad546aa2fe679fbc558"),
+        "connect": (0, "2b417cf8b0b6310bacf03955577ccd3f"
+                       "69f0e2bede5e125cd5d0543a54170af7"),
+        "connect-0-1": (0, "c3778941e7e43942fe116de2597fa75f"
+                           "3baf4af1021b2e52792f765daa93c913"),
+    },
 }
 
 

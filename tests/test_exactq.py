@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trilie.exactq import (
     MatrixQ,
@@ -88,6 +89,12 @@ def test_singular_matrix_refuses_inverse():
         mat.inverse()
 
 
+def test_empty_inner_dimension_product_is_zero():
+    # an n x 0 matrix times a 0 x m one is the n x m zero matrix
+    assert MatrixQ([[], []]) @ MatrixQ([], ncols=3) == MatrixQ.zeros(2, 3)
+    assert MatrixQ([], ncols=0) @ MatrixQ([], ncols=2) == MatrixQ.zeros(0, 2)
+
+
 def test_char_poly_frozen():
     assert char_poly(MatrixQ([[2, 0], [0, 3]])) == (1, -5, 6)
 
@@ -138,6 +145,76 @@ def test_subspace_coordinates_roundtrip():
                for i in range(3)]
     assert tuple(rebuilt) == v
     assert s.coordinates((0, 0, 1)) is None
+
+
+def test_subspace_rejects_wrong_length_vectors_zero_or_not():
+    for vecs in ([(0, 0)], [(1, 0)], [(1, 0, 0), (0, 0)]):
+        with pytest.raises(ValueError):
+            SubspaceQ(3, vecs)
+    assert SubspaceQ(3, [(0, 0, 0)]) == SubspaceQ.zero(3)
+
+
+def dense_coordinates(space, v):
+    """The dense residual that membership used before it went sparse:
+    read the coefficients off the pivots, subtract the expansion from
+    the whole of v and test every coordinate of what is left."""
+    if len(v) != space.ambient:
+        raise ValueError("vector length does not match ambient dimension")
+    pivots = [next(j for j, x in enumerate(row) if x) for row in space.basis]
+    coeffs = tuple(v[p] for p in pivots)
+    residual = list(v)
+    for c, row in zip(coeffs, space.basis):
+        if c != 0:
+            residual = [qnorm(a - c * b) for a, b in zip(residual, row)]
+    if any(a != 0 for a in residual):
+        return None
+    return coeffs
+
+
+SCALARS = st.one_of(st.just(0), st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=4))
+
+
+@st.composite
+def spaces_and_vectors(draw):
+    """A subspace spanned by random rational vectors, and a vector that is
+    a combination of them (inside) or drawn freely (mostly outside)."""
+    n = draw(st.integers(0, 6))
+    vec = st.lists(SCALARS, min_size=n, max_size=n).map(tuple)
+    spanning = draw(st.lists(vec, max_size=4))
+    if spanning and draw(st.booleans()):
+        coeffs = draw(st.lists(SCALARS, min_size=len(spanning),
+                               max_size=len(spanning)))
+        v = tuple(sum(c * u[i] for c, u in zip(coeffs, spanning))
+                  for i in range(n))
+    else:
+        v = draw(vec)
+    return SubspaceQ(n, spanning), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(spaces_and_vectors())
+def test_sparse_membership_matches_the_dense_residual(case):
+    space, v = case
+    want = dense_coordinates(space, v)
+    assert space.coordinates(v) == want
+    assert space.contains(v) == (want is not None)
+    assert space.contains_sv(sv_from_seq(v)) == (want is not None)
+    assert space.contains_sv({})
+    for bad in (v + (0,), v[:-1]) if v else (v + (0,),):
+        with pytest.raises(ValueError):
+            space.coordinates(bad)
+        with pytest.raises(ValueError):
+            space.contains(bad)
+
+
+def test_membership_of_the_empty_vector():
+    for space in (SubspaceQ(0), SubspaceQ.zero(3), SubspaceQ.full(3)):
+        assert space.contains_sv({})
+    assert SubspaceQ(0).coordinates(()) == ()
+    assert SubspaceQ.zero(3).coordinates((0, 0, 0)) == ()
+    assert SubspaceQ.full(3).coordinates((0, 0, 0)) == (0, 0, 0)
 
 
 def test_subspace_dimension_formula():

@@ -1,7 +1,10 @@
 """exactq against sympy on small random rational matrices and polynomials.
 
 sympy is a test-only oracle; trilie itself depends on nothing.  The
-characteristic polynomial is also checked against dense
+matrices are dense random, signed permutations or block-sparse, with
+integral entries given both as int and as Fraction(n, 1), since the
+kernels skip zero entries and must still return integral values as
+int.  The characteristic polynomial is also checked against dense
 Faddeev-LeVerrier on the whole matrix, which `char_poly` runs only on
 the diagonal blocks of its block-triangular form.
 """
@@ -18,18 +21,67 @@ sympy = pytest.importorskip("sympy")
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
+# Fraction(n, 1) entries, which every result must give back as int n
+INTEGRAL_FRACTIONS = st.integers(-3, 3).map(Fraction)
+
+
 @st.composite
-def matrices(draw, square=False):
-    nrows = draw(st.integers(1, 4))
-    ncols = nrows if square else draw(st.integers(1, 5))
+def random_rows(draw, nrows, ncols):
     # sparse entries, so that rank deficiency and zero columns are common
-    entry = st.one_of(st.just(Fraction(0)), RATIONALS)
+    entry = st.one_of(st.just(Fraction(0)), RATIONALS, INTEGRAL_FRACTIONS)
     return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@st.composite
+def signed_permutation_rows(draw, nrows, ncols):
+    """At most one nonzero entry per row and column, +-1 or an integral
+    Fraction, at shuffled positions."""
+    rows = [[0] * ncols for _ in range(nrows)]
+    cols = draw(st.permutations(range(ncols)))
+    sign = st.sampled_from([1, -1, Fraction(1), Fraction(-2)])
+    for i, j in zip(draw(st.permutations(range(nrows))), cols):
+        rows[i][j] = draw(sign)
+    return rows
+
+
+@st.composite
+def block_sparse_rows(draw, nrows, ncols):
+    """Nonzero entries only in diagonal blocks of a random block
+    partition of the rows and of the columns."""
+    def cuts(n):
+        return sorted(draw(st.sets(st.integers(1, max(1, n - 1)),
+                                   max_size=2)) & set(range(1, n)))
+    row_cuts, col_cuts = cuts(nrows), cuts(ncols)
+    row_block = [sum(i >= c for c in row_cuts) for i in range(nrows)]
+    col_block = [sum(j >= c for c in col_cuts) for j in range(ncols)]
+    entry = st.one_of(RATIONALS, INTEGRAL_FRACTIONS)
+    return [[draw(entry) if row_block[i] == col_block[j] else 0
+             for j in range(ncols)] for i in range(nrows)]
+
+
+SHAPES = (random_rows, signed_permutation_rows, block_sparse_rows)
+
+
+@st.composite
+def matrices(draw, square=False, nrows=None, ncols=None):
+    nrows = nrows or draw(st.integers(1, 4))
+    ncols = ncols or (nrows if square else draw(st.integers(1, 5)))
+    return draw(draw(st.sampled_from(SHAPES))(nrows, ncols))
+
+
+def assert_integral_is_int(values):
+    for x in values:
+        assert type(x) is int or x.denominator != 1, x
 
 
 def to_sympy(rows):
     return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator)
                           for c in row] for row in rows])
+
+
+def sympy_rows(mat):
+    return [[from_sympy(mat[i, j]) for j in range(mat.cols)]
+            for i in range(mat.rows)]
 
 
 def from_sympy(value):
@@ -64,9 +116,43 @@ def test_rref_matches_sympy(rows):
     red, pivots = rref(rows)
     want, want_pivots = to_sympy(rows).rref()
     assert pivots == list(want_pivots)
-    assert [list(r) for r in red] == [
-        [from_sympy(want[i, j]) for j in range(want.cols)]
-        for i in range(len(want_pivots))]
+    assert [list(r) for r in red] == sympy_rows(want)[:len(want_pivots)]
+    for row in red:
+        assert_integral_is_int(row)
+
+
+@st.composite
+def products(draw):
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    return draw(matrices(nrows=n, ncols=k)), draw(matrices(nrows=k, ncols=m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(products())
+def test_matmul_matches_sympy(pair):
+    left, right = pair
+    got = MatrixQ(left) @ MatrixQ(right)
+    assert [list(r) for r in got.rows] == sympy_rows(
+        to_sympy(left) * to_sympy(right))
+    for row in got.rows:
+        assert_integral_is_int(row)
+
+
+@st.composite
+def matrix_and_vector(draw):
+    rows = draw(matrices())
+    vec = draw(matrices(nrows=len(rows[0]), ncols=1))
+    return rows, [r[0] for r in vec]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_and_vector())
+def test_apply_matches_sympy(case):
+    rows, vec = case
+    got = MatrixQ(rows).apply(vec)
+    want = to_sympy(rows) * to_sympy([[x] for x in vec])
+    assert list(got) == [row[0] for row in sympy_rows(want)]
+    assert_integral_is_int(got)
 
 
 @settings(max_examples=200, deadline=None)

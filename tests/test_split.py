@@ -183,6 +183,48 @@ def test_thm1_laws_hold_on_the_split_corpus():
         assert suite.passed, B.name
 
 
+def test_thm1_inverts_each_twist_once(monkeypatch):
+    """Laws 1 and 2 take alpha^k and phi^k for k = -2..2 from one
+    inverse of each twist and successive products."""
+    B = two_block(1)
+    H = h_space(B)
+    dec, wdec = root_decompose(B, H), weight_decompose(B, H)
+    want = check_thm1_properties(B, dec, wdec)
+    inverted = []
+    real = MatrixQ.inverse
+
+    def counted(self):
+        inverted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(MatrixQ, "inverse", counted)
+    got = check_thm1_properties(B, dec, wdec)
+    assert got.to_dict() == want.to_dict()
+    for twist in (B.L.alpha, B.A.phi):
+        assert sum(m is twist for m in inverted) <= 1
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 0], [0, 2]],                        # 2 Id: the inverse is Id / 2
+    [[0, -1], [1, 0]],                       # a rotation of order 4
+    [[1, 1, 0], [0, 1, 0], [0, 0, Fraction(-1, 3)]],
+])
+def test_powers_are_repeated_products(rows):
+    mat = MatrixQ(rows)
+    n = mat.nrows
+    powers = split._powers(mat, range(-3, 4))
+    assert sorted(powers) == list(range(-3, 4))
+    inv = mat.inverse()
+    for k in range(-3, 4):
+        want = MatrixQ.identity(n)
+        for _ in range(abs(k)):
+            want = want @ (mat if k > 0 else inv)
+        assert powers[k] == want
+        assert split._powers(mat, (k,))[k] == want
+        assert all(type(x) is int for row in powers[k].rows for x in row
+                   if x == int(x))
+
+
 def _form_target(index, zero_space, form):
     """The piece a form indexes, looked up as a RootForm."""
     return zero_space if form.is_zero() else index.get(form)
