@@ -18,8 +18,10 @@ from itertools import combinations
 from .exactq import (
     MatrixQ,
     SubspaceQ,
+    masks,
     mat_apply_sv,
     mat_columns_sv,
+    ones,
     qnorm,
     sv_axpy,
     sv_scale,
@@ -172,40 +174,18 @@ def _signed_rows(half: dict) -> dict:
     return rows
 
 
-def _bits(indices) -> int:
-    """A set of indices (the support of a sparse vector) as a bit mask."""
-    out = 0
-    for m in indices:
-        out |= 1 << m
-    return out
-
-
-def ones(mask: int):
-    """The indices of the set bits of mask, in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _row_masks(rows: dict) -> dict:
-    """(bits of the None entries, bits of the nonzero entries) per row."""
-    return {key: (_bits(k for k, vec in enumerate(row) if vec is None),
-                  _bits(k for k, vec in enumerate(row) if vec))
-            for key, row in rows.items()}
-
-
 class PairRows:
     """Rows over the basis, one per ordered pair i != j, with the masks
     the law kernels read from them.
 
     Built from the rows of the pairs i < j; the row of (j, i) is the
     negated row of (i, j).  An entry is a sparse vector or None where a
-    window leaves it undetermined.  `masks` holds each row's (None bits,
-    nonzero bits) over k.  The rest are masks over `pairs`, the pairs
-    i < j in order, bit b for pairs[b]: `none_at[k]` and `nonzero_at[k]`
-    mark the pairs whose row is None or nonzero at k, and `has[k][m]`
-    those whose entry at k has m in its support.
+    window leaves it undetermined.  `masks` holds the (None bits,
+    nonzero bits) over k of the row of each pair i < j, which the row of
+    (j, i) shares.  The rest are masks over `pairs`, the pairs i < j in
+    order, bit b for pairs[b]: `none_at[k]` and `nonzero_at[k]` mark the
+    pairs whose row is None or nonzero at k, and `has[k][m]` those whose
+    entry at k has m in its support.
     """
 
     __slots__ = ("pairs", "rows", "masks", "none_at", "nonzero_at", "has")
@@ -213,18 +193,22 @@ class PairRows:
     def __init__(self, n: int, half: dict):
         self.pairs = list(combinations(range(n), 2))
         self.rows = _signed_rows(half)
-        self.masks = _row_masks(self.rows)
+        self.masks = {}
         self.none_at = [0] * n
         self.nonzero_at = [0] * n
         self.has = [[0] * n for _ in range(n)]
         for b, pq in enumerate(self.pairs):
-            for k, vec in enumerate(half[pq]):
-                if vec is None:
-                    self.none_at[k] |= 1 << b
-                elif vec:
-                    self.nonzero_at[k] |= 1 << b
-                    for m in vec:
-                        self.has[k][m] |= 1 << b
+            row = half[pq]
+            none, nonzero, _ = masks(row)
+            self.masks[pq] = none, nonzero
+            bit = 1 << b
+            for k in ones(none):
+                self.none_at[k] |= bit
+            for k in ones(nonzero):
+                self.nonzero_at[k] |= bit
+                has_k = self.has[k]
+                for m in row[k]:
+                    has_k[m] |= bit
 
 
 @stored_on("_brackets")
@@ -302,8 +286,8 @@ def _jacobi_residuals(rep: CheckReport, br: PairRows, outer: PairRows,
         for m in t:
             dead |= outer.none_at[m]
             live |= outer.nonzero_at[m]
-        cyc = ((x, (y, z)), (y, (z, x)), (z, (x, y)))
-        for k, q in cyc:
+        # (z, x) has the masks of (x, z)
+        for k, q in ((x, (y, z)), (y, (x, z)), (z, (x, y))):
             q_none, q_nonzero = outer.masks[q]
             has_k = has[k]
             for m in ones(q_none):
@@ -316,7 +300,8 @@ def _jacobi_residuals(rep: CheckReport, br: PairRows, outer: PairRows,
         live &= ~dead
         if not live:
             continue
-        cyc = [(k, outer.rows[q]) for k, q in cyc]
+        cyc = ((x, outer.rows[(y, z)]), (y, outer.rows[(z, x)]),
+               (z, outer.rows[(x, y)]))
         for b in ones(live):
             pq, row, out_row = operands[b]
             acc = _residual(t, out_row, row, cyc)

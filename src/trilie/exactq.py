@@ -15,6 +15,16 @@ only.  Each normalises its input entries once, so integral results come
 back as int.  Subspace membership is sparse: `SubspaceQ.contains_sv`
 reduces a vector over its own nonzero entries, and the dense
 `contains` and `coordinates` go through it.
+
+Bit masks.  The law kernels settle most instances before any arithmetic
+by ANDs and ORs of int masks over positions: bit k stands for position
+k of a list of sparse vectors (the columns of an operator, the entries
+of a bracket row).  `masks` builds the three masks every kernel reads,
+those of the None (undetermined) entries, of the nonzero entries and,
+per output index r, of the entries with r in their support; `operand`
+pairs a signed column list with its first two.  `bits` turns a support
+into a mask and `ones` walks a mask's set bits in ascending order, so
+work done bit by bit keeps the order of a loop over every position.
 """
 
 from __future__ import annotations
@@ -639,6 +649,51 @@ def sv_bilinear(table: dict, u, v):
             if vec:
                 sv_axpy(out, ci * cj, vec)
     return out
+
+
+def bits(indices) -> int:
+    """A set of indices (the support of a sparse vector) as a bit mask."""
+    out = 0
+    for m in indices:
+        out |= 1 << m
+    return out
+
+
+def ones(mask: int):
+    """The indices of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def masks(cols, dim: int = 0) -> tuple:
+    """(none, nonzero, has) of a list of sparse vectors or None.
+
+    Bit k of none (nonzero) is set when cols[k] is None (a nonzero
+    vector); has[r], for r < dim, marks the k whose vector has r in its
+    support.  With the default dim 0, has is empty.
+    """
+    none = nonzero = 0
+    has = [0] * dim
+    for k, vec in enumerate(cols):
+        if vec is None:
+            none |= 1 << k
+        elif vec:
+            nonzero |= 1 << k
+            if dim:
+                for r in vec:
+                    has[r] |= 1 << k
+    return none, nonzero, has
+
+
+def operand(cols, sign=1) -> tuple:
+    """(sign * cols, none, nonzero) with the masks of `masks`; cols
+    itself is left as it is."""
+    if sign != 1:
+        cols = [None if c is None else sv_scale(c, sign) for c in cols]
+    none, nonzero, _ = masks(cols)
+    return cols, none, nonzero
 
 
 def sv_from_seq(seq) -> dict:

@@ -7,12 +7,15 @@ be None when a windowed corpus does not determine it.  Checks then count
 the affected (tuple, column) instances as skipped.
 
 check_hom_rep settles most instances of hr2 and hr3 by bit masks,
-before any arithmetic.  Its operands are built once per call, each
-with one int mask of its None columns and one of its nonzero columns:
-rho(alpha e_i, alpha e_j) for i < j (kept with the representation per
-algebra, so check_hr4 reuses it), rho(e_m, alpha e_j) phi for all m, j,
-and each stored operator rho(e_c, e_d) as its nonzero columns with
-their support bits.  A column k of a product rho(alpha e_a, alpha e_b)
+before any arithmetic, in the mask vocabulary of `exactq`.  Its
+operands are built once per call, each an `exactq.operand` (its
+columns with one int mask of its None columns and one of its nonzero
+columns): rho(alpha e_i, alpha e_j) for i < j (kept with the
+representation per algebra, so check_hr4 reuses it) and rho(e_m, alpha
+e_j) phi for all m, j.  Each stored operator rho(e_c, e_d) also
+carries, per module index r, the mask of its columns with r in their
+support, and the r that some column reads (`masked_ops`, from
+`exactq.masks`).  A column k of a product rho(alpha e_a, alpha e_b)
 rho(e_c, e_d) is undetermined when column k of rho(e_c, e_d) is None
 or its support meets the None columns of the outer factor, and can be
 nonzero only when its support meets the outer's nonzero columns; the
@@ -46,13 +49,17 @@ from itertools import combinations
 from .exactq import (
     MatrixQ,
     SubspaceQ,
+    bits,
     kernel_basis,
+    masks,
     mat_columns_sv,
+    ones,
+    operand,
     qnorm,
     sv_axpy,
     sv_scale,
 )
-from .core3lie import Hom3Lie, PairRows, _bits, brackets, ones
+from .core3lie import Hom3Lie, PairRows, brackets
 from .report import MAX_FAILURES, CheckReport, SuiteReport, stored_on
 
 SVec = dict
@@ -192,44 +199,34 @@ def _compare_columns(rep: CheckReport, witness, lhs: Columns, rhs: Columns) -> N
 # -- Hom representation axioms -----------------------------------------
 
 
-def _masks(cols: Columns) -> tuple[int, int]:
-    """(bits of the None columns, bits of the nonzero columns)."""
-    none = nonzero = 0
-    for k, col in enumerate(cols):
-        if col is None:
-            none |= 1 << k
-        elif col:
-            nonzero |= 1 << k
-    return none, nonzero
-
-
-def _operand(cols: Columns) -> tuple:
-    """An operator with its `_masks`: (columns, None bits, nonzero bits)."""
-    return (cols, *_masks(cols))
-
-
 @stored_on("_alpha_pairs", owner=1)
 def _alpha_pair_table(alg: Hom3Lie, rep: HomRepresentation) -> dict:
-    """rho(alpha e_i, alpha e_j) for i < j as `_operand`s, kept with
-    rep per algebra."""
+    """rho(alpha e_i, alpha e_j) for i < j as `exactq.operand`s, kept
+    with rep per algebra."""
     act = rep.action
     acols = alg._alpha_cols
-    return {(i, j): _operand(act.bilinear(acols[i], acols[j]))
+    return {(i, j): operand(act.bilinear(acols[i], acols[j]))
             for i, j in combinations(range(alg.n), 2)}
 
 
-def _sparse_ops(act: PairAction) -> dict:
-    """Each stored operator as (bits of its None columns, [(index,
-    column, support bits)] over its nonzero columns)."""
-    return {key: (_masks(op)[0],
-                  [(k, col, _bits(col)) for k, col in enumerate(op) if col])
-            for key, op in act.ops.items()}
+def masked_ops(act: PairAction) -> dict:
+    """Each stored operator rho(e_i, e_j), i < j, as its columns with
+    their `exactq.masks` and the module indices some column reads:
+    (columns, none, nonzero, has, reads), has[r] the columns with r in
+    their support."""
+    out = {}
+    for key, op in act.ops.items():
+        none, nonzero, has = masks(op, act.dim_v)
+        reads = tuple(r for r, at in enumerate(has) if at)
+        out[key] = op, none, nonzero, has, reads
+    return out
 
 
 def _product(ra: dict, sparse: dict, a: int, b: int, c: int, d: int):
     """rho(alpha e_a, alpha e_b) rho(e_c, e_d) as (outer, inner, sign),
-    or None when it is the zero operator whatever the tables hold: an
-    index repeats, or rho(e_c, e_d) is not stored."""
+    inner from `masked_ops`, or None when it is the zero operator
+    whatever the tables hold: an index repeats, or rho(e_c, e_d) is not
+    stored."""
     if a == b or c == d:
         return None
     inner = sparse.get((c, d) if c < d else (d, c))
@@ -242,28 +239,27 @@ def _product(ra: dict, sparse: dict, a: int, b: int, c: int, d: int):
 
 
 def _product_masks(outer: tuple, inner: tuple) -> tuple[int, int]:
-    """(undetermined, possibly nonzero) columns of a product."""
+    """(undetermined, possibly nonzero) columns of a product: inner's
+    None columns and those whose support meets outer's None columns,
+    and those whose support meets outer's nonzero columns.  The second
+    may hold undetermined columns; every caller clears them."""
     _, o_none, o_nonzero = outer
-    none, cols = inner
+    _, none, _, has, reads = inner
     nonzero = 0
-    if o_none or o_nonzero:
-        for k, _, support in cols:
-            if support & o_none:
-                none |= 1 << k
-            elif support & o_nonzero:
-                nonzero |= 1 << k
+    for r in reads:
+        if o_none >> r & 1:
+            none |= has[r]
+        elif o_nonzero >> r & 1:
+            nonzero |= has[r]
     return none, nonzero
 
 
 def _add_product(acc: dict, outer: tuple, inner: tuple, sign) -> None:
     """acc[k] += sign (outer inner)[k] for the columns k of acc, which
     the masks have shown determined."""
-    o_cols, _, o_nonzero = outer
-    for k, col, support in inner[1]:
-        out = acc.get(k)
-        if out is None or not support & o_nonzero:
-            continue
-        for r, c in col.items():
+    o_cols, cols = outer[0], inner[0]
+    for k, out in acc.items():
+        for r, c in cols[k].items():
             if o_cols[r]:
                 sv_axpy(out, sign * c, o_cols[r])
 
@@ -330,7 +326,7 @@ def _check_hr3(br: PairRows, ra: dict, rmp: dict, sparse: dict,
     instances (p, q) and (q, p); see the module docstring."""
     rows, pairs = br.rows, br.pairs
     dead = [br.masks[pq][0] for pq in pairs]
-    bits = [1 << i | 1 << j for i, j in pairs]
+    pair_bits = [bits(pq) for pq in pairs]
     kept: list = []
     failed = skipped = checked = 0
     for ip, p in enumerate(pairs):
@@ -346,13 +342,13 @@ def _check_hr3(br: PairRows, ra: dict, rmp: dict, sparse: dict,
             # the sides the bracket window determines, as (key,
             # phi-terms, sign of D in rhs - lhs)
             sides = []
-            if bits[iq] & dead[ip]:
+            if pair_bits[iq] & dead[ip]:
                 skipped += dim_v
             else:
                 x3, x4 = pairs[iq]
                 sides.append(((ip, iq), ((row_p[x3], x4, 1),
                                          (row_p[x4], x3, -1)), -1))
-            if bits[ip] & dead[iq]:
+            if pair_bits[ip] & dead[iq]:
                 skipped += dim_v
             else:
                 row_q = rows[pairs[iq]]
@@ -419,14 +415,13 @@ def _x4_masks(n: int, dim_v: int, rmp: dict, sparse: dict):
         phi_nonzero[m] |= nonzero << x4 * dim_v
     inner_none = [0] * n
     inner_has = [[0] * dim_v for _ in range(n)]
-    for (c, d), (none, cols) in sparse.items():
+    for (c, d), (_, none, _, has, _) in sparse.items():
         for u, x4 in ((c, d), (d, c)):
             shift = x4 * dim_v
             inner_none[u] |= none << shift
-            has = inner_has[u]
-            for k, _, support in cols:
-                for r in ones(support):
-                    has[r] |= 1 << shift + k
+            u_has = inner_has[u]
+            for r, cols in enumerate(has):
+                u_has[r] |= cols << shift
     return phi_none, phi_nonzero, inner_none, inner_has
 
 
@@ -474,7 +469,7 @@ def _check_hr2(br: PairRows, ra: dict, rmp: dict, sparse: dict,
         checked += dim_v * n - gaps
         live = nonzero & ~none
         while live:
-            x4 = ((live & -live).bit_length() - 1) // dim_v
+            x4 = next(ones(live)) // dim_v
             shift = x4 * dim_v
             want = live >> shift & full
             live ^= want << shift
@@ -502,10 +497,10 @@ def check_hom_rep(alg: Hom3Lie, rep: HomRepresentation) -> SuiteReport:
     ra = _alpha_pair_table(alg, rep)
     # rho(e_m, alpha e_j) phi: the phi-terms of hr2 and hr3 are sums of
     # these rows, since composing with phi distributes over the sum
-    rmp = {(m, j): _operand(op_compose(act.bilinear({m: 1}, acols[j]), phi))
+    rmp = {(m, j): operand(op_compose(act.bilinear({m: 1}, acols[j]), phi))
            for m in range(n) for j in range(n)}
     br = brackets(alg)
-    sparse = _sparse_ops(act)
+    sparse = masked_ops(act)
 
     # hr1: rho(alpha x1, alpha x2) phi = phi rho(x1, x2)
     r1 = CheckReport("hr1")
@@ -534,7 +529,7 @@ def check_hr4(alg: Hom3Lie, rep: HomRepresentation) -> CheckReport:
     the pairs, so tuples run over x1<x2, x3<x4, (x1,x2) <= (x3,x4).
     """
     ra = _alpha_pair_table(alg, rep)
-    sparse = _sparse_ops(rep.action)
+    sparse = masked_ops(rep.action)
     dim_v = rep.action.dim_v
     rep4 = CheckReport("hr4")
     pairs = list(combinations(range(alg.n), 2))

@@ -18,8 +18,12 @@ from .exactq import (
     MatrixQ,
     SubspaceQ,
     SVec,
+    bits,
     kernel_basis,
+    masks,
     mat_columns_sv,
+    ones,
+    operand,
     sv_axpy,
     sv_bilinear,
     sv_scale,
@@ -27,12 +31,10 @@ from .exactq import (
 )
 from .core3lie import (
     Hom3Lie,
-    _bits,
     brackets,
     center,
     check_hom_jacobi,
     check_multiplicative,
-    ones,
     sort3,
 )
 from .repmod import (
@@ -41,8 +43,10 @@ from .repmod import (
     PairAction,
     check_hom_rep,
     kernel_of_rep,
+    masked_ops,
     op_apply,
     op_compose,
+    op_zero,
 )
 from .report import MAX_FAILURES, CheckReport, SuiteReport, stored_on
 
@@ -71,7 +75,7 @@ class CommAlgebra:
         self.phi = phi if phi is not None else MatrixQ.identity(dim)
         if self.phi.nrows != dim or self.phi.ncols != dim:
             raise ValueError("phi shape mismatch")
-        self.unit = dict(unit) if unit else None
+        self.unit = None if unit is None else dict(unit)
         self._phi_cols = mat_columns_sv(self.phi)
 
     def basis_product(self, i: int, j: int):
@@ -91,7 +95,7 @@ class CommAlgebra:
             return NotImplemented
         if self.dim != other.dim or self.phi != other.phi:
             return False
-        if (self.unit or {}) != (other.unit or {}):
+        if self.unit != other.unit:
             return False
         return self.table == other.table
 
@@ -263,7 +267,7 @@ def check_rho_derivations(A: CommAlgebra,
             (CheckReport("hd2"), len(triples), [])]
 
     def instance(law, where, p, terms):
-        need = _bits(p) | _bits(k for _, k in terms)
+        need = bits(p) | bits(k for _, k in terms)
         laws[law][2].append((where, p, terms, need))
 
     for (i, j), (p, _) in prods.items():
@@ -277,7 +281,7 @@ def check_rho_derivations(A: CommAlgebra,
                      ((fij, k), (fjk, i), (fik, j)))
 
     for pair, cols in sorted(rep.action.ops.items()):
-        gaps = _bits(c for c, col in enumerate(cols) if col is None)
+        gaps = masks(cols)[0]
         for part, count, live in laws:
             part.skip(count - len(live))
             for where, p, terms, need in live:
@@ -370,28 +374,11 @@ def check_action_twist(B: RinehartBundle) -> CheckReport:
     return rep
 
 
-def _entry_masks(table: dict, dim: int):
-    """Per first index p < dim of a sparse table keyed (p, q), the q
-    where the entry is None and where it is nonzero, as two lists of
-    masks."""
-    none, nonzero = [0] * dim, [0] * dim
-    for (p, q), vec in table.items():
-        if vec is None:
-            none[p] |= 1 << q
-        elif vec:
-            nonzero[p] |= 1 << q
-    return none, nonzero
-
-
-def _reach(vecs, masks) -> list:
-    """Per vec, the OR of masks[p] over p in its support."""
-    out = []
-    for vec in vecs:
-        acc = 0
-        for p in vec:
-            acc |= masks[p]
-        out.append(acc)
-    return out
+def _meets(supports, targets, step: int = 1) -> list:
+    """Per target mask, the bits i * step of the support masks i that
+    meet it."""
+    return [sum(1 << i * step for i, sup in enumerate(supports) if sup & t)
+            for t in targets]
 
 
 def _leibniz_holds(B: RinehartBundle, row: list, cols: Columns, a: int,
@@ -420,9 +407,10 @@ def check_bracket_action_leibniz(B: RinehartBundle) -> CheckReport:
     table; it may be nonzero when e_a e_z meets a nonzero entry of the
     row, or one of those actions reads a nonzero entry.  The masks come
     from the per-index None and nonzero bits of the action table, the
-    row's bits and the supports of its entries and of rho's columns.
-    Undetermined instances are skipped and trivially zero ones held by
-    popcount; the rest are evaluated in ascending (z, a) order.
+    row's bits and the supports of its entries and of rho's columns
+    (`repmod.masked_ops`).  Undetermined instances are skipped and
+    trivially zero ones held by popcount; the rest are evaluated in
+    ascending (z, a) order.
     """
     rep = CheckReport("bracket-action-leibniz")
     L, A, act = B.L, B.A, B.act
@@ -430,38 +418,33 @@ def check_bracket_action_leibniz(B: RinehartBundle) -> CheckReport:
     acols = L._alpha_cols
     pc = A._phi_cols
     br = brackets(L)
+    ops = masked_ops(B.rho)
+    zero = (op_zero(dim_a), 0, 0, [0] * dim_a, ())
     block = (1 << dim_a) - 1
     every_z = sum(1 << z * dim_a for z in range(n))
-    # over (z, a): e_a e_z None, and per q, e_a e_z with q in its support
-    act_none = 0
-    act_has = [0] * n
-    for (a, z), vec in act.table.items():
-        if vec is None:
-            act_none |= 1 << z * dim_a + a
-        else:
-            for q in vec:
-                act_has[q] |= 1 << z * dim_a + a
-    p_none, p_nonzero = _entry_masks(act.table, dim_a)
+    rows = [[act.basis_act(a, z) for z in range(n)] for a in range(dim_a)]
+    # the masks of e_a e_z over z, per a, and over (z, a) at bit
+    # z * dim A + a, with has over the L-indices q
+    by_a = [masks(row) for row in rows]
+    act_none, act_nonzero, act_has = masks(
+        [row[z] for z in range(n) for row in rows], n)
     # per L-index q, the a where phi(e_a) e_q reads a None (nonzero)
-    # entry; per A-index p, the z where e_p alpha(e_z) does
-    phi_none = [0] * n
-    phi_nonzero = [0] * n
-    for a, (none, nonzero) in enumerate(zip(_reach(pc, p_none),
-                                            _reach(pc, p_nonzero))):
-        for q in ones(none):
-            phi_none[q] |= 1 << a
-        for q in ones(nonzero):
-            phi_nonzero[q] |= 1 << a
-    alpha_bits = [_bits(col) for col in acols]
-    alpha_none = [sum(1 << z * dim_a for z, bits in enumerate(alpha_bits)
-                      if bits & none) for none in p_none]
-    alpha_nonzero = [sum(1 << z * dim_a for z, bits in enumerate(alpha_bits)
-                         if bits & nonzero) for nonzero in p_nonzero]
+    # entry; per A-index p, the z where e_p alpha(e_z) does, at bit
+    # z * dim A
+    phi_bits = [bits(col) for col in pc]
+    phi_none = _meets(phi_bits, [act_none >> q * dim_a & block
+                                 for q in range(n)])
+    phi_nonzero = _meets(phi_bits, [act_nonzero >> q * dim_a & block
+                                    for q in range(n)])
+    alpha_bits = [bits(col) for col in acols]
+    alpha_none = _meets(alpha_bits, [none for none, _, _ in by_a], dim_a)
+    alpha_nonzero = _meets(alpha_bits, [nonzero for _, nonzero, _ in by_a],
+                           dim_a)
     skipped = checked = 0
     for i, j in br.pairs:
         row = br.rows[(i, j)]
         row_none, row_nonzero = br.masks[(i, j)]
-        cols, _ = B.rho.pair(i, j)
+        cols, c_none, _, c_has, _ = ops.get((i, j), zero)
         # the row's entry at k is [e_i, e_j, e_z] for z = k, and is
         # read by [e_i, e_j, e_a e_z] where e_a e_z has k in its support
         dead = act_none
@@ -477,13 +460,12 @@ def check_bracket_action_leibniz(B: RinehartBundle) -> CheckReport:
         for q, zs in spread.items():
             dead |= zs * phi_none[q]
             nonzero |= zs * phi_nonzero[q]
-        for a, col in enumerate(cols):
-            if col is None:
-                dead |= every_z << a
-            else:
-                for p in col:
-                    dead |= alpha_none[p] << a
-                    nonzero |= alpha_nonzero[p] << a
+        # alpha_none[p] and alpha_nonzero[p] hold bits z * dim A only,
+        # so a product with a mask over a ORs their shifts by each a
+        dead |= every_z * c_none
+        for p, at_p in enumerate(c_has):
+            dead |= alpha_none[p] * at_p
+            nonzero |= alpha_nonzero[p] * at_p
         gaps = dead.bit_count()
         skipped += gaps
         checked += n * dim_a - gaps
@@ -513,25 +495,6 @@ def check_weak_rinehart(B: RinehartBundle) -> SuiteReport:
     suite.add(check_action_twist(B))
     suite.add(check_bracket_action_leibniz(B))
     return suite
-
-
-def _column_masks(rho: PairAction) -> dict:
-    """Per ordered pair (i, j) with a stored operator, the None and
-    nonzero column bits of rho(e_i, e_j) and, per index r of A, the
-    columns with r in their support."""
-    out = {}
-    for (i, j), cols in rho.ops.items():
-        none = nonzero = 0
-        has = [0] * rho.dim_v
-        for c, col in enumerate(cols):
-            if col is None:
-                none |= 1 << c
-            elif col:
-                nonzero |= 1 << c
-                for r in col:
-                    has[r] |= 1 << c
-        out[(i, j)] = out[(j, i)] = none, nonzero, has
-    return out
 
 
 def _rho_column(ops: dict, vec: SVec, j: int, c: int) -> SVec:
@@ -582,11 +545,14 @@ def check_action_rho_compat(B: RinehartBundle) -> CheckReport:
     A, act = B.A, B.act
     n, dim_a = B.L.n, A.dim
     pc = A._phi_cols
-    masks = _column_masks(B.rho)
-    zero = (0, 0, [0] * dim_a)
+    ops = masked_ops(B.rho)
+    zero = (None, 0, 0, [0] * dim_a, ())
     # per a, the r where phi(e_a) e_r reads a None (nonzero) product
-    r_none, r_nonzero = _entry_masks(A._lookup, dim_a)
-    prod_none, prod_nonzero = _reach(pc, r_none), _reach(pc, r_nonzero)
+    by_r = [masks([A.basis_product(p, r) for p in range(dim_a)])
+            for r in range(dim_a)]
+    phi_bits = [bits(col) for col in pc]
+    prod_none = _meets([none for none, _, _ in by_r], phi_bits)
+    prod_nonzero = _meets([nonzero for _, nonzero, _ in by_r], phi_bits)
     pairs = n * (n - 1) // 2
     skipped = checked = 0
     for a in range(dim_a):
@@ -595,7 +561,7 @@ def check_action_rho_compat(B: RinehartBundle) -> CheckReport:
         skipped += (pairs - len(acted) * (len(acted) - 1) // 2) * dim_a
         for i, j in combinations(acted, 2):
             ax, ay = acted[i], acted[j]
-            none, _, has = masks.get((i, j), zero)
+            _, none, _, has, _ = ops.get((i, j), zero)
             for r in ones(prod_none[a]):
                 none |= has[r]
             live = 0
@@ -603,7 +569,8 @@ def check_action_rho_compat(B: RinehartBundle) -> CheckReport:
                 live |= has[r]
             for vec, y in ((ax, j), (ay, i)):
                 for m in vec:
-                    m_none, m_nonzero, _ = masks.get((m, y), zero)
+                    _, m_none, m_nonzero, _, _ = ops.get(
+                        (m, y) if m < y else (y, m), zero)
                     none |= m_none
                     live |= m_nonzero
             gaps = none.bit_count()
@@ -672,8 +639,8 @@ class _IdentityContext:
     """The operands of the six identities, built once per suite call.
 
     pr and rho map an ordered pair (i, j) with a stored anchor operator
-    to (columns, None mask, nonzero mask) of phi.rho(e_i, e_j), resp.
-    rho(e_i, e_j), with the sign of the order applied.  ab maps an
+    to the `exactq.operand` (columns, None mask, nonzero mask) of
+    phi.rho(e_i, e_j), resp. rho(e_i, e_j), signed by the order.  ab maps an
     ordered triple of distinct indices to alpha[e_i, e_j, e_k] (None
     outside the window).  combos lists the (x3, x4, x5) of identities
     1-3; masks and groups keep the bit masks over them (see
@@ -710,8 +677,8 @@ class _IdentityContext:
         for (i, j), cols in B.rho.ops.items():
             phi_rho = op_compose(pc, cols)
             for key, sign in (((i, j), 1), ((j, i), -1)):
-                self.rho[key] = _signed_op(cols, sign)
-                self.pr[key] = _signed_op(phi_rho, sign)
+                self.rho[key] = operand(cols, sign)
+                self.pr[key] = operand(phi_rho, sign)
         self.masks: dict = {}
         self.groups: dict = {}
         self.seen_b: dict = {}
@@ -750,8 +717,8 @@ class _IdentityContext:
                 if op is None:
                     continue
                 present |= mask
-                for per_a, bits in ((none, op[1]), (nonzero, op[2])):
-                    for a in _bit_positions(bits):
+                for per_a, columns in ((none, op[1]), (nonzero, op[2])):
+                    for a in ones(columns):
                         per_a[a] = per_a.get(a, 0) | mask
             return present, none, nonzero
         return self._kept(pair, fixed, build)
@@ -836,27 +803,6 @@ def _tally(outs):
         else:
             ok += 1
     return ok, gaps, bad
-
-
-def _signed_op(cols, sign: int):
-    """(sign * cols, mask of the None columns, mask of the nonzero ones)."""
-    if sign != 1:
-        cols = [None if c is None else sv_scale(c, sign) for c in cols]
-    none = nonzero = 0
-    for a, col in enumerate(cols):
-        if col is None:
-            none |= 1 << a
-        elif col:
-            nonzero |= 1 << a
-    return cols, none, nonzero
-
-
-def _bit_positions(mask: int):
-    """The positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _live_columns(operands, plan) -> int:
@@ -969,7 +915,7 @@ def _check_ho_brackets(ctx: _IdentityContext, identities) -> list:
                 skipped[k] += (n_gap * m + n_none) * per_a[k]
                 checked[k] += ((len(combos) - n_gap) * m - n_none
                                - n_live) * per_a[k]
-            for ci in _bit_positions(pending):
+            for ci in ones(pending):
                 xs = fixed + combos[ci]
                 operands = []  # see _live_columns
                 for pair, triple in getters:
@@ -979,7 +925,7 @@ def _check_ho_brackets(ctx: _IdentityContext, identities) -> list:
                     operands.append(None if bvec is _NO_TERM else (op, bvec))
                 values: dict = {}  # (term, a) -> its value at xs
                 for k, plan in enumerate(plans):
-                    for a in _bit_positions(_live_columns(operands, plan)):
+                    for a in ones(_live_columns(operands, plan)):
                         s: SVec | None = {}
                         for t, sign in plan:
                             if operands[t] is None:
@@ -1072,10 +1018,7 @@ def _check_ho_pairs(ctx: _IdentityContext, name: str, combos,
                     # the evaluated pairs are taken out again below and
                     # counted by their outcome
                     checked += (n_pairs - gaps) * per_ab
-                    active_a &= ~none_a
-                    for a in range(m):
-                        if not active_a >> a & 1:
-                            continue
+                    for a in ones(active_a & ~none_a):
                         todo = 0
                         terms = []
                         for (ucols, _, u_nonzero), (vcols, _, v_nonzero) \
@@ -1085,9 +1028,7 @@ def _check_ho_pairs(ctx: _IdentityContext, name: str, combos,
                                 terms.append((ucols[a], vcols))
                         todo &= b_range[a] & ~none_b
                         checked -= todo.bit_count() * per_ab
-                        for b in range(m):
-                            if not todo >> b & 1:
-                                continue
+                        for b in ones(todo):
                             s: SVec | None = {}
                             for u, vcols in terms:
                                 v = vcols[b]

@@ -432,8 +432,11 @@ def _orbit(form: RootForm, AH: MatrixQ):
     """
     out = [form]
     cur = form
+    # a step is pullback_root(cur, AH, 1), the same as pullback_root by
+    # -1 under the inverse, so the walk inverts AH once
+    inverse = AH.inverse()
     for _ in range(_orbit_bound(AH.nrows)):
-        cur = pullback_root(cur, AH, 1)
+        cur = pullback_root(cur, inverse, -1)
         if cur == form:
             return out
         out.append(cur)

@@ -158,6 +158,30 @@ def test_windowed_round_trip_preserves_missing():
     assert missing_actions == missing_actions2
 
 
+def test_a_declared_zero_unit_stays_declared(tmp_path, capsys):
+    """"unit": [] declares the unit 0, which is not "no unit": the
+    round trip keeps it, the unit law fails at every basis vector and
+    `check --suite rinehart` says so."""
+    obj = bundle_to_obj(generate("tb-rinehart", degree_cap=1))
+    obj["A"]["unit"] = []
+    obj["flags"] = {}
+    text = json.dumps(obj)
+    B = loads_bundle(text)
+    assert B.A.unit == {}
+    assert json.loads(dumps_bundle(B))["A"]["unit"] == []
+    del obj["A"]["unit"]
+    assert loads_bundle(json.dumps(obj)).A != B.A
+    unit = rinehart.check_unit(B.A)
+    assert unit.passed is False
+    assert unit.failures == [{"i": i} for i in range(B.A.dim)]
+    path = tmp_path / "zero-unit.json"
+    path.write_text(text)
+    assert cli.main(["check", str(path), "--suite", "rinehart",
+                     "--report", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert "weak-rinehart.unit" in report["failures"]
+
+
 # -- each law once per bundle ----------------------------------------------
 
 

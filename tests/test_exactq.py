@@ -1,5 +1,6 @@
 """Exact rational linear algebra: frozen values and random laws."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -9,11 +10,15 @@ from hypothesis import given, settings, strategies as st
 from trilie.exactq import (
     MatrixQ,
     SubspaceQ,
+    bits,
     char_poly,
     eigenspace,
     kernel_basis,
+    masks,
     mat_apply_sv,
     mat_columns_sv,
+    ones,
+    operand,
     qnorm,
     qparse,
     qstr,
@@ -230,6 +235,45 @@ def test_subspace_dimension_formula():
         assert s.dim + i.dim == u.dim + v.dim
         assert s.contains_space(u) and s.contains_space(v)
         assert u.contains_space(i) and v.contains_space(i)
+
+
+@given(st.sets(st.integers(0, 130)))
+def test_bits_and_ones_are_inverse(indices):
+    mask = bits(indices)
+    assert mask == sum(1 << i for i in indices)
+    assert list(ones(mask)) == sorted(indices)
+
+
+@st.composite
+def column_lists(draw):
+    """Columns each None, {} or a sparse vector over 0..dim-1 with int
+    and Fraction coefficients, and the dim of their module."""
+    dim = draw(st.integers(1, 5))
+    column = (st.none() | st.just({})
+              | st.dictionaries(st.integers(0, dim - 1),
+                                SCALARS.filter(bool), min_size=1))
+    return draw(st.lists(column, max_size=8)), dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_lists(), st.booleans(), st.sampled_from((1, -1)))
+def test_mask_helpers_match_the_set_definitions(case, with_has, sign):
+    cols, dim = case
+    dim = dim if with_has else 0
+    before = copy.deepcopy(cols)
+    none, nonzero, has = masks(cols, dim)
+    assert set(ones(none)) == {k for k, c in enumerate(cols) if c is None}
+    assert set(ones(nonzero)) == {k for k, c in enumerate(cols)
+                                  if c is not None and c != {}}
+    assert len(has) == dim
+    for r, mask in enumerate(has):
+        assert set(ones(mask)) == {k for k, c in enumerate(cols)
+                                   if c is not None and r in c}
+    signed, o_none, o_nonzero = operand(cols, sign)
+    assert cols == before
+    assert (o_none, o_nonzero) == (none, nonzero)
+    assert signed == [None if c is None else
+                      {i: sign * x for i, x in c.items()} for c in cols]
 
 
 def test_sparse_vector_helpers():

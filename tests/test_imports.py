@@ -1,4 +1,5 @@
-"""The package's own hygiene: no unused imports, no test-only API."""
+"""The package's own hygiene: no unused imports, no test-only API, no
+copied helpers."""
 
 import ast
 from pathlib import Path
@@ -123,3 +124,50 @@ def test_every_definition_is_reached_from_the_program():
                for path in sorted(PACKAGE.glob("*.py"))}
     users = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
     assert unreferenced_definitions(modules, users) == []
+
+
+def duplicate_bodies(modules: dict) -> list:
+    """Functions of `modules` (file name -> source) whose bodies are the
+    same AST, a leading docstring aside, as groups of "file: name".
+
+    Methods and nested functions count; names, arguments and line
+    numbers do not.
+    """
+    groups = {}
+    for fname, src in modules.items():
+        for node in ast.walk(ast.parse(src)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = node.body
+            if ast.get_docstring(node, clean=False) is not None:
+                body = body[1:]
+            key = "\n".join(ast.dump(stmt) for stmt in body)
+            groups.setdefault(key, []).append(f"{fname}: {node.name}")
+    return [names for names in groups.values() if len(names) > 1]
+
+
+def test_duplicate_bodies_are_detected():
+    sample = (
+        "def ones(mask):\n"
+        "    \"\"\"Set bits.\"\"\"\n"
+        "    while mask:\n"
+        "        mask &= mask - 1\n"
+        "\n"
+        "class C:\n"
+        "    def positions(self, mask):\n"
+        "        while mask:\n"
+        "            mask &= mask - 1\n"
+        "\n"
+        "def other(mask):\n"
+        "    while mask:\n"
+        "        mask ^= mask & -mask\n"
+    )
+    assert duplicate_bodies({"m.py": sample}) == [
+        ["m.py: ones", "m.py: positions"]]
+
+
+def test_no_two_functions_have_the_same_body():
+    """A helper is defined once and imported where it is needed."""
+    modules = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert duplicate_bodies(modules) == []

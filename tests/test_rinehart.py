@@ -149,7 +149,7 @@ def test_broken_product_table_detected():
     # z*z = 1 is not associative with the truncation
     table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
              (1, 1): {0: 1}, (1, 2): {}, (2, 2): {}}
-    A = CommAlgebra(3, table, MatrixQ.identity(3), unit=0)
+    A = CommAlgebra(3, table, MatrixQ.identity(3), unit={0: 1})
     rep = check_commutative_associative(A)
     assert rep.passed is False
 

@@ -204,6 +204,31 @@ def test_thm1_inverts_each_twist_once(monkeypatch):
         assert sum(m is twist for m in inverted) <= 1
 
 
+@pytest.mark.parametrize("ah, length", [
+    ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 3),   # a 3-cycle of the basis
+    ([[1, 0, 0], [0, -1, 0], [0, 0, 2]], 2),  # gamma -> -gamma
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1),
+])
+def test_an_orbit_walk_inverts_alpha_on_h_once(monkeypatch, ah, length):
+    """_orbit inverts alpha on H once per walk, not once per step, and
+    returns the orbit of repeated pullback_root steps."""
+    AH = MatrixQ(ah)
+    want = [form3(1)]
+    while (step := pullback_root(want[-1], AH, 1)) != want[0]:
+        want.append(step)
+    assert len(want) == length
+    inverted = []
+    real = MatrixQ.inverse
+
+    def counted(self):
+        inverted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(MatrixQ, "inverse", counted)
+    assert split._orbit(form3(1), AH) == want
+    assert len(inverted) <= 1
+
+
 @pytest.mark.parametrize("rows", [
     [[2, 0], [0, 2]],                        # 2 Id: the inverse is Id / 2
     [[0, -1], [1, 0]],                       # a rotation of order 4
