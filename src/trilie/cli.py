@@ -220,6 +220,16 @@ def _elapsed_line(t0):
     return f"elapsed: {int((time.monotonic() - t0) * 1000)} ms"
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is an input
+    error, as a path that cannot be read is."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 # -- corpus ---------------------------------------------------------------
 
 
@@ -231,8 +241,7 @@ def cmd_corpus(args) -> int:
         raise CliError(str(exc)) from exc
     text = dumps_bundle(B)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.output, text)
         if args.report == "text":
             print(f"wrote {args.output}: {B.name}, dim L = {B.L.n}, "
                   f"dim A = {B.A.dim}")
@@ -512,8 +521,7 @@ def _write_result(args, B: RinehartBundle) -> int:
     }
     text = dumps_bundle(B)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.output, text)
         if args.report == "text":
             print(f"wrote {args.output}: dim L = {B.L.n}, "
                   f"dim A = {B.A.dim}")

@@ -218,15 +218,48 @@ def brackets(alg: Hom3Lie) -> PairRows:
 
     An entry is None where the triple is missing and {} where k repeats
     i or j.  By the even cyclic shift the same entry is [e_k, e_i, e_j].
+    The rows are scattered from the table: a stored or missing triple
+    i < j < k fills its three places (i, j)[k], (j, k)[i] and, with
+    the odd sign, (i, k)[j].
     """
+    n, sc = alg.n, alg.sc
+    half = {pq: [_EMPTY] * n for pq in combinations(range(n), 2)}
+    for i, j, k in sc.missing:
+        half[(i, j)][k] = half[(j, k)][i] = half[(i, k)][j] = None
+    for (i, j, k), vec in sc.table.items():
+        half[(i, j)][k] = half[(j, k)][i] = vec
+        half[(i, k)][j] = sv_scale(vec, -1)
+    return PairRows(n, half)
+
+
+def _alpha_rows(alg: Hom3Lie, br: PairRows) -> dict:
+    """[alpha e_i, alpha e_j, e_m] as a row over m for each pair i < j,
+    from the bracket rows br of alg: the sum of a_pi a_qj [e_p, e_q, e_m]
+    over p, q != p in the supports of alpha e_i and alpha e_j.  An entry
+    is None when a row it reads is None there, as in `trilinear`."""
+    n, rows, acols = alg.n, br.rows, alg._alpha_cols
     half = {}
-    for i, j in combinations(range(alg.n), 2):
-        row = []
-        for k in range(alg.n):
-            vec, sign = alg.sc.lookup(i, j, k)
-            row.append(vec if vec is None or sign == 1 else sv_scale(vec, -1))
-        half[(i, j)] = row
-    return PairRows(alg.n, half)
+    for i, j in combinations(range(n), 2):
+        terms = [(cp * cq, rows[(p, q)]) for p, cp in acols[i].items()
+                 for q, cq in acols[j].items() if p != q]
+        if len(terms) == 1:
+            # alpha monomial on e_i and e_j: one scaled bracket row,
+            # shared as it is when the scale is 1
+            c, row = terms[0]
+            half[(i, j)] = row if c == 1 else [
+                None if v is None else sv_scale(v, c) for v in row]
+            continue
+        out = []
+        for m in range(n):
+            acc = {}
+            for c, row in terms:
+                if row[m] is None:
+                    acc = None
+                    break
+                sv_axpy(acc, c, row[m])
+            out.append(acc)
+        half[(i, j)] = out
+    return half
 
 
 # -- axiom checkers ----------------------------------------------------
@@ -239,8 +272,9 @@ def brackets(alg: Hom3Lie) -> PairRows:
 #
 # where outer[P][m] is [e_m, P] (Jacobi) or [e_m, alpha P] (Hom-Jacobi).
 # The bracket rows and their masks are kept with the algebra; the outer
-# rows of Hom-Jacobi are built once per check with the same masks
-# (`PairRows`).  The masks are indexed by pair, so for each triple a few ORs over the bits of t and
+# rows of Hom-Jacobi are built once per check, as sums of bracket rows
+# (`_alpha_rows`), with the same masks (`PairRows`).  The masks are
+# indexed by pair, so for each triple a few ORs over the bits of t and
 # of the three outer rows Q give every pair at once:
 #
 # - dead: some term reads a None entry.  t_m meets a pair whose outer
@@ -333,12 +367,10 @@ def check_hom_jacobi(alg: Hom3Lie) -> CheckReport:
         + [a(x3),[x1,x2,x4],a(x5)] + [a(x3),a(x4),[x1,x2,x5]]
     with a = alpha.
     """
-    sc, n, acols = alg.sc, alg.n, alg._alpha_cols
+    br = brackets(alg)
     # [alpha e_i, alpha e_j, e_m], which is [e_m, alpha e_i, alpha e_j]
-    aa = PairRows(n, {(i, j): [sc.trilinear(acols[i], acols[j], {m: 1})
-                               for m in range(n)]
-                      for i, j in combinations(range(n), 2)})
-    return _jacobi_residuals(CheckReport("hom-jacobi"), brackets(alg), aa,
+    aa = PairRows(alg.n, _alpha_rows(alg, br))
+    return _jacobi_residuals(CheckReport("hom-jacobi"), br, aa,
                              lambda t, p: {"x": list(p),
                                            "triple": list(t)})
 

@@ -25,6 +25,9 @@ per output index r, of the entries with r in their support; `operand`
 pairs a signed column list with its first two.  `bits` turns a support
 into a mask and `ones` walks a mask's set bits in ascending order, so
 work done bit by bit keeps the order of a loop over every position.
+`ones` walks the mask's bytes through a table of each byte value's
+bits, so its cost is linear in the mask's width, not in the width
+times the number of set bits.
 """
 
 from __future__ import annotations
@@ -659,12 +662,32 @@ def bits(indices) -> int:
     return out
 
 
+# _BYTE_ONES[b]: the set bits of the byte value b, ascending
+_BYTE_ONES = tuple(tuple(k for k in range(8) if b >> k & 1)
+                   for b in range(256))
+
+
 def ones(mask: int):
-    """The indices of the set bits of mask, in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The indices of the set bits of mask, in ascending order.
+
+    Walks the bytes of mask, least significant first, and looks each
+    one up in `_BYTE_ONES`, so a mask of w bits costs O(w / 8) steps
+    plus one per set bit.  A mask with at most four set bits is walked
+    from its lowest set bit instead: four steps of O(w / 64) cost less
+    than the conversion to bytes.
+    """
+    if mask.bit_count() <= 4:
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+        return
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    for at, byte in enumerate(data):
+        if byte:
+            at <<= 3
+            for k in _BYTE_ONES[byte]:
+                yield at + k
 
 
 def masks(cols, dim: int = 0) -> tuple:

@@ -36,9 +36,12 @@ reach arithmetic.
 hr3 takes the instances (p, q) and (q, p) together.  Both compare
 D = rho(alpha p) rho(q) - rho(alpha q) rho(p) with their phi-terms,
 D = Phi(p, q) and -D = Phi(q, p), so D is composed once per unordered
-pair.  The smallest MAX_FAILURES failure keys (p, q, column) are kept
-with a count, so the witnesses are those of a loop over every (p, q)
-in order.  hr4 uses the same product kernel.
+pair.  For each p, two masks over the pairs q > p mark the sides the
+bracket window leaves undetermined; their popcounts are skipped, and
+only the q with a determined side are visited.  The smallest
+MAX_FAILURES failure keys (p, q, column) are kept with a count, so the
+witnesses are those of a loop over every (p, q) in order.  hr4 uses
+the same product kernel.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from itertools import combinations
 from .exactq import (
     MatrixQ,
     SubspaceQ,
-    bits,
     kernel_basis,
     masks,
     mat_columns_sv,
@@ -320,13 +322,39 @@ def _keep(kept: list, key) -> None:
         kept.pop()
 
 
+def _d_masks(ra_p: tuple, op_p, ra_q: tuple, op_q) -> tuple[int, int]:
+    """(undetermined, possibly nonzero) columns of D = rho(alpha p)
+    rho(q) - rho(alpha q) rho(p), op_p and op_q from `masked_ops` or
+    None when not stored."""
+    none = nonzero = 0
+    if op_q is not None:
+        none, nonzero = _product_masks(ra_p, op_q)
+    if op_p is not None:
+        q_none, q_nonzero = _product_masks(ra_q, op_p)
+        none |= q_none
+        nonzero |= q_nonzero
+    return none, nonzero
+
+
 def _check_hr3(br: PairRows, ra: dict, rmp: dict, sparse: dict,
                dim_v: int) -> CheckReport:
     """hr3 over the pairs p <= q, each composing D once for the
-    instances (p, q) and (q, p); see the module docstring."""
+    instances (p, q) and (q, p); see the module docstring.
+
+    Per p, two masks over the pairs q > p settle the sides the bracket
+    window leaves undetermined: (p, q) when row p is None at an index
+    of q (the OR of `holding` over row p's None bits), (q, p) when row
+    q is None at x1 or x2 (`none_at`).  Their popcounts are skipped,
+    and only the q with a determined side are visited, in ascending
+    order.
+    """
     rows, pairs = br.rows, br.pairs
-    dead = [br.masks[pq][0] for pq in pairs]
-    pair_bits = [bits(pq) for pq in pairs]
+    # holding[k]: the pairs that contain k, bit b for pairs[b]
+    holding = [0] * len(br.none_at)
+    for b, (i, j) in enumerate(pairs):
+        holding[i] |= 1 << b
+        holding[j] |= 1 << b
+    every = (1 << len(pairs)) - 1
     kept: list = []
     failed = skipped = checked = 0
     for ip, p in enumerate(pairs):
@@ -338,33 +366,29 @@ def _check_hr3(br: PairRows, ra: dict, rmp: dict, sparse: dict,
             skipped += gaps
             checked -= gaps
         checked += dim_v
-        for iq in range(ip + 1, len(pairs)):
+        after = every >> (ip + 1) << (ip + 1)
+        dead_1 = 0
+        for k in ones(br.masks[p][0]):
+            dead_1 |= holding[k]
+        dead_1 &= after
+        dead_2 = (br.none_at[x1] | br.none_at[x2]) & after
+        skipped += dim_v * (dead_1.bit_count() + dead_2.bit_count())
+        for iq in ones(after & ~(dead_1 & dead_2)):
             # the sides the bracket window determines, as (key,
             # phi-terms, sign of D in rhs - lhs)
+            q = pairs[iq]
             sides = []
-            if pair_bits[iq] & dead[ip]:
-                skipped += dim_v
-            else:
-                x3, x4 = pairs[iq]
+            if not dead_1 >> iq & 1:
+                x3, x4 = q
                 sides.append(((ip, iq), ((row_p[x3], x4, 1),
                                          (row_p[x4], x3, -1)), -1))
-            if pair_bits[ip] & dead[iq]:
-                skipped += dim_v
-            else:
-                row_q = rows[pairs[iq]]
+            if not dead_2 >> iq & 1:
+                row_q = rows[q]
                 sides.append(((iq, ip), ((row_q[x1], x2, 1),
                                          (row_q[x2], x1, -1)), 1))
-            if not sides:
-                continue
             # D = rho(alpha p) rho(q) - rho(alpha q) rho(p)
-            ra_q, op_q = ra[pairs[iq]], sparse.get(pairs[iq])
-            d_none = d_nonzero = 0
-            if op_q is not None:
-                d_none, d_nonzero = _product_masks(ra_p, op_q)
-            if op_p is not None:
-                q_none, q_nonzero = _product_masks(ra_q, op_p)
-                d_none |= q_none
-                d_nonzero |= q_nonzero
+            ra_q, op_q = ra[q], sparse.get(q)
+            d_none, d_nonzero = _d_masks(ra_p, op_p, ra_q, op_q)
             wants = []
             for key, phi, sign in sides:
                 none, nonzero = _phi_masks(rmp, phi)

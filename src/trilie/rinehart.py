@@ -200,13 +200,14 @@ class RinehartBundle:
 
     rep is the Hom representation (rho, phi), built once so that its
     stored reports (hom-rep, hr4 and the anchor derivations) are shared
-    by every suite.  The last three fields hold the reports of
-    check_weak_rinehart and check_full_rinehart and the result of
-    centers once they have run.
+    by every suite.  The last four fields hold the reports of
+    check_weak_rinehart and check_full_rinehart, the result of centers
+    and the frame of split._h_frame (with its H) once they have run.
     """
 
     __slots__ = ("L", "A", "rho", "act", "rep", "name", "L_labels",
-                 "A_labels", "meta", "_weak", "_full", "_centers")
+                 "A_labels", "meta", "_weak", "_full", "_centers",
+                 "_frame")
 
     def __init__(self, L: Hom3Lie, A: CommAlgebra, rho: PairAction,
                  act: ModuleAction, name: str = "",

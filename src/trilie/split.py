@@ -45,7 +45,7 @@ from .exactq import (
     viszero,
     vsub,
 )
-from .report import CheckReport, SuiteReport
+from .report import CheckReport, SuiteReport, stored_on
 from .repmod import op_apply
 from .rinehart import RinehartBundle, centers
 
@@ -165,8 +165,11 @@ class Decomposition:
         self.zero = zero
 
 
+@stored_on("_frame")
 def _h_frame(B: RinehartBundle, H: SubspaceQ):
-    """Validate H; return (its basis as sparse vectors, alpha on H)."""
+    """Validate H; return (its basis as sparse vectors, alpha on H),
+    kept with the bundle while H is the same object, so the root and
+    the weight decompositions validate H once."""
     n = B.L.n
     if H.ambient != n:
         raise ValueError("H does not live in L")

@@ -164,6 +164,22 @@ def test_check_missing_file_exits_two(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_corpus_to_an_unwritable_path_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "d4.json"
+    code, out, err = run(capsys, "corpus", "d4", "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+def test_construct_to_an_unwritable_path_exits_two(tmp_path, capsys):
+    path = corpus_file(tmp_path, capsys, "d4")
+    target = tmp_path / "missing" / "tensor.json"
+    code, out, err = run(capsys, "construct", "tensor", path,
+                         "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
 # -- decompose and connect ---------------------------------------------------
 
 
@@ -522,6 +538,39 @@ def test_law_reports_match_their_pinned_bytes(tmp_path, capsys, name,
                            "--report", "json")
         got[suite] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert got == LAW_PINS[name, option, value]
+
+
+# The write path: SHA-256 of the bundle `construct tensor` writes for
+# tb-rinehart at degree cap 3 (the 32/4 tensor, its flags measured
+# before it is written), and (exit code, SHA-256 of `check --suite
+# SUITE --report json`) on that file, which verifies the flags on load.
+# Pinned before the law kernels walked masks byte by byte, settled
+# hr3's undetermined pairs per p and built Hom-Jacobi's alpha rows from
+# the bracket rows.
+TENSOR_PIN = ("19db826dc22385460056dfeec87c67c8"
+              "307bb054c607aad07a48a2de73036f01")
+TENSOR_CHECK_PINS = {
+    "core": (1, "2e25c8561a9662dea4c954cfed8ee27b"
+                "3a1cd62a62b134f6ede5b77c7c33eb58"),
+    "rep": (0, "0ec318884cc762769ff318aa16d4b737"
+               "157f1d13a584e0a9118d8fd13179e1b8"),
+}
+
+
+def test_tensor_output_and_its_reports_match_their_pinned_bytes(
+        tmp_path, capsys):
+    path = corpus_file(tmp_path, capsys, "tb-rinehart", "--degree-cap", "3")
+    out_path = tmp_path / "tensor.json"
+    code, _, err = run(capsys, "construct", "tensor", path,
+                       "-o", str(out_path))
+    assert code == 0, err
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == TENSOR_PIN
+    got = {}
+    for suite in TENSOR_CHECK_PINS:
+        code, out, _ = run(capsys, "check", str(out_path), "--suite", suite,
+                           "--report", "json")
+        got[suite] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == TENSOR_CHECK_PINS
 
 
 # -- construct ---------------------------------------------------------------

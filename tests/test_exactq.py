@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trilie.exactq import (
     MatrixQ,
@@ -237,7 +237,28 @@ def test_subspace_dimension_formula():
         assert u.contains_space(i) and v.contains_space(i)
 
 
-@given(st.sets(st.integers(0, 130)))
+@given(st.sets(st.integers(0, 3000)))
+# single bits and 2^k - 1 on both sides of byte and machine-word edges,
+# which the byte walk of ones must join, and four and five set bits,
+# on either side of its walk from the lowest bit
+@example(set())
+@example({0})
+@example({7})
+@example({8})
+@example({63})
+@example({64})
+@example({65})
+@example({0, 7, 8, 63, 64, 65})
+@example({7, 8, 63, 64})
+@example({7, 8, 63, 64, 65})
+@example({2999})
+@example(set(range(7)))
+@example(set(range(8)))
+@example(set(range(9)))
+@example(set(range(63)))
+@example(set(range(64)))
+@example(set(range(65)))
+@example(set(range(2556)))
 def test_bits_and_ones_are_inverse(indices):
     mask = bits(indices)
     assert mask == sum(1 << i for i in indices)

@@ -30,7 +30,7 @@ from trilie.core3lie import (
     check_jacobi,
 )
 from trilie.corpus import generate
-from trilie.exactq import mat_columns_sv, sv_axpy, sv_scale
+from trilie.exactq import MatrixQ, mat_columns_sv, sv_axpy, sv_scale
 from trilie.report import MAX_FAILURES, CheckReport, SuiteReport
 from trilie.repmod import (
     HomRepresentation,
@@ -548,6 +548,58 @@ def test_kernels_match_the_references_on_perturbed_bundles(B):
     assert_same_reports(B)
 
 
+def lookup_rows(alg) -> dict:
+    """[e_i, e_j, e_k] as a row over k for every ordered pair i != j,
+    one `lookup` per entry."""
+    rows = {}
+    for i, j in combinations(range(alg.n), 2):
+        row = []
+        for k in range(alg.n):
+            vec, sign = alg.sc.lookup(i, j, k)
+            row.append(vec if vec is None or sign == 1 else sv_scale(vec, -1))
+        rows[(i, j)] = row
+        rows[(j, i)] = [None if v is None else sv_scale(v, -1) for v in row]
+    return rows
+
+
+_SHEAR = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), 3, -1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_bundles(), st.data())
+def test_alpha_rows_match_the_references_with_a_sheared_alpha(B, data):
+    """The alpha of each base has one entry per column, all 1 or all
+    -1, so each alpha row of Hom-Jacobi is a bracket row as it is.
+    alpha T, T a random diagonal with one or two entries added off the
+    diagonal of one or two columns, scales the other columns and gives
+    these two or three entries, so the alpha rows scale a bracket row
+    or sum several.  They, the bracket rows and the Hom-Jacobi and
+    hom-rep reports must match the references."""
+    n = B.L.n
+    T = [[data.draw(_COEFF) if r == c else 0 for c in range(n)]
+         for r in range(n)]
+    for b in data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=2, unique=True)):
+        others = [a for a in range(n) if a != b]
+        for a in data.draw(st.lists(st.sampled_from(others), min_size=1,
+                                    max_size=2, unique=True)):
+            T[a][b] = data.draw(_SHEAR)
+    L = Hom3Lie(B.L.sc, B.L.alpha @ MatrixQ(T))
+    acols = L._alpha_cols
+    assert max(len(col) for col in acols) >= 2
+    br = core3lie.brackets(L)
+    assert br.rows == lookup_rows(L)
+    assert core3lie._alpha_rows(L, br) == {
+        (i, j): [L.sc.trilinear(acols[i], acols[j], {m: 1})
+                 for m in range(n)]
+        for i, j in combinations(range(n), 2)}
+    assert (check_hom_jacobi(L).to_dict()
+            == reference_hom_jacobi(L).to_dict())
+    rep = HomRepresentation(B.rho, B.A.phi)
+    assert (check_hom_rep(L, rep).to_dict()
+            == reference_hom_rep(L, rep).to_dict())
+
+
 def test_one_changed_anchor_column_fails_many_instances():
     """The corpus fails no hr1-hr3 or hd1/hd2 instance.  One changed
     anchor column of tprime-split fails more instances of hr2, hr3 and
@@ -666,6 +718,45 @@ def test_law_kernels_reach_arithmetic_only_on_live_instances(monkeypatch):
     assert legs["check_action_rho_compat"] == 1509
     assert (compat.checked, compat.skipped, compat.failure_count) == (
         3656, 71411, 933)
+
+
+def test_hr3_visits_only_the_pairs_with_a_determined_side(monkeypatch):
+    """On the 32/4 tensor of tb-rinehart at degree cap 3, 11,184 of the
+    122,760 pairs p < q have a side (p, q) or (q, p) that the bracket
+    window determines.  hr3 counts the rest per p by popcount and
+    composes D's masks for those 11,184 alone."""
+    B = generate("tb-rinehart", degree_cap=3)
+    G = tensor_extension(B.L, B.A, B.rep)
+    L = Hom3Lie(G.L.sc, G.L.alpha)
+    rep = HomRepresentation(G.rho, G.A.phi)
+    visits = _count_calls(monkeypatch, repmod, "_d_masks")
+    hr3 = check_hom_rep(L, rep).find("hr3")
+    br = core3lie.brackets(L)
+    rows = br.rows
+
+    def determined(p, q):
+        return rows[p][q[0]] is not None and rows[p][q[1]] is not None
+
+    pairs = list(combinations(br.pairs, 2))
+    live = sum(determined(p, q) or determined(q, p) for p, q in pairs)
+    assert (len(pairs), live) == (122760, 11184)
+    assert visits["_check_hr3"] == 11184
+    assert hr3.checked + hr3.skipped == len(br.pairs) ** 2 * G.A.dim
+
+
+def test_hom_jacobi_takes_its_alpha_rows_from_the_bracket_rows(
+        monkeypatch):
+    """The alpha rows [alpha e_i, alpha e_j, e_m] are sums of stored
+    bracket rows: on the 32/4 tensor of tb-rinehart at degree cap 3
+    Hom-Jacobi makes no `trilinear` call, where one per entry made
+    15,872."""
+    B = generate("tb-rinehart", degree_cap=3)
+    G = tensor_extension(B.L, B.A, B.rep)
+    L = Hom3Lie(G.L.sc, G.L.alpha)
+    calls = _count_calls(monkeypatch, StructureConstants3, "trilinear")
+    hom_jacobi = check_hom_jacobi(L)
+    assert not calls
+    assert hom_jacobi.checked + hom_jacobi.skipped == 4960 * 496
 
 
 def test_action_rho_compat_keeps_its_first_witnesses_in_order():

@@ -13,6 +13,8 @@ from itertools import (combinations, combinations_with_replacement,
 import pytest
 
 from trilie import split
+from trilie.bundleio import dumps_bundle
+from trilie.cli import main
 from trilie.construct import bundle_direct_sum
 from trilie.core3lie import Hom3Lie, StructureConstants3, center
 from trilie.corpus import (
@@ -202,6 +204,26 @@ def test_thm1_inverts_each_twist_once(monkeypatch):
     assert got.to_dict() == want.to_dict()
     for twist in (B.L.alpha, B.A.phi):
         assert sum(m is twist for m in inverted) <= 1
+
+
+def test_decompose_validates_h_once(tmp_path, capsys, monkeypatch):
+    """The root and the weight decompositions share one frame of H, so
+    one `decompose` asks once whether alpha is invertible (the frame
+    was built for each of them, twice)."""
+    path = tmp_path / "two-block.json"
+    path.write_text(dumps_bundle(two_block(1)), encoding="utf-8")
+    alpha = two_block(1).L.alpha
+    asked = []
+    real = MatrixQ.is_invertible
+
+    def counted(self):
+        asked.append(self)
+        return real(self)
+
+    monkeypatch.setattr(MatrixQ, "is_invertible", counted)
+    assert main(["decompose", str(path), "--report", "json"]) == 0
+    capsys.readouterr()
+    assert sum(m == alpha for m in asked) == 1
 
 
 @pytest.mark.parametrize("ah, length", [
