@@ -242,13 +242,6 @@ def _alpha_rows(alg: Hom3Lie, br: PairRows) -> dict:
     for i, j in combinations(range(n), 2):
         terms = [(cp * cq, rows[(p, q)]) for p, cp in acols[i].items()
                  for q, cq in acols[j].items() if p != q]
-        if len(terms) == 1:
-            # alpha monomial on e_i and e_j: one scaled bracket row,
-            # shared as it is when the scale is 1
-            c, row = terms[0]
-            half[(i, j)] = row if c == 1 else [
-                None if v is None else sv_scale(v, c) for v in row]
-            continue
         out = []
         for m in range(n):
             acc = {}
