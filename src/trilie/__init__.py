@@ -3,7 +3,7 @@
 Everything is computed over Q.  The package provides:
 
 * exactq     -- rational linear algebra (matrices, subspaces, spectra)
-* symfun     -- exponential polynomials and the Jacobian 3-bracket
+* symfun     -- monic monomial keys and the closed-form Jacobian 3-bracket
 * core3lie   -- structure constants, (Hom) 3-Lie axioms, centers
 * repmod     -- pair actions and (Hom) representation axioms
 * rinehart   -- bundles, anchor laws, derivation checks, identity suite

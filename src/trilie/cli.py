@@ -30,6 +30,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from itertools import combinations_with_replacement
 
 from . import corpus
@@ -230,23 +231,52 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
+@contextmanager
+def _output_claimed(path: str | None):
+    """Open the output file before the work that fills it, so that a
+    path which cannot be written is refused first.
+
+    The file is opened for append, which creates a missing file and
+    leaves an existing one as it is until `_write_text` writes it.  If
+    the work then fails before the text is written, a file created here
+    is still empty and is removed again; a failure after the write,
+    such as a closed stdout for the summary line, keeps the file.
+    """
+    if not path:
+        yield
+        return
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+    try:
+        yield
+    except BaseException:
+        if (not existed and os.path.isfile(path)
+                and not os.path.getsize(path)):
+            os.remove(path)
+        raise
+
+
 # -- corpus ---------------------------------------------------------------
 
 
 def cmd_corpus(args) -> int:
-    try:
-        B = corpus.generate(args.name, degree_cap=args.degree_cap,
-                            window=args.window, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    text = dumps_bundle(B)
-    if args.output:
-        _write_text(args.output, text)
-        if args.report == "text":
-            print(f"wrote {args.output}: {B.name}, dim L = {B.L.n}, "
-                  f"dim A = {B.A.dim}")
-    else:
-        sys.stdout.write(text)
+    with _output_claimed(args.output):
+        try:
+            B = corpus.generate(args.name, degree_cap=args.degree_cap,
+                                window=args.window, seed=args.seed)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+        text = dumps_bundle(B)
+        if args.output:
+            _write_text(args.output, text)
+            if args.report == "text":
+                print(f"wrote {args.output}: {B.name}, dim L = {B.L.n}, "
+                      f"dim A = {B.A.dim}")
+        else:
+            sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -531,6 +561,11 @@ def _write_result(args, B: RinehartBundle) -> int:
 
 
 def cmd_construct(args) -> int:
+    with _output_claimed(args.output):
+        return _construct(args)
+
+
+def _construct(args) -> int:
     if args.kind == "twist":
         if args.seed is not None:
             base, inp = corpus.twist_family(args.seed)

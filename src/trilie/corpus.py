@@ -1,10 +1,13 @@
 """Built-in example bundles and seeded construction families.
 
 Every generator returns a finite-dimensional RinehartBundle whose basis
-is a list of exponential-polynomial monomials (or an abstract table for
-the small hand-built algebras).  Products, brackets and anchors are
-computed symbolically; results that leave the chosen window are stored
-as missing entries, never silently dropped or truncated.
+is a list of monic monomials x^a y^b z^c e^{kz}, held as their exponent
+keys (or an abstract table for the small hand-built algebras).  A
+product of two basis monomials is the sum of their keys, and a bracket
+or anchor value is the closed-form Jacobian bracket of three keys (see
+`symfun`): at most two terms with integer coefficients.  Results that
+leave the chosen window are stored as missing entries, never silently
+dropped or truncated.
 
 Basis orderings are fixed and documented per generator, so identical
 parameters always produce identical bundles.
@@ -20,7 +23,7 @@ from .core3lie import Hom3Lie, StructureConstants3
 from .exactq import MatrixQ, mat_from_columns_sv, qnorm
 from .repmod import PairAction
 from .rinehart import CommAlgebra, ModuleAction, RinehartBundle
-from .symfun import ONE, X, Y, ExpPoly, jacobian_bracket
+from .symfun import jacobian_terms, key_product, key_text
 
 MAX_DEGREE = 6
 MAX_WINDOW = 6
@@ -37,85 +40,94 @@ CORPUS_NAMES = (
 )
 
 
-def _label(p: ExpPoly) -> str:
-    text = p.to_text()
-    return text[4:] if text.startswith("1 * ") else text
-
-
 class _Basis:
-    """Ordered monomial basis with coordinate read-off.
+    """Ordered basis of monic monomials, given by their exponent keys.
 
-    Every element must be a single monomial with coefficient one, so a
-    polynomial's coordinates are read directly from its term keys; a
-    term key outside the basis means the value left the window.
+    A value's coordinates are read off its terms by one lookup per
+    term; a term key outside the basis means the value left the window.
     """
 
-    __slots__ = ("polys", "keymap", "labels")
+    __slots__ = ("keys", "index", "labels")
 
-    def __init__(self, polys):
-        self.polys = list(polys)
-        self.keymap = {}
-        for idx, p in enumerate(self.polys):
-            if len(p.terms) != 1:
-                raise ValueError("basis element is not a monomial")
-            (key, coeff), = p.terms.items()
-            if coeff != 1:
-                raise ValueError("basis monomial is not monic")
-            if key in self.keymap:
+    def __init__(self, keys):
+        self.keys = list(keys)
+        self.index = {}
+        for idx, key in enumerate(self.keys):
+            if key in self.index:
                 raise ValueError("duplicate basis monomial")
-            self.keymap[key] = idx
-        self.labels = tuple(_label(p) for p in self.polys)
+            self.index[key] = idx
+        self.labels = tuple(key_text(key) for key in self.keys)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self.keys)
 
-    def coords(self, p: ExpPoly):
+    def coords(self, terms):
+        """The coordinates of a sum of (key, coefficient) terms with
+        distinct keys, or None when a key lies outside the basis."""
         out = {}
-        for key, coeff in p.terms.items():
-            idx = self.keymap.get(key)
+        for key, coeff in terms:
+            idx = self.index.get(key)
             if idx is None:
                 return None
-            out[idx] = qnorm(coeff)
+            out[idx] = coeff
         return out
 
+    def product(self, key, other):
+        """The coordinates of the product of two monic monomials."""
+        return self.coords(((key_product(key, other), 1),))
 
-def _function_bundle(name: str, l_polys, a_polys, alpha_sign: int,
+
+def _anchor_columns(lb: _Basis, ab: _Basis, sign: int, offset: int,
+                    dim: int) -> dict:
+    """The anchor rho(e_i, e_j) a = sign [e_i, e_j, a] on the basis ab,
+    placed at indices offset.. of an algebra of dimension dim, whose
+    other columns are zero; pairs whose columns all vanish are left
+    out."""
+    ops = {}
+    for i, j in combinations(range(len(lb)), 2):
+        ki, kj = lb.keys[i], lb.keys[j]
+        cols = [{} for _ in range(dim)]
+        for a, ka in enumerate(ab.keys):
+            col = ab.coords((key, sign * c)
+                            for key, c in jacobian_terms(ki, kj, ka))
+            cols[a + offset] = col if col is None else {
+                p + offset: c for p, c in col.items()}
+        if any(c is None or c for c in cols):
+            ops[(i, j)] = cols
+    return ops
+
+
+def _action_table(lb: _Basis, ab: _Basis, offset: int) -> dict:
+    """a . x = a x for the basis ab placed at indices offset.. of A;
+    zero products are left out, those leaving the window are None."""
+    table = {}
+    for a, ka in enumerate(ab.keys):
+        for x, kx in enumerate(lb.keys):
+            vec = lb.product(ka, kx)
+            if vec is None or vec:
+                table[(a + offset, x)] = vec
+    return table
+
+
+def _function_bundle(name: str, l_keys, a_keys, alpha_sign: int,
                      rho_sign: int, meta=None) -> RinehartBundle:
     """Assemble a bundle from monomial bases via the Jacobian bracket."""
-    lb, ab = _Basis(l_polys), _Basis(a_polys)
+    lb, ab = _Basis(l_keys), _Basis(a_keys)
     n, m = len(lb), len(ab)
 
     sc = _bracket_table(lb)
     alpha = MatrixQ.identity(n).scale(alpha_sign)
 
     prod = {}
-    for i in range(m):
+    for i, ki in enumerate(ab.keys):
         for j in range(i, m):
-            prod[(i, j)] = ab.coords(ab.polys[i] * ab.polys[j])
-    unit = ab.coords(ONE)
+            prod[(i, j)] = ab.product(ki, ab.keys[j])
+    unit = ab.coords([((0, 0, 0, 0), 1)])
     if unit is None:
         raise ValueError("unit is outside the algebra window")
     A = CommAlgebra(m, prod, MatrixQ.identity(m), unit)
-
-    ops = {}
-    for i, j in combinations(range(n), 2):
-        cols = []
-        for a in range(m):
-            val = jacobian_bracket(lb.polys[i], lb.polys[j],
-                                   ab.polys[a])
-            cols.append(ab.coords(val.scale(rho_sign)))
-        if any(c is None or c for c in cols):
-            ops[(i, j)] = cols
-    rho = PairAction(n, m, ops)
-
-    act_table = {}
-    for a in range(m):
-        for x in range(n):
-            vec = lb.coords(ab.polys[a] * lb.polys[x])
-            if vec is None or vec:
-                act_table[(a, x)] = vec
-    act = ModuleAction(m, n, act_table)
-
+    rho = PairAction(n, m, _anchor_columns(lb, ab, rho_sign, 0, m))
+    act = ModuleAction(m, n, _action_table(lb, ab, 0))
     return RinehartBundle(Hom3Lie(sc, alpha), A, rho, act, name=name,
                           L_labels=lb.labels, A_labels=ab.labels,
                           meta=meta)
@@ -125,9 +137,9 @@ def _bracket_table(lb: _Basis) -> StructureConstants3:
     """Jacobian brackets of the basis triples; those leaving the window
     are missing."""
     table, missing = {}, []
+    keys = lb.keys
     for i, j, k in combinations(range(len(lb)), 3):
-        vec = lb.coords(jacobian_bracket(lb.polys[i], lb.polys[j],
-                                         lb.polys[k]))
+        vec = lb.coords(jacobian_terms(keys[i], keys[j], keys[k]))
         if vec is None:
             missing.append((i, j, k))
         elif vec:
@@ -138,13 +150,12 @@ def _bracket_table(lb: _Basis) -> StructureConstants3:
 def _exp_bases(K: int):
     """L-basis x, y, then x e^{kz}, y e^{kz}, x e^{-kz}, y e^{-kz} for
     k = 1..K; A-basis 1, e^{z}, e^{-z}, ..., e^{-Kz}."""
-    l_polys, a_polys = [X, Y], [ONE]
+    l_keys, a_keys = [(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 0, 0, 0)]
     for k in range(1, K + 1):
         for s in (k, -k):
-            e = ExpPoly.exp(s)
-            l_polys += [X * e, Y * e]
-            a_polys.append(e)
-    return l_polys, a_polys
+            l_keys += [(1, 0, 0, s), (0, 1, 0, s)]
+            a_keys.append((0, 0, 0, s))
+    return l_keys, a_keys
 
 
 def _check_bounds(value: int, cap: int, what: str, low: int = 0) -> int:
@@ -155,13 +166,14 @@ def _check_bounds(value: int, cap: int, what: str, low: int = 0) -> int:
 
 
 def _poly_monomials(degree: int):
-    """All monic monomials in x, y, z up to total degree, 1 first."""
+    """The keys of all monic monomials in x, y, z up to total degree,
+    1 first."""
     keys = []
     for total in range(degree + 1):
         for a in range(total, -1, -1):
             for b in range(total - a, -1, -1):
                 keys.append((a, b, total - a - b, 0))
-    return [ExpPoly({key: 1}) for key in keys]
+    return keys
 
 
 def jacobian_weak(degree_cap: int = 3) -> RinehartBundle:
@@ -173,21 +185,19 @@ def jacobian_weak(degree_cap: int = 3) -> RinehartBundle:
     so the weak laws hold and the full laws fail.
     """
     d = _check_bounds(degree_cap, MAX_DEGREE, "degree cap")
-    polys = _poly_monomials(d)
+    keys = _poly_monomials(d)
     flags = {"jacobi": True, "hom_jacobi": True, "multiplicative": True,
              "weak_rinehart": True, "full_rinehart": False}
-    return _function_bundle("jacobian-weak", polys, polys, 1, 1,
+    return _function_bundle("jacobian-weak", keys, keys, 1, 1,
                             meta={"degree_cap": d, "flags": flags})
 
 
 def _tb_bases(degree_cap: int):
-    t_polys = []
+    t_keys = []
     for i in range(degree_cap + 1):
-        zi = ExpPoly({(0, 0, i, 0): 1})
-        t_polys.append(X * zi)
-        t_polys.append(Y * zi)
-    b_polys = [ExpPoly({(0, 0, i, 0): 1}) for i in range(degree_cap + 1)]
-    return t_polys, b_polys
+        t_keys += [(1, 0, i, 0), (0, 1, i, 0)]
+    b_keys = [(0, 0, i, 0) for i in range(degree_cap + 1)]
+    return t_keys, b_keys
 
 
 def tb_rinehart(degree_cap: int = 3) -> RinehartBundle:
@@ -198,10 +208,10 @@ def tb_rinehart(degree_cap: int = 3) -> RinehartBundle:
     passes.
     """
     d = _check_bounds(degree_cap, MAX_DEGREE, "degree cap")
-    t_polys, b_polys = _tb_bases(d)
+    t_keys, b_keys = _tb_bases(d)
     flags = {"jacobi": True, "hom_jacobi": True, "multiplicative": True,
              "weak_rinehart": True, "full_rinehart": True}
-    return _function_bundle("tb-rinehart", t_polys, b_polys, 1, 1,
+    return _function_bundle("tb-rinehart", t_keys, b_keys, 1, 1,
                             meta={"degree_cap": d, "flags": flags})
 
 
@@ -218,12 +228,8 @@ def l1_hom(degree_cap: int = 1, window: int = 1) -> RinehartBundle:
     freqs = [0]
     for k in range(1, K + 1):
         freqs.extend((k, -k))
-    polys = []
-    for k in freqs:
-        for total in range(d + 1):
-            for a in range(total, -1, -1):
-                polys.append(ExpPoly({(a, total - a, 0, k): 1}))
-    lb = _Basis(polys)
+    lb = _Basis((a, total - a, 0, k) for k in freqs
+                for total in range(d + 1) for a in range(total, -1, -1))
     n = len(lb)
     alg = Hom3Lie(_bracket_table(lb), MatrixQ.identity(n).scale(-1))
     A = CommAlgebra(1, {(0, 0): {0: 1}}, MatrixQ.identity(1), {0: 1})
@@ -249,16 +255,16 @@ def rho_prime(degree_cap: int = 3, window: int | None = None
     """
     if window is None:
         d = _check_bounds(degree_cap, MAX_DEGREE, "degree cap")
-        polys = _poly_monomials(d)
+        keys = _poly_monomials(d)
         flags = {"hom_jacobi": True, "multiplicative": True,
                  "weak_rinehart": True, "full_rinehart": False}
-        return _function_bundle("rho-prime", polys, polys, -1, -1,
+        return _function_bundle("rho-prime", keys, keys, -1, -1,
                                 meta={"degree_cap": d, "flags": flags})
     K = _check_bounds(window, MAX_WINDOW, "window")
-    t_polys, b_polys = _tb_bases(K)
+    t_keys, b_keys = _tb_bases(K)
     flags = {"hom_jacobi": True, "multiplicative": True,
              "weak_rinehart": True, "full_rinehart": True}
-    return _function_bundle("rho-prime", t_polys, b_polys, -1, -1,
+    return _function_bundle("rho-prime", t_keys, b_keys, -1, -1,
                             meta={"window": K, "flags": flags})
 
 
@@ -275,14 +281,14 @@ def tprime_split(window: int = 3) -> RinehartBundle:
     K = _check_bounds(window, MAX_WINDOW, "window")
     if K < 1:
         raise ValueError("window 0 leaves no graded part")
-    l_polys, a_polys = _exp_bases(K)
-    l_polys.insert(2, ONE)
+    l_keys, a_keys = _exp_bases(K)
+    l_keys.insert(2, (0, 0, 0, 0))
     meta = {"window": K,
             "H": [[1 if c == r else 0 for c in range(3 + 4 * K)]
                   for r in range(3)],
             "flags": {"hom_jacobi": True, "multiplicative": True,
                       "weak_rinehart": True, "full_rinehart": True}}
-    return _function_bundle("tprime-split", l_polys, a_polys, -1, -1,
+    return _function_bundle("tprime-split", l_keys, a_keys, -1, -1,
                             meta=meta)
 
 
@@ -309,7 +315,7 @@ def toy_split(window: int = 0) -> RinehartBundle:
         return RinehartBundle(alg, A, rho, act, name="toy-split",
                               L_labels=("h1", "h2", "u"),
                               A_labels=("1",), meta=meta)
-    l_polys, a_polys = _exp_bases(K)
+    l_keys, a_keys = _exp_bases(K)
     n = 2 + 4 * K
     meta = {"window": K,
             "H": [[1 if c == r else 0 for c in range(n)]
@@ -317,7 +323,7 @@ def toy_split(window: int = 0) -> RinehartBundle:
             "flags": {"jacobi": True, "hom_jacobi": True,
                       "multiplicative": True, "weak_rinehart": True,
                       "full_rinehart": True}}
-    return _function_bundle("toy-split", l_polys, a_polys, 1, 1,
+    return _function_bundle("toy-split", l_keys, a_keys, 1, 1,
                             meta=meta)
 
 
@@ -370,34 +376,9 @@ def _toy_factor_over(A: CommAlgebra, alg: Hom3Lie, lb: _Basis,
     """The toy bundle on alg acting through one factor of the product
     algebra A: basis indices a_offset.. of A are the basis ab of this
     factor, and the other factor multiplies to zero on this summand."""
-    n, span = len(lb), len(ab)
-    ops = {}
-    for i, j in combinations(range(n), 2):
-        cols = []
-        for a in range(A.dim):
-            local = a - a_offset
-            if not 0 <= local < span:
-                cols.append({})
-                continue
-            val = jacobian_bracket(lb.polys[i], lb.polys[j],
-                                   ab.polys[local])
-            col = ab.coords(val)
-            cols.append(None if col is None else
-                        {p + a_offset: c for p, c in col.items()})
-        if any(c is None or c for c in cols):
-            ops[(i, j)] = cols
-    rho = PairAction(n, A.dim, ops)
-
-    act_table = {}
-    for a in range(A.dim):
-        local = a - a_offset
-        if not 0 <= local < span:
-            continue
-        for x in range(n):
-            vec = lb.coords(ab.polys[local] * lb.polys[x])
-            if vec is None or vec:
-                act_table[(a, x)] = vec
-    act = ModuleAction(A.dim, n, act_table)
+    n = len(lb)
+    rho = PairAction(n, A.dim, _anchor_columns(lb, ab, 1, a_offset, A.dim))
+    act = ModuleAction(A.dim, n, _action_table(lb, ab, a_offset))
     return RinehartBundle(alg, A, rho, act, name=tag,
                           L_labels=tuple(f"{s}{tag}" for s in lb.labels))
 
@@ -413,15 +394,14 @@ def two_block_factors(window: int = 1
     of the action of A on the sum of the blocks is zero.
     """
     K = _check_bounds(window, MAX_WINDOW, "window", low=1)
-    l_polys, a_polys = _exp_bases(K)
-    lb, ab = _Basis(l_polys), _Basis(a_polys)
+    lb, ab = (_Basis(keys) for keys in _exp_bases(K))
     span = len(ab)
     m = 2 * span
     prod = {}
     for offset in (0, span):
         for i in range(span):
             for j in range(i, span):
-                vec = ab.coords(a_polys[i] * a_polys[j])
+                vec = ab.product(ab.keys[i], ab.keys[j])
                 key = (i + offset, j + offset)
                 if vec is None:
                     prod[key] = None
@@ -455,7 +435,27 @@ def two_block(window: int = 1) -> RinehartBundle:
 def generate(name: str, degree_cap: int | None = None,
              window: int | None = None,
              seed: int | None = None) -> RinehartBundle:
-    """Build a named corpus bundle; unknown names raise ValueError."""
+    """Build a named corpus bundle.
+
+    An unknown name, or an option the named bundle does not read,
+    raises ValueError: no bundle reads a seed, and rho-prime reads its
+    degree cap only without a window.
+    """
+    if name not in CORPUS_NAMES:
+        raise ValueError(f"unknown corpus name {name!r}")
+    reads, bundle = ("window",), name
+    if name in ("jacobian-weak", "tb-rinehart"):
+        reads = ("degree-cap",)
+    elif name == "l1-hom":
+        reads = ("degree-cap", "window")
+    elif name == "rho-prime" and window is None:
+        reads = ("degree-cap",)
+    elif name == "rho-prime":
+        bundle = "rho-prime with --window"
+    for option, value in (("degree-cap", degree_cap), ("window", window),
+                          ("seed", seed)):
+        if value is not None and option not in reads:
+            raise ValueError(f"corpus {bundle} does not read --{option}")
     if name == "jacobian-weak":
         return jacobian_weak(3 if degree_cap is None else degree_cap)
     if name == "tb-rinehart":
@@ -471,9 +471,7 @@ def generate(name: str, degree_cap: int | None = None,
         return toy_split(0 if window is None else window)
     if name == "d4":
         return d4_bundle(2 if window is None else window)
-    if name == "two-block":
-        return two_block(1 if window is None else window)
-    raise ValueError(f"unknown corpus name {name!r}")
+    return two_block(1 if window is None else window)
 
 
 # -- seeded families for the construction regressions ---------------------

@@ -1,193 +1,66 @@
-"""Exponential polynomials in x, y, z with rational coefficients.
+"""Monic monomials x^a y^b z^c e^{kz} and the Jacobian bracket on them.
 
-Elements are finite sums of terms ``c * x^a y^b z^c e^{k z}`` with
-natural powers a, b, c and integer frequency k.  This ring is closed
-under products, partial derivatives and the Jacobian determinant
-bracket, which covers every function that the function-space examples
-actually touch.
+A monomial is its exponent key (a, b, c, k): natural powers a, b, c
+and an integer frequency k.  Every basis element of the function-space
+examples is such a monomial, and so is every product of two of them:
+their keys add.
+
+The ternary bracket is the Jacobian determinant det d(f,g,h)/d(x,y,z)
+(Filippov's 3-Lie algebra on functions).  On monomials it has a closed
+form.  With f_i = x^{a_i} y^{b_i} z^{c_i} e^{k_i z}, d/dx f_i = a_i f_i/x,
+d/dy f_i = b_i f_i/y and d/dz f_i = (c_i/z + k_i) f_i, so with A, B, C,
+K the sums of the a_i, b_i, c_i, k_i
+
+    J(f_1, f_2, f_3) = det[a b c] x^{A-1} y^{B-1} z^{C-1} e^{Kz}
+                     + det[a b k] x^{A-1} y^{B-1} z^{C} e^{Kz}.
+
+A zero sum A, B or C is a zero column, whose determinant is 0, so no
+term with a negative power is ever produced.  The general bracket on
+sums of monomials is kept in the tests as the reference for this one.
 """
 
 from __future__ import annotations
-
-from .exactq import Q, qnorm, qparse, qstr
 
 # term key: (a, b, c, k) standing for x^a y^b z^c e^{kz}
 Key = tuple[int, int, int, int]
 
 
-class ExpPoly:
-    """Immutable finite sum of monomials x^a y^b z^c e^{kz}."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Key, Q] | None = None):
-        clean: dict[Key, Q] = {}
-        if terms:
-            for key, coeff in terms.items():
-                a, b, c, k = key
-                if a < 0 or b < 0 or c < 0:
-                    raise ValueError(f"negative power in term key {key}")
-                coeff = qnorm(coeff)
-                if coeff != 0:
-                    clean[(int(a), int(b), int(c), int(k))] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExpPoly is immutable")
-
-    # -- constructors ------------------------------------------------
-
-    @staticmethod
-    def zero() -> "ExpPoly":
-        return ExpPoly({})
-
-    @staticmethod
-    def const(value) -> "ExpPoly":
-        return ExpPoly({(0, 0, 0, 0): qparse(value)})
-
-    @staticmethod
-    def var(name: str) -> "ExpPoly":
-        try:
-            pos = "xyz".index(name)
-        except ValueError:
-            raise ValueError(f"unknown variable {name!r}") from None
-        key = [0, 0, 0, 0]
-        key[pos] = 1
-        return ExpPoly({tuple(key): 1})
-
-    @staticmethod
-    def exp(k: int) -> "ExpPoly":
-        """e^{kz}."""
-        return ExpPoly({(0, 0, 0, int(k)): 1})
-
-    # -- ring structure ----------------------------------------------
-
-    def __add__(self, other: "ExpPoly") -> "ExpPoly":
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = qnorm(out.get(key, 0) + coeff)
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return ExpPoly(out)
-
-    def __sub__(self, other: "ExpPoly") -> "ExpPoly":
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "ExpPoly":
-        return ExpPoly({key: -coeff for key, coeff in self.terms.items()})
-
-    def scale(self, scalar) -> "ExpPoly":
-        scalar = qparse(scalar)
-        if scalar == 0:
-            return ExpPoly.zero()
-        return ExpPoly({key: coeff * scalar for key, coeff in self.terms.items()})
-
-    def __mul__(self, other: "ExpPoly") -> "ExpPoly":
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        out: dict[Key, Q] = {}
-        for (a1, b1, c1, k1), q1 in self.terms.items():
-            for (a2, b2, c2, k2), q2 in other.terms.items():
-                key = (a1 + a2, b1 + b2, c1 + c2, k1 + k2)
-                acc = qnorm(out.get(key, 0) + q1 * q2)
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return ExpPoly(out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExpPoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        return f"ExpPoly({self.to_text()})"
-
-    # -- calculus ----------------------------------------------------
-
-    def partial(self, var: str) -> "ExpPoly":
-        """Exact partial derivative with respect to x, y or z.
-
-        d/dz hits both the z power and the exponential:
-        d/dz (z^c e^{kz}) = c z^{c-1} e^{kz} + k z^c e^{kz}.
-        """
-        out: dict[Key, Q] = {}
-
-        def bump(key: Key, coeff) -> None:
-            acc = qnorm(out.get(key, 0) + coeff)
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-
-        if var == "x":
-            for (a, b, c, k), q in self.terms.items():
-                if a:
-                    bump((a - 1, b, c, k), a * q)
-        elif var == "y":
-            for (a, b, c, k), q in self.terms.items():
-                if b:
-                    bump((a, b - 1, c, k), b * q)
-        elif var == "z":
-            for (a, b, c, k), q in self.terms.items():
-                if c:
-                    bump((a, b, c - 1, k), c * q)
-                if k:
-                    bump((a, b, c, k), k * q)
-        else:
-            raise ValueError(f"unknown variable {var!r}")
-        return ExpPoly(out)
-
-    # -- text form ----------------------------------------------------
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b, c, k) in sorted(self.terms):
-            coeff = self.terms[(a, b, c, k)]
-            factors = []
-            for power, letter in ((a, "x"), (b, "y"), (c, "z")):
-                if power == 1:
-                    factors.append(letter)
-                elif power:
-                    factors.append(f"{letter}^{power}")
-            if k:
-                factors.append(f"e^{{{k} z}}")
-            if factors:
-                parts.append(f"{qstr(coeff)} * " + " ".join(factors))
-            else:
-                parts.append(qstr(coeff))
-        return " + ".join(parts)
+def key_product(f: Key, g: Key) -> Key:
+    """The key of the product of two monomials."""
+    return (f[0] + g[0], f[1] + g[1], f[2] + g[2], f[3] + g[3])
 
 
-# -- the Jacobian bracket ---------------------------------------------
+def key_text(key: Key) -> str:
+    """A monic monomial as text: "x^2 y z e^{-1 z}", "1" for the unit."""
+    a, b, c, k = key
+    factors = []
+    for power, letter in ((a, "x"), (b, "y"), (c, "z")):
+        if power == 1:
+            factors.append(letter)
+        elif power:
+            factors.append(f"{letter}^{power}")
+    if k:
+        factors.append(f"e^{{{k} z}}")
+    return " ".join(factors) or "1"
 
 
-def jacobian_bracket(f: ExpPoly, g: ExpPoly, h: ExpPoly) -> ExpPoly:
-    """det d(f,g,h)/d(x,y,z), the ternary bracket of the function examples."""
-    fx, fy, fz = f.partial("x"), f.partial("y"), f.partial("z")
-    gx, gy, gz = g.partial("x"), g.partial("y"), g.partial("z")
-    hx, hy, hz = h.partial("x"), h.partial("y"), h.partial("z")
-    return (
-        fx * (gy * hz - gz * hy)
-        - fy * (gx * hz - gz * hx)
-        + fz * (gx * hy - gy * hx)
-    )
-
-
-# handy generators
-X = ExpPoly.var("x")
-Y = ExpPoly.var("y")
-ONE = ExpPoly.const(1)
+def jacobian_terms(f: Key, g: Key, h: Key) -> list[tuple[Key, int]]:
+    """The Jacobian bracket of three monic monomials as (key, integer
+    coefficient) terms: at most two, none with a zero coefficient."""
+    a1, b1, c1, k1 = f
+    a2, b2, c2, k2 = g
+    a3, b3, c3, k3 = h
+    A, B = a1 + a2 + a3, b1 + b2 + b3
+    if not A or not B:
+        return []
+    # the cross product a x b: det[a b v] is its dot product with v
+    p1, p2, p3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
+    C, K = c1 + c2 + c3, k1 + k2 + k3
+    terms = []
+    d_c = p1 * c1 + p2 * c2 + p3 * c3
+    if d_c:
+        terms.append(((A - 1, B - 1, C - 1, K), d_c))
+    d_k = p1 * k1 + p2 * k2 + p3 * k3
+    if d_k:
+        terms.append(((A - 1, B - 1, C, K), d_k))
+    return terms

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from trilie import cli, construct, repmod, rinehart, split
+from trilie import cli, construct, corpus, repmod, rinehart, split
 from trilie.bundleio import dumps_bundle, load_bundle
 from trilie.cli import main
 from trilie.corpus import d4_bundle, toy_split, two_block
@@ -180,6 +180,68 @@ def test_construct_to_an_unwritable_path_exits_two(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {target}: ")
 
 
+def test_an_unwritable_path_is_refused_before_the_work(tmp_path, capsys,
+                                                        monkeypatch):
+    path = corpus_file(tmp_path, capsys, "d4")
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("ran before the output path was opened")
+
+    monkeypatch.setattr(cli, "tensor_extension", spy)
+    monkeypatch.setattr(corpus, "generate", spy)
+    target = str(tmp_path / "missing" / "out.json")
+    for argv in (("corpus", "two-block", "--window", "3"),
+                 ("construct", "tensor", path)):
+        code, out, err = run(capsys, *argv, "-o", target)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+    assert calls == []
+
+
+def test_a_refused_run_leaves_no_file(tmp_path, capsys):
+    """The output is opened before the work; a run refused after that
+    removes the file it created and leaves an existing one unchanged."""
+    base = corpus_file(tmp_path, capsys, "d4")
+    maps = tmp_path / "maps.json"
+    # 2 e0 is no bracket endomorphism of the simple algebra
+    maps.write_text(json.dumps({
+        "alpha": [[0, 0, "2"]] + [[i, i, "1"] for i in range(1, 4)],
+        "phi": [[i, i, "1"] for i in range(3)],
+    }))
+    target = tmp_path / "twisted.json"
+    code, _, err = run(capsys, "construct", "twist", base,
+                       "--maps", str(maps), "-o", str(target))
+    assert code == 2 and "alpha-bracket-endo" in err
+    assert not target.exists()
+    code, _, _ = run(capsys, "corpus", "d4", "--seed", "9",
+                     "-o", str(target))
+    assert code == 2 and not target.exists()
+    target.write_text("kept")
+    code, _, _ = run(capsys, "construct", "twist", base,
+                     "--maps", str(maps), "-o", str(target))
+    assert code == 2 and target.read_text() == "kept"
+
+
+@pytest.mark.parametrize("argv", [
+    ("d4", "--degree-cap", "3"),
+    ("d4", "--seed", "9"),
+    ("jacobian-weak", "--window", "4"),
+    ("tb-rinehart", "--window", "2"),
+    ("tprime-split", "--degree-cap", "5"),
+    ("rho-prime", "--window", "1", "--degree-cap", "3"),
+], ids="-".join)
+def test_corpus_refuses_an_option_its_bundle_does_not_read(capsys, argv):
+    """An option the named bundle would ignore is an input error, not a
+    default bundle written as if the option had been read."""
+    code, out, err = run(capsys, "corpus", *argv)
+    assert (code, out) == (2, "")
+    refused = argv[-2]
+    assert err.startswith(f"error: corpus {argv[0]}")
+    assert err.rstrip().endswith(f"does not read {refused}")
+
+
 # -- decompose and connect ---------------------------------------------------
 
 
@@ -197,7 +259,7 @@ def test_decompose_tprime_report(tmp_path, capsys):
 
 
 def test_decompose_reports_split_failure(tmp_path, capsys):
-    path = corpus_file(tmp_path, capsys, "tb-rinehart", "--window", "3")
+    path = corpus_file(tmp_path, capsys, "tb-rinehart", "--degree-cap", "3")
     B = load_bundle(path)
     hfile = tmp_path / "H.json"
     rows = [[[B.L_labels.index("x"), "1"]], [[B.L_labels.index("y"), "1"]]]
@@ -495,6 +557,64 @@ def test_split_reports_match_their_pinned_bytes(tmp_path, capsys, name,
                            "--report", "json")
         got[key] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert got == SPLIT_PINS[name, window]
+
+
+# SHA-256 of the stdout of `trilie corpus NAME [OPTION VALUE]`: every
+# name at its defaults, the parameter sets of the benchmark's inputs
+# and a few more.  Pinned before the corpus built its bundles from the
+# closed-form bracket on monomial keys.
+CORPUS_PINS = {
+    ("jacobian-weak",): "1213e4ec317e60fb6fffc4bec20a9354"
+                        "7f5b9dafab307e19a3b21da16fdabb27",
+    ("tb-rinehart",): "4d0b6161afd8b8136a2dd164a015818e"
+                      "b2922cfc74efce493992808caed657b4",
+    ("l1-hom",): "0b096361b9c99832f35138a728ee569e"
+                 "ccff29e954517fbbfa76d9cd9f84c710",
+    ("rho-prime",): "296b0f381e7edc6aac98bfab735a4300"
+                    "e2063b1e479f4ccaec777e9be869bbac",
+    ("tprime-split",): "52927eeeba82709dd592f2a9dab2b17e"
+                       "e1478c1331d6bf75aef7216bb0ce4bb4",
+    ("toy-split",): "71783212e930789e2479762e2be11a4b"
+                    "85c7181c79acefa983371bc8e73c5042",
+    ("d4",): "bc486432fb0297e8b65196e954644e52"
+             "96ca397e1e27940f140072f7799a9768",
+    ("two-block",): "e08671facc923ae16f9c08ce405a3b70"
+                    "9d49fd519610cd968c64b720bcd03881",
+    ("jacobian-weak", "--degree-cap", "3"):
+        "1213e4ec317e60fb6fffc4bec20a9354"
+        "7f5b9dafab307e19a3b21da16fdabb27",
+    ("two-block", "--window", "1"):
+        "e08671facc923ae16f9c08ce405a3b70"
+        "9d49fd519610cd968c64b720bcd03881",
+    ("two-block", "--window", "3"):
+        "c46fee07049552bec27ef1a948efbb4e"
+        "1864b63e26b90ddfbe36a9cb923fba08",
+    ("tprime-split", "--window", "2"):
+        "0573960273e4d395c4afa328c67fecd0"
+        "0dc0cd3bbcda562457870d18f2dcb1c3",
+    ("tprime-split", "--window", "4"):
+        "d881d3dc7ebbd962054693dd58dd3fc1"
+        "b7b26581e2728d34a05baa401b220fd1",
+    ("tb-rinehart", "--degree-cap", "3"):
+        "4d0b6161afd8b8136a2dd164a015818e"
+        "b2922cfc74efce493992808caed657b4",
+    ("rho-prime", "--window", "1"):
+        "231bc3bf36859e28600096a786fa0779"
+        "5038c4f18ccd01c0b26d3fd6a72e249d",
+    ("toy-split", "--window", "1"):
+        "4d1fd5015e54d1ed620ce912cc69b7ed"
+        "befabe7aed397531fcb1a38773bae817",
+    ("l1-hom", "--window", "2"):
+        "5b7bae2ea35dbb3136092d761d080bd3"
+        "095c17c6d4764b9b9094864d7c4dc506",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CORPUS_PINS), ids="-".join)
+def test_corpus_output_matches_its_pinned_bytes(capsys, argv):
+    code, out, _ = run(capsys, "corpus", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_PINS[argv]
 
 
 # (exit code, SHA-256 of `check --suite SUITE --report json`) of the

@@ -1,12 +1,18 @@
-"""Exponential-polynomial arithmetic and the Jacobian bracket."""
+"""The Jacobian bracket: the general one on exponential polynomials,
+kept here as the reference, and the closed form on monic monomial keys
+that the corpus builds from."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trilie.symfun import ExpPoly, jacobian_bracket
+from trilie.corpus import _exp_bases, _poly_monomials
+from trilie.symfun import jacobian_terms, key_product, key_text
+
+from expoly import ExpPoly, jacobian_bracket
 
 X, Y, Z = ExpPoly.var("x"), ExpPoly.var("y"), ExpPoly.var("z")
 
@@ -114,3 +120,65 @@ def test_text_roundtrip():
     assert p.to_text() == "1/2 * z^2 + 3 * x y e^{-1 z}"
     q = X * X.scale(-2) + ExpPoly.exp(3)
     assert q.to_text() == "1 * e^{3 z} + -2 * x^2"
+
+
+# -- the closed form on keys against the reference ---------------------------
+
+
+def closed_form(triple, sign=1) -> ExpPoly:
+    """sign times the closed-form bracket of three keys; its terms must
+    carry distinct keys and nonzero integer coefficients."""
+    terms = jacobian_terms(*triple)
+    assert len({key for key, _ in terms}) == len(terms) <= 2
+    assert all(type(c) is int and c for _, c in terms)
+    return ExpPoly({key: sign * c for key, c in terms})
+
+
+def reference(triple, sign=1) -> ExpPoly:
+    return jacobian_bracket(*(mono(*key) for key in triple)).scale(sign)
+
+
+KEYS = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6),
+                 st.integers(-6, 6))
+
+
+@st.composite
+def key_triples(draw):
+    """Three keys; often one power column (x, y or z) is zero in all
+    three, the case where a determinant vanishes by its zero sum."""
+    keys = [list(draw(KEYS)) for _ in range(3)]
+    column = draw(st.sampled_from((None, 0, 1, 2)))
+    if column is not None:
+        for key in keys:
+            key[column] = 0
+    return tuple(tuple(key) for key in keys)
+
+
+@settings(max_examples=400, deadline=None)
+@given(key_triples(), st.sampled_from((1, -1)))
+def test_closed_form_matches_the_general_bracket(triple, sign):
+    assert closed_form(triple, sign) == reference(triple, sign)
+
+
+BASES = {
+    "jacobian-weak-d2": _poly_monomials(2),
+    # L and A of tprime-split window 2 together
+    "tprime-split-w2": sorted({(0, 0, 0, 0), *_exp_bases(2)[0],
+                               *_exp_bases(2)[1]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_closed_form_matches_on_every_basis_triple(name):
+    """Every ordered triple of basis keys: the bracket triples and the
+    anchor's (L, L, A) triples are among them."""
+    for triple in product(BASES[name], repeat=3):
+        assert closed_form(triple) == reference(triple), triple
+
+
+@settings(max_examples=200, deadline=None)
+@given(KEYS, KEYS)
+def test_key_product_and_text_match_the_reference(f, g):
+    assert mono(*key_product(f, g)) == mono(*f) * mono(*g)
+    # a corpus label is the text of its monic monomial, "1 * " dropped
+    assert key_text(f) == mono(*f).to_text().removeprefix("1 * ")
