@@ -16,7 +16,6 @@ block-diagonal bundles over a shared coefficient algebra.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import combinations
 
 from .core3lie import Hom3Lie, StructureConstants3, check_multiplicative
@@ -87,11 +86,11 @@ def twist_preconditions(inp: TwistInput) -> SuiteReport:
         plain.record({"side": "A", "why": "carried phi is not Id"})
 
     endo = check_multiplicative(Hom3Lie(base.L.sc, alpha))
-    suite.add(replace(endo, name="alpha-bracket-endo"))
+    suite.add(endo.renamed("alpha-bracket-endo"))
 
     probe = CommAlgebra(m, base.A.table, phi, base.A.unit)
     hom = check_phi_multiplicative(probe)
-    suite.add(replace(hom, name="phi-algebra-endo"))
+    suite.add(hom.renamed("phi-algebra-endo"))
 
     acols = mat_columns_sv(alpha)
     pcols = mat_columns_sv(phi)

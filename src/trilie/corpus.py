@@ -182,12 +182,14 @@ def jacobian_weak(degree_cap: int = 3) -> RinehartBundle:
     L = A = polynomials of total degree <= cap, bracket and anchor both
     the Jacobian determinant, untwisted.  The anchor is a derivation
     but not A-linear: rho(x*x, y) = 2x d/dz while x*rho(x, y) = x d/dz,
-    so the weak laws hold and the full laws fail.
+    so the weak laws hold and, from degree cap 2 on, the full laws
+    fail.  Below cap 2 there is no x*x to break them, and the bundle is
+    a full one.
     """
     d = _check_bounds(degree_cap, MAX_DEGREE, "degree cap")
     keys = _poly_monomials(d)
     flags = {"jacobi": True, "hom_jacobi": True, "multiplicative": True,
-             "weak_rinehart": True, "full_rinehart": False}
+             "weak_rinehart": True, "full_rinehart": d < 2}
     return _function_bundle("jacobian-weak", keys, keys, 1, 1,
                             meta={"degree_cap": d, "flags": flags})
 
@@ -249,15 +251,16 @@ def rho_prime(degree_cap: int = 3, window: int | None = None
 
     Without a window this is the full function space of jacobian-weak
     with the reversed structure maps (a regular weak bundle whose
-    anchor kernel is exactly the constants).  With a window it is the
-    T/B pair of tb-rinehart carrying the same twist, which is a full
-    Hom bundle.
+    anchor kernel is exactly the constants); like jacobian-weak it
+    fails the full laws from degree cap 2 on and is full below.  With a
+    window it is the T/B pair of tb-rinehart carrying the same twist,
+    which is a full Hom bundle.
     """
     if window is None:
         d = _check_bounds(degree_cap, MAX_DEGREE, "degree cap")
         keys = _poly_monomials(d)
         flags = {"hom_jacobi": True, "multiplicative": True,
-                 "weak_rinehart": True, "full_rinehart": False}
+                 "weak_rinehart": True, "full_rinehart": d < 2}
         return _function_bundle("rho-prime", keys, keys, -1, -1,
                                 meta={"degree_cap": d, "flags": flags})
     K = _check_bounds(window, MAX_WINDOW, "window")

@@ -14,26 +14,54 @@ the flags written after a construction all reuse one verdict.  This is
 sound because bundles, algebras and representations are never changed
 after construction.  A report is never mutated after it is returned:
 a caller that wants another name or more checks builds a new report
-(`dataclasses.replace`, or a new SuiteReport over `list(suite.checks)`).
+(`CheckReport.renamed`, or a new SuiteReport over `list(suite.checks)`).
+
+Both report classes are plain classes rather than dataclasses, so that
+importing the package does not import `dataclasses` (and with it
+`inspect`), which every command would pay for at start-up.  Two reports
+are equal when all their fields are.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 MAX_FAILURES = 5
 
 
-@dataclass
 class CheckReport:
-    name: str
-    passed: bool | None = True
-    checked: int = 0
-    skipped: int = 0
-    failures: list = field(default_factory=list)
-    failure_count: int = 0
-    detail: str = ""
+    __slots__ = ("name", "passed", "checked", "skipped", "failures",
+                 "failure_count", "detail")
+
+    def __init__(self, name: str, passed: bool | None = True,
+                 checked: int = 0, skipped: int = 0,
+                 failures: list | None = None, failure_count: int = 0,
+                 detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.checked = checked
+        self.skipped = skipped
+        self.failures = [] if failures is None else failures
+        self.failure_count = failure_count
+        self.detail = detail
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, slot) for slot in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        body = ", ".join(f"{slot}={value!r}" for slot, value
+                         in zip(self.__slots__, self._fields()))
+        return f"CheckReport({body})"
+
+    def renamed(self, name: str) -> "CheckReport":
+        """A copy of this report under another name."""
+        return CheckReport(name, self.passed, self.checked, self.skipped,
+                           self.failures, self.failure_count, self.detail)
 
     def record(self, witness) -> None:
         """Record one failing instance. Keeps at most MAX_FAILURES witnesses."""
@@ -85,10 +113,20 @@ class CheckReport:
         return s
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    checks: list = field(default_factory=list)
+    __slots__ = ("name", "checks")
+
+    def __init__(self, name: str, checks: list | None = None):
+        self.name = name
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.checks) == (other.name, other.checks)
+
+    def __repr__(self):
+        return f"SuiteReport(name={self.name!r}, checks={self.checks!r})"
 
     def add(self, check: CheckReport) -> CheckReport:
         self.checks.append(check)

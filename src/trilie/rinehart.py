@@ -610,30 +610,36 @@ def check_full_rinehart(B: RinehartBundle) -> SuiteReport:
 # acting on alpha of a bracket triple; a term of identities 4-6 is a
 # product rho(pair)(e_a) rho(pair')(e_b) of two anchor columns.
 #
-# _IdentityContext builds the operands once per suite call, signed and
-# keyed by ordered index tuples: an ordered pair with a stored anchor
-# operator maps to its signed columns, an ordered triple of distinct
-# indices to its signed alpha-bracket.  A repeated index or an absent
-# operator has no entry: that term is zero.
+# _IdentityContext builds the operands once per suite call: an ordered
+# pair with a stored anchor operator maps to its columns, signed by the
+# order, and an ordered triple of distinct indices to its sorted triple
+# and permutation sign.  A repeated index or an absent operator has no
+# entry: that term is zero.
 #
 # Identities 1-3 are counted by bit masks over the C(n, 3) combos
 # (x3, x4, x5) of each (x1, x2).  Per term the masks say where its pair
-# has an operator and where column a of it is None or nonzero, and where
-# its triple is distinct, undetermined or nonzero.  A mask depends only
-# on the indices its pair or triple fixes among x1 and x2, so it is
-# built once per value of those and kept.  An identity's masks are the
-# OR of its terms': a combo where a term with an operator has an
-# undetermined bracket is skipped for every a, a None column skips its
-# a (even when the bracket is zero), and every other (combo, a) holds
-# unless some term is nonzero, so popcounts give the counts.  Only the (combo, a) with a nonzero term
-# are evaluated, in ascending order, in one pass for all three
-# identities that evaluates each distinct term once.
+# has an operator, where column a of it is None and where A-index i is
+# in the support of column a; and where its triple is distinct or
+# undetermined, and where the action of e_i on alpha of it meets a None
+# or a nonzero entry of the action table.  A mask depends only on the
+# indices its pair or triple fixes among x1 and x2, so it is built once
+# per value of those and kept while that value can recur.  An identity's
+# masks are the OR of its terms': a combo where a term with an operator
+# has an undetermined bracket is skipped for every a; a (combo, a) where
+# a term's column a is None, or acts through a None entry, is skipped
+# (even when the other terms are zero); every other (combo, a) holds
+# unless a term acts through a nonzero entry, so popcounts give the
+# counts.  Only the (combo, a) with such a live term are evaluated, in
+# ascending order, from the rows act(e_i, alpha[sorted triple]), each
+# built once, with the signs folded into the scalars.
 #
-# Identities 4-6 look each tuple's terms up once.  A tuple with no live
-# term holds for every (a, b); otherwise bit masks over a and b say
-# where a column is None and where it is nonzero, and only the (a, b)
-# with a nonzero term are evaluated.  In all six, the check of a nonzero
-# sum against every b, c or basis vector runs once per distinct sum.
+# Identities 4-6 are counted by bit masks over x4 for each (x1, x2, x3):
+# per a, where a term's a-side column is None and where it is nonzero
+# with an operator on the b side; per b, where a b-side column is None.
+# Popcounts of their unions count the (a, b) with a None side once each,
+# and only the x4 with a live a are visited.  In all six, the check of a
+# nonzero sum against every b, c or basis vector runs once per distinct
+# sum.
 
 
 class _IdentityContext:
@@ -641,22 +647,28 @@ class _IdentityContext:
 
     pr and rho map an ordered pair (i, j) with a stored anchor operator
     to the `exactq.operand` (columns, None mask, nonzero mask) of
-    phi.rho(e_i, e_j), resp. rho(e_i, e_j), signed by the order.  ab maps an
-    ordered triple of distinct indices to alpha[e_i, e_j, e_k] (None
-    outside the window).  combos lists the (x3, x4, x5) of identities
-    1-3; masks and groups keep the bit masks over them (see
-    op_masks, triple_masks).  The seen_* dicts hold the per-sum
-    verdicts.
+    phi.rho(e_i, e_j), resp. rho(e_i, e_j), signed by the order.  ab
+    maps an ordered triple of distinct indices to (the sorted triple,
+    the permutation sign), and alpha a sorted triple to (alpha[e_i, e_j,
+    e_k], None outside the window; the A-indices whose action on it
+    meets a None entry of the action table, and those whose action meets
+    a nonzero entry, as masks).  rows keeps the rows act(e_i, alpha[k])
+    of each sorted triple k once built (see rows_of).  x4_masks[j] is
+    (present, [(a, None)], [(a, nonzero)]) of rho(e_j, e_x4) as masks
+    over x4.  combos lists the (x3, x4, x5) of identities 1-3; masks,
+    x1_masks and groups keep the bit masks over them (see op_masks,
+    triple_masks).  The seen_* dicts hold the per-sum verdicts.
     """
 
     __slots__ = ("n", "m", "act", "prod", "phi_apply", "alpha2", "phi2",
-                 "ab", "pr", "rho", "combos", "masks", "groups",
-                 "seen_b", "seen_c", "seen_x5")
+                 "ab", "alpha", "rows", "pr", "rho", "x4_masks", "combos",
+                 "masks", "x1_masks", "groups", "seen_b", "seen_c",
+                 "seen_x5")
 
     def __init__(self, B: RinehartBundle):
         L, A = B.L, B.A
-        self.n = L.n
-        self.m = A.dim
+        n = self.n = L.n
+        m = self.m = A.dim
         self.act = B.act.act
         self.prod = A.product
         self.phi_apply = A.phi_apply
@@ -664,23 +676,54 @@ class _IdentityContext:
         self.alpha2 = op_compose(acols, acols)
         pc = A._phi_cols
         self.phi2 = op_compose(pc, pc)
-        self.combos = list(combinations(range(self.n), 3))
+        # per A-index i, the L-indices x with a None, resp. nonzero, e_i e_x
+        act_none = [0] * m
+        act_nonzero = [0] * m
+        for (a, x), vec in B.act.table.items():
+            if vec is None:
+                act_none[a] |= 1 << x
+            elif vec:
+                act_nonzero[a] |= 1 << x
+        self.combos = list(combinations(range(n), 3))
         self.ab: dict = {}
+        self.alpha: dict = {}
         for key in self.combos:
             vec, _ = L.sc.lookup(*key)
+            holes = live = 0
             if vec is not None:
                 vec = op_apply(acols, vec)
-            signed = {1: vec, -1: None if vec is None else sv_scale(vec, -1)}
+                support = bits(vec)
+                for i in range(m):
+                    if act_none[i] & support:
+                        holes |= 1 << i
+                    if act_nonzero[i] & support:
+                        live |= 1 << i
+            self.alpha[key] = vec, holes, live
+            signed = {1: (key, 1), -1: (key, -1)}
             for perm in permutations(key):
                 self.ab[perm] = signed[sort3(*perm)[1]]
+        self.rows: dict = {}
         self.pr: dict = {}
         self.rho: dict = {}
+        present = [0] * n
+        none = [{} for _ in range(n)]
+        nonzero = [{} for _ in range(n)]
         for (i, j), cols in B.rho.ops.items():
             phi_rho = op_compose(pc, cols)
             for key, sign in (((i, j), 1), ((j, i), -1)):
                 self.rho[key] = operand(cols, sign)
                 self.pr[key] = operand(phi_rho, sign)
+            _, col_none, col_nonzero = self.rho[i, j]
+            for here, there in ((i, j), (j, i)):
+                present[here] |= 1 << there
+                for per_a, columns in ((none[here], col_none),
+                                       (nonzero[here], col_nonzero)):
+                    for a in ones(columns):
+                        per_a[a] = per_a.get(a, 0) | 1 << there
+        self.x4_masks = [(present[j], sorted(none[j].items()),
+                          sorted(nonzero[j].items())) for j in range(n)]
         self.masks: dict = {}
+        self.x1_masks: dict = {}
         self.groups: dict = {}
         self.seen_b: dict = {}
         self.seen_c: dict = {}
@@ -707,51 +750,97 @@ class _IdentityContext:
             yield tuple(xs[s] for s in slots), mask
 
     def op_masks(self, pair, fixed):
-        """(present, {a: None column}, {a: nonzero column}) of phi.rho
-        at the slots `pair`, as masks over the combos."""
+        """(present, {a: None column}, {a: [(i, i in column a)]}) of
+        phi.rho at the slots `pair`, as masks over the combos."""
         def build(over):
             present = 0
             none: dict = {}
-            nonzero: dict = {}
+            has: dict = {}
             for idx, mask in over:
                 op = self.pr.get(idx)
                 if op is None:
                     continue
                 present |= mask
-                for per_a, columns in ((none, op[1]), (nonzero, op[2])):
-                    for a in ones(columns):
-                        per_a[a] = per_a.get(a, 0) | mask
-            return present, none, nonzero
+                cols, op_none, op_nonzero = op
+                for a in ones(op_none):
+                    none[a] = none.get(a, 0) | mask
+                for a in ones(op_nonzero):
+                    per_i = has.setdefault(a, {})
+                    for i in cols[a]:
+                        per_i[i] = per_i.get(i, 0) | mask
+            return present, none, {a: list(per_i.items())
+                                   for a, per_i in has.items()}
         return self._kept(pair, fixed, build)
 
     def triple_masks(self, triple, fixed):
-        """(distinct, undetermined, nonzero) of alpha[triple] at the
-        slots `triple`, as masks over the combos."""
+        """(distinct, undetermined, holes, live) of alpha[triple] at the
+        slots `triple`, as masks over the combos: holes[i] (live[i])
+        marks where the action of e_i on it meets a None (nonzero)
+        entry."""
         def build(over):
-            distinct = undetermined = nonzero = 0
+            distinct = undetermined = 0
+            holes = [0] * self.m
+            live = [0] * self.m
             for idx, mask in over:
-                vec = self.ab.get(idx, _NO_TERM)
-                if vec is _NO_TERM:
+                hit = self.ab.get(idx)
+                if hit is None:
                     continue
                 distinct |= mask
+                vec, hole_is, live_is = self.alpha[hit[0]]
                 if vec is None:
                     undetermined |= mask
-                elif vec:
-                    nonzero |= mask
-            return distinct, undetermined, nonzero
+                    continue
+                for i in ones(hole_is):
+                    holes[i] |= mask
+                for i in ones(live_is):
+                    live[i] |= mask
+            return distinct, undetermined, holes, live
         return self._kept(triple, fixed, build)
 
     def _kept(self, slots, fixed, build):
         """build(_over_combos(slots, fixed)), kept per value of the fixed
-        indices the slots read; one that reads both x1 and x2 is used
-        once and not kept."""
-        key = (slots, tuple(fixed[s] for s in slots if s < 2))
-        hit = self.masks.get(key)
+        indices the slots read.  One that reads x1 alone is kept in
+        x1_masks, which the caller empties when x1 moves on; one that
+        reads both x1 and x2 is used once and not kept."""
+        reads = [s for s in slots if s < 2]
+        if len(reads) == 2:
+            return build(self._over_combos(slots, fixed))
+        kept = self.x1_masks if reads == [0] else self.masks
+        key = (slots, tuple(fixed[s] for s in reads))
+        hit = kept.get(key)
         if hit is None:
-            hit = build(self._over_combos(slots, fixed))
-            if len(key[1]) < 2:
-                self.masks[key] = hit
+            hit = kept[key] = build(self._over_combos(slots, fixed))
         return hit
+
+    def rows_of(self, key):
+        """act(e_i, alpha[key]) for every A-index i, built once per
+        sorted triple; an i that acts through no nonzero entry gets the
+        zero row without a call."""
+        rows = self.rows.get(key)
+        if rows is None:
+            vec, _, live = self.alpha[key]
+            rows = self.rows[key] = [
+                self.act({i: 1}, vec) if live >> i & 1 else _EMPTY
+                for i in range(self.m)]
+        return rows
+
+    def bracket_sum(self, operands, plan, a: int) -> SVec:
+        """The sum of an identity of the ho1 shape at one combo and a:
+        each term's column a times the rows of its triple, the pair and
+        permutation signs folded into the scalars.  operands holds
+        (columns, rows of the triple, permutation sign) per term, None
+        for a zero term; no term may act through a None entry."""
+        s: SVec = {}
+        for t, sign in plan:
+            hit = operands[t]
+            if hit is None:
+                continue
+            cols, rows, psign = hit
+            col = cols[a]
+            if col:
+                for i, c in col.items():
+                    sv_axpy(s, sign * psign * c, rows[i])
+        return s
 
     def on_phi2_b(self, s: SVec):
         """(checked, skipped, failing b's) of every phi^2(e_b) acting on s."""
@@ -806,25 +895,6 @@ def _tally(outs):
     return ok, gaps, bad
 
 
-def _live_columns(operands, plan) -> int:
-    """The a's where an identity has a nonzero term and no None column
-    at one tuple, as a mask; 0 when a term's bracket is undetermined.
-    operands holds (operator, bracket) per term, None for a zero term."""
-    none = nonzero = 0
-    for t, _ in plan:
-        if operands[t] is None:
-            continue
-        (_, op_none, op_nonzero), bvec = operands[t]
-        if bvec is None:
-            return 0
-        none |= op_none
-        if bvec:
-            nonzero |= op_nonzero
-    return nonzero & ~none
-
-
-_NO_TERM = object()  # a zero term: no operator, or a repeated index
-
 _HO1_TERMS = (
     # (rho pair slots, bracket slots) over (x1..x5) as indices 0..4
     ((3, 4), (0, 1, 2)),
@@ -854,18 +924,39 @@ _HO3_TERMS = (
 )
 
 
+def _term_masks(ctx: _IdentityContext, pair, triple, fixed):
+    """(gap, {a: skipped}, {a: live}) of one term at (x1, x2), as masks
+    over the combos: gap where it has an operator and an undetermined
+    bracket, skipped where its column a is None or acts through a None
+    entry, live where column a acts through a nonzero entry."""
+    present, none, has = ctx.op_masks(pair, fixed)
+    distinct, undetermined, holes, live = ctx.triple_masks(triple, fixed)
+    skip = {a: mask & distinct for a, mask in none.items()}
+    on: dict = {}
+    for a, per_i in has.items():
+        hole = hit = 0
+        for i, mask in per_i:
+            hole |= mask & holes[i]
+            hit |= mask & live[i]
+        if hole:
+            skip[a] = skip.get(a, 0) | hole
+        if hit:
+            on[a] = hit
+    return present & undetermined, skip, on
+
+
 def _check_ho_brackets(ctx: _IdentityContext, identities) -> list:
     """Identities of the ho1 shape (outer=False) or of the ho2/ho3 shape
     (outer=True), one report each, counted in one pass.
 
     identities lists (name, terms, outer).  For each tuple and a, the
     sum of phi.rho(pair)(e_a) acting on alpha[triple] over the terms
-    must vanish (ho1), or be killed by every phi^2(e_b) (ho2, ho3).  A
-    term shared by several identities, or with its pair reversed, is
-    evaluated once per (tuple, a).
+    must vanish (ho1), or be killed by every phi^2(e_b) (ho2, ho3).  The
+    masks of a term shared by several identities, or with its pair
+    reversed, are built once per (x1, x2).
     """
     n, m = ctx.n, ctx.m
-    pr, ab, act, combos = ctx.pr, ctx.ab, ctx.act, ctx.combos
+    pr, ab, alpha, combos = ctx.pr, ctx.ab, ctx.alpha, ctx.combos
     shapes: list = []  # distinct (pair, triple), pair in ascending slots
     plans = []  # per identity: (index into shapes, sign)
     for _, terms, _ in identities:
@@ -885,65 +976,58 @@ def _check_ho_brackets(ctx: _IdentityContext, identities) -> list:
     skipped = [0] * len(identities)
     everything = (1 << len(combos)) - 1
     for x1 in range(n):
+        ctx.x1_masks.clear()
         for x2 in range(n):
             fixed = (x1, x2)
-            ops = [ctx.op_masks(pair, fixed) for pair, _ in shapes]
-            brackets = [ctx.triple_masks(triple, fixed)
-                        for _, triple in shapes]
-            pending = 0  # combos where some identity has a nonzero term
+            terms = [_term_masks(ctx, pair, triple, fixed)
+                     for pair, triple in shapes]
+            pending = 0  # combos where some identity has a live term
+            todo = []  # per identity: [(a, combos to evaluate)], a ascending
             for k, plan in enumerate(plans):
                 gap = 0
-                none: dict = {}
+                skip: dict = {}
                 live: dict = {}
                 for t, _ in plan:
-                    present, op_none, op_nonzero = ops[t]
-                    distinct, undetermined, nonzero = brackets[t]
-                    gap |= present & undetermined
-                    for a, mask in op_none.items():
-                        none[a] = none.get(a, 0) | mask & distinct
-                    for a, mask in op_nonzero.items():
-                        live[a] = live.get(a, 0) | mask & nonzero
+                    t_gap, t_skip, t_live = terms[t]
+                    gap |= t_gap
+                    for a, mask in t_skip.items():
+                        skip[a] = skip.get(a, 0) | mask
+                    for a, mask in t_live.items():
+                        live[a] = live.get(a, 0) | mask
                 keep = everything ^ gap
-                n_none = n_live = 0
-                for a, mask in none.items():
-                    none[a] = mask = mask & keep
-                    n_none += mask.bit_count()
-                for a, mask in live.items():
-                    mask &= keep & ~none.get(a, 0)
-                    n_live += mask.bit_count()
-                    pending |= mask
+                n_skip = n_live = 0
+                for a, mask in skip.items():
+                    skip[a] = mask = mask & keep
+                    n_skip += mask.bit_count()
+                evaluate = []
+                for a in sorted(live):
+                    mask = live[a] & keep & ~skip.get(a, 0)
+                    if mask:
+                        n_live += mask.bit_count()
+                        pending |= mask
+                        evaluate.append((a, mask))
+                todo.append(evaluate)
                 n_gap = gap.bit_count()
-                skipped[k] += (n_gap * m + n_none) * per_a[k]
-                checked[k] += ((len(combos) - n_gap) * m - n_none
+                skipped[k] += (n_gap * m + n_skip) * per_a[k]
+                checked[k] += ((len(combos) - n_gap) * m - n_skip
                                - n_live) * per_a[k]
             for ci in ones(pending):
                 xs = fixed + combos[ci]
-                operands = []  # see _live_columns
+                operands = []  # see _IdentityContext.bracket_sum
                 for pair, triple in getters:
                     op = pr.get(pair(xs))
-                    bvec = _NO_TERM if op is None else ab.get(triple(xs),
-                                                              _NO_TERM)
-                    operands.append(None if bvec is _NO_TERM else (op, bvec))
-                values: dict = {}  # (term, a) -> its value at xs
+                    hit = None if op is None else ab.get(triple(xs))
+                    if hit is None or not alpha[hit[0]][0]:
+                        operands.append(None)
+                    else:
+                        key, psign = hit
+                        operands.append((op[0], ctx.rows_of(key), psign))
                 for k, plan in enumerate(plans):
-                    for a in ones(_live_columns(operands, plan)):
-                        s: SVec | None = {}
-                        for t, sign in plan:
-                            if operands[t] is None:
-                                continue
-                            (cols, _, _), bvec = operands[t]
-                            if not bvec or not cols[a]:
-                                continue
-                            if (t, a) not in values:
-                                values[t, a] = act(cols[a], bvec)
-                            term = values[t, a]
-                            if term is None:
-                                s = None
-                                break
-                            sv_axpy(s, sign, term)
-                        if s is None:
-                            skipped[k] += per_a[k]
-                        elif not s:
+                    for a, mask in todo[k]:
+                        if not mask >> ci & 1:
+                            continue
+                        s = ctx.bracket_sum(operands, plan, a)
+                        if not s:
                             checked[k] += per_a[k]
                         elif not outers[k]:
                             reports[k].record({"x": xs, "a": a})
@@ -974,52 +1058,104 @@ def _check_ho_pairs(ctx: _IdentityContext, name: str, combos,
     Identity 4 asks phi(s) to kill every alpha^2 e_x5; identities 5 and
     6 (with_c) ask the same of every phi^2(e_c) phi(s).  The two other
     flags are the enumeration each identity's proven symmetry allows:
-    x3 > x2 for identity 5, b > a for identity 6.
+    x3 > x2 for identity 5, b > a for identity 6.  Each combo has one
+    side that reads x4 (slot 3); its other slot and the fixed side
+    place the combo's masks over x4.
     """
     rep = CheckReport(name)
     n, m = ctx.n, ctx.m
     per_ab = n * m if with_c else n
     rho, prod, phi_apply = ctx.rho, ctx.prod, ctx.phi_apply
+    x4_masks = ctx.x4_masks
     on_t = ctx.on_phi2_c if with_c else ctx.on_alpha2
     looks = [(itemgetter(p, q), itemgetter(r, s)) for (p, q), (r, s) in combos]
+    # per combo: (its fixed side's slots, whether that is the a side,
+    # the other slot of the side that reads x4)
+    sides = [(itemgetter(p, q), True, r if s == 3 else s) if 3 in (r, s)
+             else (itemgetter(r, s), False, p if q == 3 else q)
+             for (p, q), (r, s) in combos]
     everything = (1 << m) - 1
-    # the b's each a is paired with, as bit masks
+    # the b's each a is paired with, as bit masks, and how many a's
+    # each b is paired with
     b_range = [everything & ~((2 << a) - 1) if b_after_a else everything
                for a in range(m)]
-    n_pairs = sum(mask.bit_count() for mask in b_range)
-    gap_pairs: dict = {}  # (None mask of a, of b) -> pairs with a None
+    n_bs = [bs.bit_count() for bs in b_range]
+    n_as = [sum(bs >> b & 1 for bs in b_range) for b in range(m)]
+    n_pairs = sum(n_bs)
+    in_range: dict = {}  # (a's, b's) as masks -> their (a, b) in range
+    all_x4 = (1 << n) - 1
     checked = skipped = 0
-    zero = 0  # tuples that hold for every (a, b)
     for x1 in range(n):
         for x2 in range(x1 + 1, n):
             for x3 in range(x2 + 1 if x3_after_x2 else 0, n):
-                for x4 in range(n):
+                fixed = (x1, x2, x3)
+                none_a = [0] * m  # per a, the x4 where an a side is None
+                none_b = [0] * m
+                active = [0] * m  # per a, the x4 with a nonzero a side
+                for side, a_side, slot in sides:
+                    op = rho.get(side(fixed))
+                    present, x4_none, x4_nonzero = x4_masks[fixed[slot]]
+                    if a_side:
+                        for b, mask in x4_none:
+                            none_b[b] |= mask
+                        if op is not None:
+                            for a in ones(op[1]):
+                                none_a[a] = all_x4
+                            for a in ones(op[2]):
+                                active[a] |= present
+                    else:
+                        for a, mask in x4_none:
+                            none_a[a] |= mask
+                        if op is not None:
+                            for b in ones(op[1]):
+                                none_b[b] = all_x4
+                            for a, mask in x4_nonzero:
+                                active[a] |= mask
+                # (a, b) pairs with a None side, summed over x4: those
+                # with a None a side, plus those with a None b side, less
+                # those with both, counted per pair of distinct masks
+                gaps = 0
+                visit = 0
+                a_groups: dict = {}  # a None mask -> the a's that have it
+                for a, mask in enumerate(none_a):
+                    visit |= active[a] & ~mask
+                    if mask:
+                        gaps += n_bs[a] * mask.bit_count()
+                        a_groups[mask] = a_groups.get(mask, 0) | 1 << a
+                b_groups: dict = {}
+                for b, mask in enumerate(none_b):
+                    if mask:
+                        gaps += n_as[b] * mask.bit_count()
+                        b_groups[mask] = b_groups.get(mask, 0) | 1 << b
+                for b_mask, bs in b_groups.items():
+                    for a_mask, as_ in a_groups.items():
+                        both = (a_mask & b_mask).bit_count()
+                        if both:
+                            pairs = in_range.get((as_, bs))
+                            if pairs is None:
+                                pairs = in_range[as_, bs] = sum(
+                                    (b_range[a] & bs).bit_count()
+                                    for a in ones(as_))
+                            gaps -= both * pairs
+                skipped += gaps * per_ab
+                # the evaluated pairs are taken out again below and
+                # counted by their outcome
+                checked += (n * n_pairs - gaps) * per_ab
+                for x4 in ones(visit):
                     xs = (x1, x2, x3, x4)
-                    none_a = none_b = active_a = 0
+                    x4_none_a = x4_none_b = active_a = 0
                     live = []
                     for left, right in looks:
                         u = rho.get(left(xs))
                         v = rho.get(right(xs))
                         if u is not None:
-                            none_a |= u[1]
+                            x4_none_a |= u[1]
                         if v is not None:
-                            none_b |= v[1]
+                            x4_none_b |= v[1]
                             if u is not None:
                                 live.append((u, v))
                                 active_a |= u[2]
-                    if not none_a and not none_b and not active_a:
-                        zero += 1
-                        continue
-                    gaps = gap_pairs.get((none_a, none_b))
-                    if gaps is None:
-                        gaps = gap_pairs[none_a, none_b] = sum(
-                            (bs if none_a >> a & 1 else bs & none_b)
-                            .bit_count() for a, bs in enumerate(b_range))
-                    skipped += gaps * per_ab
-                    # the evaluated pairs are taken out again below and
-                    # counted by their outcome
-                    checked += (n_pairs - gaps) * per_ab
-                    for a in ones(active_a & ~none_a):
+                    for a in ones(active_a & ~x4_none_a):
                         todo = 0
                         terms = []
                         for (ucols, _, u_nonzero), (vcols, _, v_nonzero) \
@@ -1027,7 +1163,7 @@ def _check_ho_pairs(ctx: _IdentityContext, name: str, combos,
                             if u_nonzero >> a & 1:
                                 todo |= v_nonzero
                                 terms.append((ucols[a], vcols))
-                        todo &= b_range[a] & ~none_b
+                        todo &= b_range[a] & ~x4_none_b
                         checked -= todo.bit_count() * per_ab
                         for b in ones(todo):
                             s: SVec | None = {}
@@ -1057,7 +1193,7 @@ def _check_ho_pairs(ctx: _IdentityContext, name: str, combos,
                                 else:
                                     rep.record({"x": xs, "x5": place,
                                                 "a": a, "b": b})
-    rep.tick(checked + zero * n_pairs * per_ab)
+    rep.tick(checked)
     rep.skip(skipped)
     return rep
 

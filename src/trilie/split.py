@@ -114,16 +114,18 @@ def zero_form(h: int) -> RootForm:
     return RootForm(MatrixQ.zeros(h, h))
 
 
-def _powers(mat: MatrixQ, ks) -> dict:
+def _powers(mat: MatrixQ, ks, inverse: MatrixQ | None = None) -> dict:
     """{k: mat^k} for every k from min(0, *ks) to max(0, *ks).
 
     Positive powers are successive products of mat, negative ones of its
-    inverse, which is computed once and only when a k is negative.
+    inverse: `inverse` when given, else computed once and only when a k
+    is negative.
     """
     out = {0: MatrixQ.identity(mat.nrows)}
     for sign, top in ((1, max(ks)), (-1, -min(ks))):
         if top > 0:
-            base = mat if sign > 0 else mat.inverse()
+            base = (mat if sign > 0 else
+                    inverse if inverse is not None else mat.inverse())
             out[sign] = cur = base
             for k in range(2, top + 1):
                 out[sign * k] = cur = cur @ base
@@ -167,9 +169,10 @@ class Decomposition:
 
 @stored_on("_frame")
 def _h_frame(B: RinehartBundle, H: SubspaceQ):
-    """Validate H; return (its basis as sparse vectors, alpha on H),
-    kept with the bundle while H is the same object, so the root and
-    the weight decompositions validate H once."""
+    """Validate H; return (its basis as sparse vectors, alpha on H,
+    alpha^-1, (alpha on H)^-1), kept with the bundle while H is the same
+    object, so the root and the weight decompositions validate H once
+    and every later stage of the same H reuses the two inverses."""
     n = B.L.n
     if H.ambient != n:
         raise ValueError("H does not live in L")
@@ -184,31 +187,35 @@ def _h_frame(B: RinehartBundle, H: SubspaceQ):
                              f" {(i, j, k)}")
         if vec:
             raise SplitError("not abelian", f"basis triple {(i, j, k)}")
-    if not B.L.alpha.is_invertible():
-        raise SplitError("alpha not invertible")
+    try:
+        alpha_inv = B.L.alpha.inverse()
+    except ValueError:
+        raise SplitError("alpha not invertible") from None
     coords = [H.coordinates(B.L.alpha.apply(v)) for v in H.basis]
     if None in coords:
         raise SplitError("H not alpha-stable")
     AH = MatrixQ(coords).transpose()
-    if not AH.is_invertible():
-        raise SplitError("H not alpha-stable", "alpha collapses H")
-    return svs, AH
+    try:
+        AH_inv = AH.inverse()
+    except ValueError:
+        raise SplitError("H not alpha-stable", "alpha collapses H") from None
+    return svs, AH, alpha_inv, AH_inv
 
 
-def _grade(H: SubspaceQ, frame, twist: MatrixQ, pair_columns, name: str,
-           window: str, unsplit: str) -> Decomposition:
+def _grade(H: SubspaceQ, frame, twist: MatrixQ, twist_inv: MatrixQ,
+           pair_columns, name: str, window: str,
+           unsplit: str) -> Decomposition:
     """Grade a space by simultaneous eigenvalues of twist^{-1} op(h_a, h_b).
 
-    `frame` is what `_h_frame` returns and `pair_columns(u, v)` the
-    columns of the pair operator `name`.  A None column raises
-    SplitError(window); eigenspaces that do not exhaust the space raise
-    SplitError(unsplit).  The eigen-identity op(h_a, h_b) v =
+    `frame` is what `_h_frame` returns, twist_inv the inverse of twist
+    and `pair_columns(u, v)` the columns of the pair operator `name`.
+    A None column raises SplitError(window); eigenspaces that do not
+    exhaust the space raise SplitError(unsplit).  The eigen-identity op(h_a, h_b) v =
     form(h_a, h_b) twist(v) is re-verified from the same columns on
     every reported generator, so a successful return is a proof.
     """
-    svs, AH = frame
+    svs, AH = frame[:2]
     h, ambient = H.dim, twist.nrows
-    twist_inv = twist.inverse()
     columns = {}
     # refine the whole space along the rational eigenvalues of each
     # operator; an eigenspace that is everything leaves a piece as it is
@@ -262,7 +269,8 @@ def root_decompose(B: RinehartBundle, H: SubspaceQ) -> Decomposition:
 
     The zero part must be exactly H.
     """
-    dec = _grade(H, _h_frame(B, H), B.L.alpha, partial(ad_columns, B.L),
+    frame = _h_frame(B, H)
+    dec = _grade(H, frame, B.L.alpha, frame[2], partial(ad_columns, B.L),
                  "ad", "bracket window too small", "not split over Q")
     if not dec.zero.contains_space(H):
         raise SplitError("not split over Q", "H escapes its own eigenspace")
@@ -275,9 +283,11 @@ def root_decompose(B: RinehartBundle, H: SubspaceQ) -> Decomposition:
 def weight_decompose(B: RinehartBundle, H: SubspaceQ) -> Decomposition:
     """Grade A by simultaneous eigenvalues of phi^{-1} rho(h_i, h_j)."""
     frame = _h_frame(B, H)
-    if not B.A.phi.is_invertible():
-        raise SplitError("phi not invertible")
-    return _grade(H, frame, B.A.phi, B.rho.bilinear, "rho",
+    try:
+        phi_inv = B.A.phi.inverse()
+    except ValueError:
+        raise SplitError("phi not invertible") from None
+    return _grade(H, frame, B.A.phi, phi_inv, B.rho.bilinear, "rho",
                   "anchor window too small", "A not split over Q")
 
 
@@ -288,9 +298,10 @@ def weight_decompose(B: RinehartBundle, H: SubspaceQ) -> Decomposition:
 _THM1_POWERS = (-2, -1, 0, 1, 2)
 
 
-def _pullback_uppers(forms, AH: MatrixQ, k: int) -> list:
-    """Strict upper triangles of pullback_root(f, AH, k), one per form."""
-    P = _powers(AH, (-k,))[-k]
+def _pullback_uppers(forms, AH: MatrixQ, k: int, AH_inv: MatrixQ) -> list:
+    """Strict upper triangles of pullback_root(f, AH, k), one per form;
+    AH_inv is the inverse of AH."""
+    P = _powers(AH, (-k,), AH_inv)[-k]
     Pt = P.transpose()
     return [_upper(Pt @ f.mat @ P) for f in forms]
 
@@ -335,15 +346,17 @@ def check_thm1_properties(B: RinehartBundle, dec: Decomposition,
     """
     suite = SuiteReport("thm1")
     l_index, a_index = _upper_index(dec), _upper_index(wdec)
+    _, _, alpha_inv, AH_inv = _h_frame(B, dec.H)
 
-    for name, twist, side, index, key in (
-            ("phi-moves-weights", B.A.phi, wdec, a_index, "weight"),
-            ("alpha-moves-roots", B.L.alpha, dec, l_index, "root")):
+    for name, twist, twist_inv, side, index, key in (
+            ("phi-moves-weights", B.A.phi, None, wdec, a_index, "weight"),
+            ("alpha-moves-roots", B.L.alpha, alpha_inv, dec, l_index,
+             "root")):
         report = suite.add(CheckReport(name))
-        powers = _powers(twist, _THM1_POWERS)
+        powers = _powers(twist, _THM1_POWERS, twist_inv)
         for k in _THM1_POWERS:
             P = powers[k]
-            pulled = _pullback_uppers(side.forms, side.AH, k)
+            pulled = _pullback_uppers(side.forms, side.AH, k, AH_inv)
             for (form, space), up in zip(side.pieces, pulled):
                 target = index.get(up)
                 report.tick()
@@ -355,8 +368,8 @@ def check_thm1_properties(B: RinehartBundle, dec: Decomposition,
     gam, lam = dec.forms, wdec.forms
     up_r = [_upper(f.mat) for f in gam]
     up_w = [_upper(f.mat) for f in lam]
-    pb_r = _pullback_uppers(gam, dec.AH, 1)
-    pb_w = _pullback_uppers(lam, dec.AH, 1)
+    pb_r = _pullback_uppers(gam, dec.AH, 1, AH_inv)
+    pb_w = _pullback_uppers(lam, dec.AH, 1, AH_inv)
     sv_r = [dec.sparse[f] for f in gam]
     sv_w = [wdec.sparse[f] for f in lam]
 
@@ -426,18 +439,18 @@ def _orbit_bound(h: int) -> int:
     return max(max(lcms) for lcms in reach.values())
 
 
-def _orbit(form: RootForm, AH: MatrixQ):
+def _orbit(form: RootForm, AH: MatrixQ, inverse: MatrixQ):
     """The pullback orbit {form(alpha^k, alpha^k)} as a list.
 
     Pulling back is invertible, so an orbit that closes returns to
     `form` itself, within `_orbit_bound` steps; one that has not by
-    then is infinite, a SplitError.
+    then is infinite, a SplitError.  inverse is AH^-1, which the
+    caller computes once for all its walks.
     """
     out = [form]
     cur = form
     # a step is pullback_root(cur, AH, 1), the same as pullback_root by
-    # -1 under the inverse, so the walk inverts AH once
-    inverse = AH.inverse()
+    # -1 under the inverse
     for _ in range(_orbit_bound(AH.nrows)):
         cur = pullback_root(cur, inverse, -1)
         if cur == form:
@@ -556,7 +569,9 @@ def connected(gamma, lam, AH: MatrixQ, src: RootForm, dst: RootForm):
     roots = set(gamma)
     if src not in roots or dst not in roots:
         raise ValueError("form is not in the root system")
-    src_orbit, dst_orbit = _orbit(src, AH), _orbit(dst, AH)
+    inverse = AH.inverse()
+    src_orbit = _orbit(src, AH, inverse)
+    dst_orbit = _orbit(dst, AH, inverse)
     table = _StateTable(gamma, _alphabet(gamma, lam, AH.nrows), AH)
     start = table.ids(src_orbit)
     accept = set(table.ids(_signed(dst_orbit)))
@@ -589,10 +604,11 @@ def connection_chain_valid(chain, gamma, lam, AH: MatrixQ,
     letters = set(_alphabet(gamma, lam, src.h))
     if any(f not in letters for f in chain[1:]):
         return False
-    if chain[0] not in set(_orbit(src, AH)):
+    inverse = AH.inverse()
+    if chain[0] not in set(_orbit(src, AH, inverse)):
         return False
     plus_minus = _signed(gamma)
-    accept = _signed(_orbit(dst, AH))
+    accept = _signed(_orbit(dst, AH, inverse))
     n_steps = (len(chain) - 1) // 2
     for i in range(1, n_steps + 1):
         bar = pullback_root(chain[0], AH, i)
@@ -607,11 +623,11 @@ def connection_chain_valid(chain, gamma, lam, AH: MatrixQ,
     return True
 
 
-def _partition(forms, gamma, lam, AH) -> tuple:
+def _partition(forms, gamma, lam, AH, AH_inv) -> tuple:
     """Partition `forms` by connection, verifying the equivalence laws.
 
     Returns the classes as tuples of forms in key order, ordered by
-    their first form.
+    their first form.  AH_inv is the inverse of AH.
 
     One `_StateTable` over the +-forms serves every search.  Each
     form's pullback orbit is computed once: its states start that
@@ -623,7 +639,7 @@ def _partition(forms, gamma, lam, AH) -> tuple:
     """
     forms = sorted(set(forms), key=lambda f: f.key())
     n = len(forms)
-    orbits = [_orbit(f, AH) for f in forms]
+    orbits = [_orbit(f, AH, AH_inv) for f in forms]
     table = _StateTable(forms, _alphabet(gamma, lam, AH.nrows), AH)
     reach = [_connect_search(table, table.ids(orb)) for orb in orbits]
     targets = [set(table.ids(_signed(orb))) for orb in orbits]
@@ -649,7 +665,7 @@ def _partition(forms, gamma, lam, AH) -> tuple:
 
 
 def root_classes(gamma, lam, AH: MatrixQ) -> tuple:
-    return _partition(gamma, gamma, lam, AH)
+    return _partition(gamma, gamma, lam, AH, AH.inverse())
 
 
 # -- class ideals --------------------------------------------------------
@@ -879,7 +895,8 @@ def weight_class_decompose(B: RinehartBundle, dec: Decomposition,
     """
     m = B.A.dim
     suite = SuiteReport("weight-classes")
-    partition = _partition(wdec.forms, dec.forms, wdec.forms, wdec.AH)
+    partition = _partition(wdec.forms, dec.forms, wdec.forms, wdec.AH,
+                           _h_frame(B, wdec.H)[3])
 
     spaces = []
     inside = suite.add(CheckReport("zero-parts-in-A0"))

@@ -619,31 +619,40 @@ def test_corpus_output_matches_its_pinned_bytes(capsys, argv):
 
 # (exit code, SHA-256 of `check --suite SUITE --report json`) of the
 # law suites, which run on load too: flagged corpus files, pinned before
-# the mask kernels of hr2, Leibniz and action-rho-compat.
+# the mask kernels of hr2, Leibniz and action-rho-compat.  The identity
+# suite's pins were taken before its action and x4 masks.
 LAW_PINS = {
     ("jacobian-weak", "--degree-cap", "2"): {
         "rinehart": (1, "3dd1b1ce75db43eedf53f7fa965a8f68"
                         "f99d84e9d420f10cdcaa987ec4f79dcb"),
         "rep": (0, "b01a0f3013a66658277dce8e20118900"
                    "40ecc160e87345511413710fea0681b0"),
+        "identities": (1, "1f1b7f59dd65bf3ee1b88f5454dbb5db"
+                          "c1fa381f89a736f5f54dbbf465814980"),
     },
     ("tb-rinehart", "--degree-cap", "3"): {
         "rinehart": (0, "0cd182f8a44d2322fa32da6c7c31dd6c"
                         "690e7822c9196ffcacc24faf317c96ca"),
         "rep": (0, "ec3de255da87eda96a1738c9393788a6"
                    "13b811bf620f067f13729bbd349967fa"),
+        "identities": (0, "a3c6ec66ac94b0765836e764654caf25"
+                          "e33d81767241ec8d9e2021242a73f4b2"),
     },
     ("two-block", "--window", "1"): {
         "rinehart": (0, "dea86321ac463801dd914ffa7fd36e7b"
                         "0faf21f6e33237852ff5acddafacee50"),
         "rep": (0, "71643272c0d25999305e6f0de3557645"
                    "bea5063befb975568e613ec45c3c3ee6"),
+        "identities": (0, "c9b3014dc43aace8acfaccf24ce44a1d"
+                          "91be4a4ad8bfccb829de1c4429685288"),
     },
     ("tprime-split", "--window", "2"): {
         "rinehart": (0, "f2635deda72187862f3e0e5ea1fe3deb"
                         "c3085bd8d78e01c2f04e7dadb9c235e6"),
         "rep": (0, "70e8a17bcd153689990d3eb075dd3024"
                    "6cec3b935a5669453fa65f1ca0cf83f6"),
+        "identities": (0, "6d22c8e43715a841eff8ec17f9af73e2"
+                          "0ca1bf55e400b22260a7dd08c1c05764"),
     },
 }
 

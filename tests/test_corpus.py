@@ -2,7 +2,7 @@
 
 import pytest
 
-from trilie.bundleio import FLAG_CHECKS
+from trilie.bundleio import FLAG_CHECKS, dumps_bundle, loads_bundle
 from trilie.corpus import (
     CORPUS_NAMES,
     MAX_DEGREE,
@@ -45,6 +45,17 @@ def test_declared_flags_are_true_claims(name):
     B = generate(name)
     for flag, value in B.meta["flags"].items():
         assert (FLAG_CHECKS[flag](B) is True) == value, (name, flag)
+
+
+@pytest.mark.parametrize("name", ("jacobian-weak", "rho-prime"))
+@pytest.mark.parametrize("cap", (0, 1, 2))
+def test_function_space_bundles_load_at_small_degree_caps(name, cap):
+    """The full laws fail through rho(x*x, y), which needs degree 2, so
+    below cap 2 these bundles are full ones and say so: the file they
+    write loads with its flags verified."""
+    B = generate(name, degree_cap=cap)
+    assert B.meta["flags"]["full_rinehart"] is (cap < 2)
+    loads_bundle(dumps_bundle(B))
 
 
 def test_generate_is_deterministic():

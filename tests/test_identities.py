@@ -1,9 +1,10 @@
 """The identity suite against a literal reference evaluation.
 
 `check_identity_suite` counts identities 1-3 from bit masks over the
-(x3, x4, x5) of each (x1, x2), evaluating only where a term is nonzero
-and each shared term once, and counts the tuples of identities 4-6
-whose terms are all zero.  The reference below evaluates every
+(x3, x4, x5) of each (x1, x2), evaluating only where a term acts
+through a nonzero action entry and none through a None one, and
+identities 4-6 from bit masks over x4 of each (x1, x2, x3), visiting
+only the x4 with a live term.  The reference below evaluates every
 (tuple, a, b, c, x5) instance one by one, identity by identity, in the
 enumeration order of the suite, with the sign of each operand looked
 up per instance.  Reports must agree exactly: verdict, checked and
@@ -11,6 +12,7 @@ skipped counts, failure counts and witnesses in order.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,14 +306,62 @@ def test_witnesses_of_identities_1_to_3_are_the_first_in_tuple_order():
     assert_same_reports(B)
 
 
-def test_one_pass_evaluates_each_shared_term_once():
-    """Identities 1-3 share 9 distinct terms among their 18, so the
-    suite's one pass calls the action fewer times than a pass per
-    identity over the same context; the reports are the same."""
+def _live_sums(B, identities) -> int:
+    """The (tuple, identity, a) whose sum has a term acting through a
+    nonzero action entry and no term that is undetermined, has a None
+    column or acts through a None entry, counted one by one from the
+    reference operands."""
+    ctx = _ReferenceContext(B)
+    table = B.act.table
+    absent = object()
+
+    def live(terms, xs, a):
+        found = False
+        for (p, q), (r, s, t) in terms:
+            cols, sign = ctx.op_at(ctx.pr, xs[p], xs[q])
+            key, bsign = sort3(xs[r], xs[s], xs[t])
+            if sign == 0 or cols is None or bsign == 0:
+                continue
+            bvec, avec = ctx.ab[key], cols[a]
+            if avec is None or bvec is None:
+                return False
+            for i in avec:
+                for x in bvec:
+                    entry = table.get((i, x), absent)
+                    if entry is None:
+                        return False
+                    found = found or (entry is not absent and bool(entry))
+        return found
+
+    n, m = ctx.n, ctx.m
+    return sum(live(terms, (x1, x2, *combo), a)
+               for _, terms, _ in identities
+               for x1 in range(n) for x2 in range(n)
+               for combo in combinations(range(n), 3) for a in range(m))
+
+
+def test_one_pass_evaluates_only_live_sums_from_rows_built_once(
+        monkeypatch):
+    """Identities 1-3 settle by masks every (tuple, a) where each term
+    acts as zero or some term meets a None entry, and evaluate only the
+    others, from the rows act(e_i, alpha[triple]) built once per
+    (triple, i): the action is called to build a row or to check a sum
+    against every phi^2(e_b), nowhere else.  On two-block window 1 that
+    is 1,496 sums from 68 rows; every sum holds, and the reports are the
+    same in one pass as in a pass per identity."""
     B = generate("two-block", window=1)
     identities = [("identity-1", _HO1_TERMS, False),
                   ("identity-2", _HO2_TERMS, True),
                   ("identity-3", _HO3_TERMS, True)]
+    sums = []
+    real_sum = _IdentityContext.bracket_sum
+
+    def counted_sum(self, operands, plan, a):
+        s = real_sum(self, operands, plan, a)
+        sums.append(s)
+        return s
+
+    monkeypatch.setattr(_IdentityContext, "bracket_sum", counted_sum)
 
     def spied_context():
         ctx = _IdentityContext(B)
@@ -319,18 +369,28 @@ def test_one_pass_evaluates_each_shared_term_once():
         calls = []
 
         def counting(u, v):
-            calls.append(1)
+            calls.append((u, v))
             return act(u, v)
         ctx.act = counting
         return ctx, calls
 
     ctx, together = spied_context()
     one_pass = [rep.to_dict() for rep in _check_ho_brackets(ctx, identities)]
-    ctx, apart = spied_context()
+    alphas = {key: vec for key, (vec, _, _) in ctx.alpha.items() if vec}
+    rows = [(next(iter(u)), key) for u, v in together
+            for key, vec in alphas.items() if v is vec and len(u) == 1]
+    checks = [v for u, v in together if any(u is p for p in ctx.phi2)]
+    assert len(rows) + len(checks) == len(together)
+    assert len(rows) == len(set(rows)) == 68
+    assert len(sums) == _live_sums(B, identities) == 1496
+    assert not any(sums) and not checks
+    n_together = len(sums)
+
+    ctx, _ = spied_context()
     per_identity = [_check_ho_brackets(ctx, [identity])[0].to_dict()
                     for identity in identities]
     assert one_pass == per_identity
-    assert (len(together), len(apart)) == (8400, 15872)
+    assert len(sums) == 2 * n_together
 
 
 # --- random bundles with window holes -------------------------------------
@@ -354,9 +414,17 @@ def _matrix(draw, dim):
 
 
 @st.composite
-def random_bundles(draw):
+def random_bundles(draw, action_blocks=False, anchor_within=False):
     """Bracket, product, action and anchor tables with random entries,
-    None holes and explicit zero coefficients; no law is assumed."""
+    None holes and explicit zero coefficients; no law is assumed.
+
+    With action_blocks, the A- and L-indices fall into two blocks, e_a
+    acts on e_x only within its block, and a third of those entries are
+    None holes: a term then often acts through no entry at all, or only
+    through holes.  With anchor_within, the anchor has operators only
+    on pairs inside a random set of L-indices, so every x4 outside it
+    leaves the x4 side of identities 4-6 zero.
+    """
     n = draw(st.integers(2, 5))
     m = draw(st.integers(1, 3))
     holes = draw(st.booleans())
@@ -373,10 +441,22 @@ def random_bundles(draw):
     product = {(i, j): _vec(draw, m, holes)
                for i in range(m) for j in range(i, m) if _present(draw)}
     A = CommAlgebra(m, product, _matrix(draw, m))
-    action = {(a, x): _vec(draw, n, holes)
-              for a in range(m) for x in range(n) if _present(draw)}
+    if action_blocks:
+        a_block = [draw(st.booleans()) for _ in range(m)]
+        x_block = [draw(st.booleans()) for _ in range(n)]
+        action = {(a, x): (None if draw(st.integers(0, 2)) == 0
+                           else _vec(draw, n, False))
+                  for a in range(m) for x in range(n)
+                  if a_block[a] == x_block[x]}
+    else:
+        action = {(a, x): _vec(draw, n, holes)
+                  for a in range(m) for x in range(n) if _present(draw)}
+    inside = range(n)
+    if anchor_within:
+        inside = draw(st.sets(st.integers(0, n - 1), min_size=2))
     ops = {(i, j): [_vec(draw, m, holes) for _ in range(m)]
-           for i in range(n) for j in range(i + 1, n) if _present(draw)}
+           for i in range(n) for j in range(i + 1, n)
+           if i in inside and j in inside and _present(draw)}
     return RinehartBundle(L, A, PairAction(n, m, ops),
                           ModuleAction(m, n, action))
 
@@ -384,6 +464,22 @@ def random_bundles(draw):
 @settings(max_examples=150, deadline=None)
 @given(random_bundles())
 def test_suite_matches_the_reference_on_random_bundles(B):
+    assert_same_reports(B)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_bundles(action_blocks=True))
+def test_suite_matches_the_reference_with_block_sparse_action_holes(B):
+    """The action masks settle a (tuple, a) whose terms act through no
+    entry, or through a None hole, without evaluating it."""
+    assert_same_reports(B)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_bundles(action_blocks=True, anchor_within=True))
+def test_suite_matches_the_reference_with_the_anchor_on_a_subset(B):
+    """The masks over x4 of identities 4-6 count whole x4 ranges where
+    the x4 side of every term is zero."""
     assert_same_reports(B)
 
 

@@ -1,7 +1,10 @@
 """The package's own hygiene: no unused imports, no test-only API, no
-copied helpers."""
+copied helpers, no heavy standard modules at start-up."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -171,3 +174,18 @@ def test_no_two_functions_have_the_same_body():
     modules = {path.name: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
     assert duplicate_bodies(modules) == []
+
+
+def test_the_command_line_starts_without_dataclasses_or_inspect():
+    """Importing `dataclasses` pulls in `inspect`, `dis`, `ast` and
+    `tokenize`, about 11 ms that every command would pay at start-up;
+    the package's classes are plain classes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    probe = ("import sys, trilie.cli; print(' '.join(sorted("
+             "{'dataclasses', 'inspect'} & set(sys.modules))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

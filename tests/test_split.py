@@ -12,7 +12,7 @@ from itertools import (combinations, combinations_with_replacement,
 
 import pytest
 
-from trilie import split
+from trilie import exactq, split
 from trilie.bundleio import dumps_bundle
 from trilie.cli import main
 from trilie.construct import bundle_direct_sum
@@ -206,24 +206,61 @@ def test_thm1_inverts_each_twist_once(monkeypatch):
         assert sum(m is twist for m in inverted) <= 1
 
 
+def _count_inversions(monkeypatch):
+    """Spy on MatrixQ.inverse and on rref; returns (the matrices
+    inverted, the row lists reduced), in call order."""
+    inverted, reduced = [], []
+    real_inverse, real_rref = MatrixQ.inverse, exactq.rref
+
+    def inverse(self):
+        inverted.append(self)
+        return real_inverse(self)
+
+    def rref(rows):
+        rows = [tuple(r) for r in rows]
+        reduced.append(rows)
+        return real_rref(rows)
+
+    monkeypatch.setattr(MatrixQ, "inverse", inverse)
+    monkeypatch.setattr(exactq, "rref", rref)
+    return inverted, reduced
+
+
 def test_decompose_validates_h_once(tmp_path, capsys, monkeypatch):
     """The root and the weight decompositions share one frame of H, so
-    one `decompose` asks once whether alpha is invertible (the frame
-    was built for each of them, twice)."""
+    one `decompose` inverts alpha once: the frame's test that alpha is
+    invertible is that inverse."""
     path = tmp_path / "two-block.json"
     path.write_text(dumps_bundle(two_block(1)), encoding="utf-8")
     alpha = two_block(1).L.alpha
-    asked = []
-    real = MatrixQ.is_invertible
-
-    def counted(self):
-        asked.append(self)
-        return real(self)
-
-    monkeypatch.setattr(MatrixQ, "is_invertible", counted)
+    inverted, _ = _count_inversions(monkeypatch)
     assert main(["decompose", str(path), "--report", "json"]) == 0
     capsys.readouterr()
-    assert sum(m == alpha for m in asked) == 1
+    assert sum(m == alpha for m in inverted) == 1
+
+
+def test_decompose_inverts_alpha_and_alpha_on_h_once_per_frame(
+        tmp_path, capsys, monkeypatch):
+    """The frame of H keeps alpha^-1 and (alpha on H)^-1, and grading,
+    thm1 and the weight-class walks take them from it: one `decompose`
+    of two-block window 3 inverts alpha once, alpha on H twice (the
+    frame and `root_classes`, whose callers hand it only AH) and phi
+    twice (weight grading and thm1), and reduces neither alpha nor
+    alpha on H apart from those inverses."""
+    B = two_block(3)
+    path = tmp_path / "two-block.json"
+    path.write_text(dumps_bundle(B), encoding="utf-8")
+    H = h_space(B)
+    AH = root_decompose(B, H).AH
+    inverted, reduced = _count_inversions(monkeypatch)
+    assert main(["decompose", str(path), "--report", "json"]) == 0
+    capsys.readouterr()
+    counts = [sum(m == twist for m in inverted)
+              for twist in (B.L.alpha, AH, B.A.phi)]
+    assert counts == [1, 2, 2]
+    assert len(inverted) == 5
+    square = [twist.rows for twist in (B.L.alpha, AH, B.A.phi)]
+    assert not [rows for rows in reduced if rows in square]
 
 
 @pytest.mark.parametrize("ah, length", [
@@ -232,8 +269,9 @@ def test_decompose_validates_h_once(tmp_path, capsys, monkeypatch):
     ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1),
 ])
 def test_an_orbit_walk_inverts_alpha_on_h_once(monkeypatch, ah, length):
-    """_orbit inverts alpha on H once per walk, not once per step, and
-    returns the orbit of repeated pullback_root steps."""
+    """An orbit walk inverts alpha on H once, here by its caller, not
+    once per step, and returns the orbit of repeated pullback_root
+    steps."""
     AH = MatrixQ(ah)
     want = [form3(1)]
     while (step := pullback_root(want[-1], AH, 1)) != want[0]:
@@ -247,7 +285,7 @@ def test_an_orbit_walk_inverts_alpha_on_h_once(monkeypatch, ah, length):
         return real(self)
 
     monkeypatch.setattr(MatrixQ, "inverse", counted)
-    assert split._orbit(form3(1), AH) == want
+    assert split._orbit(form3(1), AH, AH.inverse()) == want
     assert len(inverted) <= 1
 
 
@@ -293,8 +331,9 @@ def test_upper_triangle_lookup_matches_the_form_sums(name, window):
     a_index = split._upper_index(wdec)
     up_r = [split._upper(f.mat) for f in gamma]
     up_w = [split._upper(f.mat) for f in lam]
-    pb_r = split._pullback_uppers(gamma, AH, 1)
-    pb_w = split._pullback_uppers(lam, AH, 1)
+    AH_inv = AH.inverse()
+    pb_r = split._pullback_uppers(gamma, AH, 1, AH_inv)
+    pb_w = split._pullback_uppers(lam, AH, 1, AH_inv)
 
     def l_old(form):
         return _form_target(dec.index, dec.zero, form)
@@ -306,9 +345,9 @@ def test_upper_triangle_lookup_matches_the_form_sums(name, window):
         return tuple(map(sum, zip(*ups)))
 
     for k in (-2, -1, 0, 1, 2):
-        for f, up in zip(gamma, split._pullback_uppers(gamma, AH, k)):
+        for f, up in zip(gamma, split._pullback_uppers(gamma, AH, k, AH_inv)):
             assert l_index.get(up) is l_old(pullback_root(f, AH, k))
-        for f, up in zip(lam, split._pullback_uppers(lam, AH, k)):
+        for f, up in zip(lam, split._pullback_uppers(lam, AH, k, AH_inv)):
             assert a_index.get(up) is a_old(pullback_root(f, AH, k))
     for i, j, k in combinations_with_replacement(range(len(gamma)), 3):
         total = gamma[i] + gamma[j] + gamma[k]
@@ -472,7 +511,7 @@ def test_orbits_of_finite_order_twists_match_the_oracle(h):
     forms.append(sum(forms[1:], forms[0]) + forms[-1])     # a generic one
     for AH in _signed_permutations(h):
         for form in forms:
-            orbit = split._orbit(form, AH)
+            orbit = split._orbit(form, AH, AH.inverse())
             assert len(orbit) <= split._orbit_bound(h)
             assert [[list(r) for r in f.mat.rows] for f in orbit] == \
                 _orbit_mats(form.mat.rows, AH.rows)
@@ -486,8 +525,9 @@ def test_orbits_of_finite_order_twists_match_the_oracle(h):
 ])
 def test_a_twist_of_infinite_order_on_h_is_a_split_error(ah_rows,
                                                           form_rows):
+    AH = MatrixQ(ah_rows)
     with pytest.raises(SplitError, match="pullback orbit does not close"):
-        split._orbit(RootForm(MatrixQ(form_rows)), MatrixQ(ah_rows))
+        split._orbit(RootForm(MatrixQ(form_rows)), AH, AH.inverse())
 
 
 def test_scaled_alpha_toy_fails_to_connect_not_to_decompose():
@@ -601,11 +641,12 @@ def _matrix_bfs(states, gamma, lam, AH, src, dst=None):
     for f in states:
         plus_minus.add(f)
         plus_minus.add(-f)
-    start = [f for f in split._orbit(src, AH) if f in plus_minus]
+    inverse = AH.inverse()
+    start = [f for f in split._orbit(src, AH, inverse) if f in plus_minus]
     accept = None
     if dst is not None:
         accept = set()
-        for f in split._orbit(dst, AH):
+        for f in split._orbit(dst, AH, inverse):
             accept.add(f)
             accept.add(-f)
         if accept.intersection(start):
@@ -654,7 +695,7 @@ def test_state_table_search_matches_the_matrix_bfs(name, window):
     for states in (gamma, lam):
         table = split._StateTable(states, letters, AH)
         for f in states:
-            start = table.ids(split._orbit(f, AH))
+            start = table.ids(split._orbit(f, AH, AH.inverse()))
             got = {table.states[i]
                    for i in split._connect_search(table, start)}
             assert got == _matrix_bfs(set(states), gamma, lam, AH, f)
