@@ -41,6 +41,7 @@ from .repmod import (
     Columns,
     HomRepresentation,
     PairAction,
+    _keep,
     check_hom_rep,
     kernel_of_rep,
     masked_ops,
@@ -604,86 +605,89 @@ def check_full_rinehart(B: RinehartBundle) -> SuiteReport:
 
 # --- the six compatibility identities -------------------------------------
 #
-# Each identity is a multilinear equation mixing bracket, twist, anchor
-# and action, checked on basis tuples; enumeration exploits proven
-# formal symmetries.  A term of identities 1-3 is phi.rho(pair)(e_a)
-# acting on alpha of a bracket triple; a term of identities 4-6 is a
-# product rho(pair)(e_a) rho(pair')(e_b) of two anchor columns.
+# Each identity is a multilinear equation in bracket, twist, anchor and
+# action, checked on basis tuples; enumeration exploits proven formal
+# symmetries.  A term of identities 1-3 is phi.rho(pair)(e_a) acting on
+# alpha of a bracket triple, a term of 4-6 a product rho(pair)(e_a)
+# rho(pair')(e_b); an absent operator or a repeated index makes it zero.
 #
-# _IdentityContext builds the operands once per suite call: an ordered
-# pair with a stored anchor operator maps to its columns, signed by the
-# order, and an ordered triple of distinct indices to its sorted triple
-# and permutation sign.  A repeated index or an absent operator has no
-# entry: that term is zero.
+# Identities 1-3 sum three groups of three terms (_HO_GROUPS): GA,
+# antisymmetric in (x1, x2), GB, and GC, GB with x1 and x2 swapped.  At
+# (x1, x2) they are GA + GB, GA - GC and GB + GC, at (x2, x1) -GA + GC,
+# -GA - GB and GB + GC, by the antisymmetry of rho and of the bracket
+# alone.  A sum is undetermined where a term of its groups is, so each
+# pair of groups settles two (identity, order) instances and only the
+# x1 <= x2 are enumerated.  Masks over the combos (x3, x4, x5) say per
+# term where its pair has an operator, its column a is None or has i in
+# its support, and its triple is distinct or undetermined or acted on
+# by e_i through a None or nonzero entry; each is built once per value
+# of the fixed indices it reads.  A pair's masks, the OR of its terms',
+# skip a combo where a term with an operator has an undetermined
+# bracket and a (combo, a) where a column a is None or acts through a
+# None entry; the rest holds unless a term acts through a nonzero
+# entry.  Only those are summed, each group once, from the rows
+# act(e_i, alpha[triple]) built once.  The witnesses kept are the
+# smallest (x, a[, b]), the first in the full enumeration.
 #
-# Identities 1-3 are counted by bit masks over the C(n, 3) combos
-# (x3, x4, x5) of each (x1, x2).  Per term the masks say where its pair
-# has an operator, where column a of it is None and where A-index i is
-# in the support of column a; and where its triple is distinct or
-# undetermined, and where the action of e_i on alpha of it meets a None
-# or a nonzero entry of the action table.  A mask depends only on the
-# indices its pair or triple fixes among x1 and x2, so it is built once
-# per value of those and kept while that value can recur.  An identity's
-# masks are the OR of its terms': a combo where a term with an operator
-# has an undetermined bracket is skipped for every a; a (combo, a) where
-# a term's column a is None, or acts through a None entry, is skipped
-# (even when the other terms are zero); every other (combo, a) holds
-# unless a term acts through a nonzero entry, so popcounts give the
-# counts.  Only the (combo, a) with such a live term are evaluated, in
-# ascending order, from the rows act(e_i, alpha[sorted triple]), each
-# built once, with the signs folded into the scalars.
-#
-# Identities 4-6 are counted by bit masks over x4 for each (x1, x2, x3):
-# per a, where a term's a-side column is None and where it is nonzero
-# with an operator on the b side; per b, where a b-side column is None.
-# Popcounts of their unions count the (a, b) with a None side once each,
-# and only the x4 with a live a are visited.  In all six, the check of a
-# nonzero sum against every b, c or basis vector runs once per distinct
-# sum.
+# Identities 4-6 are counted per (x1, x2, x3) by masks over the (x4, a)
+# and (x4, a, b) where a side is None, and where an a side is nonzero
+# with an operator on the b side; only the x4 with a live a are
+# visited.  There, per anchor operator and A-index i, masks over b mark
+# the columns meeting a None, resp. nonzero, phi(e_i e_j); spread over
+# the a with i in column a, their OR over the terms settles the (a, b)
+# the product window leaves undetermined and those whose sum is zero.
+# Only the others are summed, as u_i v_j phi(e_i e_j) from a table.  In
+# all six, the check of a sum against every b, c or x5 runs once per
+# distinct sum.
 
 
 class _IdentityContext:
     """The operands of the six identities, built once per suite call.
 
-    pr and rho map an ordered pair (i, j) with a stored anchor operator
-    to the `exactq.operand` (columns, None mask, nonzero mask) of
-    phi.rho(e_i, e_j), resp. rho(e_i, e_j), signed by the order.  ab
-    maps an ordered triple of distinct indices to (the sorted triple,
-    the permutation sign), and alpha a sorted triple to (alpha[e_i, e_j,
-    e_k], None outside the window; the A-indices whose action on it
-    meets a None entry of the action table, and those whose action meets
-    a nonzero entry, as masks).  rows keeps the rows act(e_i, alpha[k])
-    of each sorted triple k once built (see rows_of).  x4_masks[j] is
-    (present, [(a, None)], [(a, nonzero)]) of rho(e_j, e_x4) as masks
-    over x4.  combos lists the (x3, x4, x5) of identities 1-3; masks,
-    x1_masks and groups keep the bit masks over them (see op_masks,
-    triple_masks).  The seen_* dicts hold the per-sum verdicts.
+    pr and rho map an ordered pair with a stored anchor operator to the
+    `exactq.operand` of phi.rho(e_i, e_j), resp. rho(e_i, e_j), signed
+    by the order; rho's also holds its `_column_masks` and its None
+    columns as a sides over the (x4, a), and as a, resp. b, sides over
+    the (x4, a, b).  rho_at[j][x] is rho's entry of (j, x); x4_masks[j]
+    holds rho(e_j, e_x4) present, None and nonzero over the (x4, a) and
+    None as a, resp. b, side over the (x4, a, b).  phi_prod[i][j] is
+    phi(e_i e_j); c_rows[c] the rows phi^2(e_c) e_i and their None mask.
+    ab maps an ordered triple of distinct indices to (sorted triple,
+    sign); alpha a sorted triple to (alpha[e_i, e_j, e_k]; the e_i
+    acting on it through a None, resp. nonzero, entry); rows keeps the
+    rows_of.  masks, x1_masks and groups keep the masks over combos, the
+    (x3, x4, x5) (see _kept); the seen_* dicts the per-sum verdicts.
     """
 
-    __slots__ = ("n", "m", "act", "prod", "phi_apply", "alpha2", "phi2",
-                 "ab", "alpha", "rows", "pr", "rho", "x4_masks", "combos",
-                 "masks", "x1_masks", "groups", "seen_b", "seen_c",
-                 "seen_x5")
+    __slots__ = ("n", "m", "act", "alpha2", "phi2", "phi_prod", "c_rows",
+                 "ab", "alpha", "rows", "pr", "rho", "rho_at", "x4_masks",
+                 "combos", "masks", "x1_masks", "groups", "seen_b",
+                 "seen_c", "seen_x5")
 
     def __init__(self, B: RinehartBundle):
         L, A = B.L, B.A
         n = self.n = L.n
         m = self.m = A.dim
         self.act = B.act.act
-        self.prod = A.product
-        self.phi_apply = A.phi_apply
         acols = mat_columns_sv(L.alpha)
         self.alpha2 = op_compose(acols, acols)
         pc = A._phi_cols
         self.phi2 = op_compose(pc, pc)
-        # per A-index i, the L-indices x with a None, resp. nonzero, e_i e_x
-        act_none = [0] * m
-        act_nonzero = [0] * m
-        for (a, x), vec in B.act.table.items():
-            if vec is None:
-                act_none[a] |= 1 << x
-            elif vec:
-                act_nonzero[a] |= 1 << x
+        self.phi_prod = [[_EMPTY] * m for _ in range(m)]
+        for i, j in combinations_with_replacement(range(m), 2):
+            self.phi_prod[i][j] = self.phi_prod[j][i] = A.phi_apply(
+                A.basis_product(i, j))
+        # per A-index i, the j with a None, resp. nonzero, phi(e_i e_j),
+        # and the L-indices x with a None, resp. nonzero, e_i e_x
+        prod_none, prod_nonzero = zip(*(masks(row)[:2]
+                                        for row in self.phi_prod))
+        act_none, act_nonzero = zip(*(masks(
+            [B.act.table.get((a, x), _EMPTY) for x in range(n)])[:2]
+            for a in range(m)))
+        self.c_rows = []
+        for vec in self.phi2:
+            rows = [A.product(vec, {i: 1}) for i in range(m)]
+            self.c_rows.append((rows, masks(rows)[0]))
         self.combos = list(combinations(range(n), 3))
         self.ab: dict = {}
         self.alpha: dict = {}
@@ -705,23 +709,28 @@ class _IdentityContext:
         self.rows: dict = {}
         self.pr: dict = {}
         self.rho: dict = {}
-        present = [0] * n
-        none = [{} for _ in range(n)]
-        nonzero = [{} for _ in range(n)]
+        # the bits of (x4, a) are x4 * m + a, of (x4, a, b) x4 * m^2 +
+        # a * m + b; on_a (on_ab) has those of (x4, 0) ((x4, 0, 0))
+        on_a, on_ab = (_spread((1 << n) - 1, size) for size in (m, m * m))
+        self.x4_masks = [[0] * 5 for _ in range(n)]
         for (i, j), cols in B.rho.ops.items():
             phi_rho = op_compose(pc, cols)
+            col_none, col_nonzero, _ = masks(cols)
+            a_gaps = _spread(col_none, m) * ((1 << m) - 1)
+            b_gaps = _spread((1 << m) - 1, m) * col_none
+            shared = (*_column_masks(cols, prod_none, prod_nonzero),
+                      col_none * on_a, a_gaps * on_ab, b_gaps * on_ab)
             for key, sign in (((i, j), 1), ((j, i), -1)):
-                self.rho[key] = operand(cols, sign)
+                self.rho[key] = (*operand(cols, sign), *shared)
                 self.pr[key] = operand(phi_rho, sign)
-            _, col_none, col_nonzero = self.rho[i, j]
             for here, there in ((i, j), (j, i)):
-                present[here] |= 1 << there
-                for per_a, columns in ((none[here], col_none),
-                                       (nonzero[here], col_nonzero)):
-                    for a in ones(columns):
-                        per_a[a] = per_a.get(a, 0) | 1 << there
-        self.x4_masks = [(present[j], sorted(none[j].items()),
-                          sorted(nonzero[j].items())) for j in range(n)]
+                at = self.x4_masks[here]
+                for k, mask in enumerate((1, col_none, col_nonzero)):
+                    at[k] |= mask << there * m
+                at[3] |= a_gaps << there * m * m
+                at[4] |= b_gaps << there * m * m
+        self.rho_at = [[self.rho.get((j, x)) for x in range(n)]
+                       for j in range(n)]
         self.masks: dict = {}
         self.x1_masks: dict = {}
         self.groups: dict = {}
@@ -733,7 +742,8 @@ class _IdentityContext:
         """(the indices at `slots`, mask of the combos giving them).
 
         slots are positions 0..4 of (x1, ..., x5); fixed is (x1, x2).
-        The combos are grouped by their values at the slots >= 2.
+        The combos are grouped by their values at the slots >= 2, each
+        group given by its first combo.
         """
         varying = tuple(s for s in slots if s >= 2)
         groups = self.groups.get(varying)
@@ -741,13 +751,12 @@ class _IdentityContext:
             acc: dict = {}
             for ci, combo in enumerate(self.combos):
                 vals = tuple(combo[s - 2] for s in varying)
-                acc[vals] = acc.get(vals, 0) | 1 << ci
-            groups = self.groups[varying] = list(acc.items())
-        xs = [*fixed, 0, 0, 0]
-        for vals, mask in groups:
-            for s, v in zip(varying, vals):
-                xs[s] = v
-            yield tuple(xs[s] for s in slots), mask
+                first, mask = acc.get(vals, (combo, 0))
+                acc[vals] = first, mask | 1 << ci
+            groups = self.groups[varying] = list(acc.values())
+        at = itemgetter(*slots)
+        for combo, mask in groups:
+            yield at(fixed + combo), mask
 
     def op_masks(self, pair, fixed):
         """(present, {a: None column}, {a: [(i, i in column a)]}) of
@@ -824,22 +833,27 @@ class _IdentityContext:
                 for i in range(self.m)]
         return rows
 
-    def bracket_sum(self, operands, plan, a: int) -> SVec:
-        """The sum of an identity of the ho1 shape at one combo and a:
-        each term's column a times the rows of its triple, the pair and
-        permutation signs folded into the scalars.  operands holds
-        (columns, rows of the triple, permutation sign) per term, None
-        for a zero term; no term may act through a None entry."""
+    def group_terms(self, group: int, xs) -> list:
+        """(signed columns, rows of the sorted triple, permutation sign)
+        of each term of `group` at (x1, ..., x5) = xs that may be
+        nonzero."""
+        terms = []
+        for pair, triple in _GROUP_GETTERS[group]:
+            op = self.pr.get(pair(xs))
+            hit = None if op is None else self.ab.get(triple(xs))
+            if hit is not None and self.alpha[hit[0]][0]:
+                terms.append((op[0], self.rows_of(hit[0]), hit[1]))
+        return terms
+
+    def group_sum(self, terms, a: int) -> SVec:
+        """The sum of a group's terms at a: each column a times the rows
+        of its triple.  No term may act through a None entry."""
         s: SVec = {}
-        for t, sign in plan:
-            hit = operands[t]
-            if hit is None:
-                continue
-            cols, rows, psign = hit
+        for cols, rows, psign in terms:
             col = cols[a]
             if col:
                 for i, c in col.items():
-                    sv_axpy(s, sign * psign * c, rows[i])
+                    sv_axpy(s, psign * c, rows[i])
         return s
 
     def on_phi2_b(self, s: SVec):
@@ -853,23 +867,54 @@ class _IdentityContext:
             self.act(u, vec) for vec in self.alpha2))
 
     def on_phi2_c(self, t: SVec):
-        """The same for every phi^2(e_c) t; failures are (c, x5) pairs."""
+        """The same for every phi^2(e_c) t, from c_rows; failures are
+        (c, x5) pairs."""
         def evaluate():
             ok = gaps = 0
             bad = []
-            for c, vec in enumerate(self.phi2):
-                u = self.prod(vec, t)
-                if u is None:
+            need = bits(t)
+            for c, (rows, none) in enumerate(self.c_rows):
+                if none & need:
                     gaps += self.n
-                elif not u:
-                    ok += self.n
-                else:
-                    u_ok, u_gaps, u_bad = self.on_alpha2(u)
-                    ok += u_ok
-                    gaps += u_gaps
-                    bad.extend((c, x5) for x5 in u_bad)
+                    continue
+                u: SVec = {}
+                for i, coeff in t.items():
+                    sv_axpy(u, coeff, rows[i])
+                u_ok, u_gaps, u_bad = self.on_alpha2(u) if u else (
+                    self.n, 0, ())
+                ok += u_ok
+                gaps += u_gaps
+                bad.extend((c, x5) for x5 in u_bad)
             return ok, gaps, bad
         return _once(self.seen_c, t, evaluate)
+
+
+def _column_masks(cols, none_at, nonzero_at) -> tuple:
+    """(by_i, spreads) of the columns cols[k] of an anchor operator:
+    by_i[i] is the (None, nonzero) masks of the k whose column meets
+    none_at[i], resp. nonzero_at[i]; spreads lists per i the k with i
+    in the support of column k as the bits k * len(none_at), so that
+    times a mask over b it marks those (k, b)."""
+    size = len(none_at)
+    none = [0] * size
+    nonzero = [0] * size
+    has = [0] * size
+    for k, col in enumerate(cols):
+        meets_none = meets = 0
+        for j in col or _EMPTY:
+            meets_none |= none_at[j]
+            meets |= nonzero_at[j]
+            has[j] |= 1 << k * size
+        for per_i, meet in ((none, meets_none), (nonzero, meets)):
+            for i in ones(meet):
+                per_i[i] |= 1 << k
+    return (list(zip(none, nonzero)),
+            [(i, spread) for i, spread in enumerate(has) if spread])
+
+
+def _spread(mask: int, size: int) -> int:
+    """The bits k of mask moved to k * size."""
+    return sum(1 << k * size for k in ones(mask))
 
 
 def _once(seen: dict, vec: SVec, evaluate):
@@ -895,32 +940,22 @@ def _tally(outs):
     return ok, gaps, bad
 
 
-_HO1_TERMS = (
-    # (rho pair slots, bracket slots) over (x1..x5) as indices 0..4
-    ((3, 4), (0, 1, 2)),
-    ((4, 2), (0, 1, 3)),
-    ((2, 3), (0, 1, 4)),
-    ((1, 2), (0, 3, 4)),
-    ((1, 3), (2, 0, 4)),
-    ((1, 4), (2, 3, 0)),
+# the groups GA, GB and GC of identities 1-3: per term, (rho pair slots,
+# bracket slots) over (x1, ..., x5) as indices 0..4
+_HO_GROUPS = (
+    (((3, 4), (0, 1, 2)), ((4, 2), (0, 1, 3)), ((2, 3), (0, 1, 4))),
+    (((1, 2), (0, 3, 4)), ((1, 3), (2, 0, 4)), ((1, 4), (2, 3, 0))),
+    (((0, 2), (1, 3, 4)), ((0, 3), (2, 1, 4)), ((0, 4), (2, 3, 1))),
 )
-
-_HO2_TERMS = (
-    ((3, 4), (0, 1, 2)),
-    ((4, 2), (0, 1, 3)),
-    ((2, 3), (0, 1, 4)),
-    ((2, 0), (1, 3, 4)),
-    ((3, 0), (2, 1, 4)),
-    ((4, 0), (2, 3, 1)),
-)
-
-_HO3_TERMS = (
-    ((1, 2), (0, 3, 4)),
-    ((1, 3), (2, 0, 4)),
-    ((1, 4), (2, 3, 0)),
-    ((0, 2), (1, 3, 4)),
-    ((0, 3), (2, 1, 4)),
-    ((0, 4), (2, 3, 1)),
+_GROUP_GETTERS = tuple(tuple((itemgetter(*pair), itemgetter(*triple))
+                             for pair, triple in terms)
+                       for terms in _HO_GROUPS)
+# per pair of groups, the (identity, order, signs of the two groups) it
+# makes, order 0 at (x1, x2) and 1 at (x2, x1)
+_HO_PAIRS = (
+    ((0, 1), ((0, 0, (1, 1)), (1, 1, (-1, -1)))),
+    ((0, 2), ((1, 0, (1, -1)), (0, 1, (-1, 1)))),
+    ((1, 2), ((2, 0, (1, 1)), (2, 1, (1, 1)))),
 )
 
 
@@ -945,101 +980,106 @@ def _term_masks(ctx: _IdentityContext, pair, triple, fixed):
     return present & undetermined, skip, on
 
 
-def _check_ho_brackets(ctx: _IdentityContext, identities) -> list:
-    """Identities of the ho1 shape (outer=False) or of the ho2/ho3 shape
-    (outer=True), one report each, counted in one pass.
+def _union(parts):
+    """The OR of (gap, {a: skipped}, {a: live}) masks."""
+    gap = 0
+    skip: dict = {}
+    live: dict = {}
+    for p_gap, p_skip, p_live in parts:
+        gap |= p_gap
+        for a, mask in p_skip.items():
+            skip[a] = skip.get(a, 0) | mask
+        for a, mask in p_live.items():
+            live[a] = live.get(a, 0) | mask
+    return gap, skip, live
 
-    identities lists (name, terms, outer).  For each tuple and a, the
-    sum of phi.rho(pair)(e_a) acting on alpha[triple] over the terms
-    must vanish (ho1), or be killed by every phi^2(e_b) (ho2, ho3).  The
-    masks of a term shared by several identities, or with its pair
-    reversed, are built once per (x1, x2).
-    """
-    n, m = ctx.n, ctx.m
-    pr, ab, alpha, combos = ctx.pr, ctx.ab, ctx.alpha, ctx.combos
-    shapes: list = []  # distinct (pair, triple), pair in ascending slots
-    plans = []  # per identity: (index into shapes, sign)
-    for _, terms, _ in identities:
-        plan = []
-        for (p, q), triple in terms:
-            shape = ((p, q) if p < q else (q, p)), triple
-            if shape not in shapes:
-                shapes.append(shape)
-            plan.append((shapes.index(shape), 1 if p < q else -1))
-        plans.append(plan)
-    getters = [(itemgetter(*pair), itemgetter(*triple))
-               for pair, triple in shapes]
-    reports = [CheckReport(name) for name, _, _ in identities]
-    outers = [outer for _, _, outer in identities]
-    per_a = [m if outer else 1 for outer in outers]
-    checked = [0] * len(identities)
-    skipped = [0] * len(identities)
+
+def _check_ho_brackets(ctx: _IdentityContext) -> list:
+    """Identities 1-3, one report each, in one pass over the x1 <= x2
+    from the group sums GA, GB and GC (see above): identity 1's sum
+    must vanish, those of identities 2 and 3 be killed by every
+    phi^2(e_b)."""
+    n, m, combos = ctx.n, ctx.m, ctx.combos
     everything = (1 << len(combos)) - 1
+    per_a = (1, m, m)
+    checked = [0, 0, 0]
+    skipped = [0, 0, 0]
+    failed = [0, 0, 0]
+    kept: list = [[], [], []]  # per identity, the smallest failing keys
     for x1 in range(n):
         ctx.x1_masks.clear()
-        for x2 in range(n):
+        for x2 in range(x1, n):
             fixed = (x1, x2)
-            terms = [_term_masks(ctx, pair, triple, fixed)
-                     for pair, triple in shapes]
-            pending = 0  # combos where some identity has a live term
-            todo = []  # per identity: [(a, combos to evaluate)], a ascending
-            for k, plan in enumerate(plans):
-                gap = 0
-                skip: dict = {}
-                live: dict = {}
-                for t, _ in plan:
-                    t_gap, t_skip, t_live = terms[t]
-                    gap |= t_gap
-                    for a, mask in t_skip.items():
-                        skip[a] = skip.get(a, 0) | mask
-                    for a, mask in t_live.items():
-                        live[a] = live.get(a, 0) | mask
+            orders = 1 if x1 == x2 else 2
+            groups = [_union(_term_masks(ctx, pair, triple, fixed)
+                             for pair, triple in terms)
+                      for terms in _HO_GROUPS]
+            work: dict = {}  # combo -> [(pair, uses, a)] to sum
+            for pair, uses in _HO_PAIRS:
+                gap, skip, live = _union(groups[g] for g in pair)
                 keep = everything ^ gap
                 n_skip = n_live = 0
                 for a, mask in skip.items():
                     skip[a] = mask = mask & keep
                     n_skip += mask.bit_count()
-                evaluate = []
-                for a in sorted(live):
-                    mask = live[a] & keep & ~skip.get(a, 0)
-                    if mask:
-                        n_live += mask.bit_count()
-                        pending |= mask
-                        evaluate.append((a, mask))
-                todo.append(evaluate)
+                for a, mask in live.items():
+                    mask &= keep & ~skip.get(a, 0)
+                    n_live += mask.bit_count()
+                    for ci in ones(mask):
+                        work.setdefault(ci, []).append((pair, uses, a))
                 n_gap = gap.bit_count()
-                skipped[k] += (n_gap * m + n_skip) * per_a[k]
-                checked[k] += ((len(combos) - n_gap) * m - n_skip
-                               - n_live) * per_a[k]
-            for ci in ones(pending):
+                for k, _, _ in uses[:orders]:
+                    skipped[k] += (n_gap * m + n_skip) * per_a[k]
+                    checked[k] += ((len(combos) - n_gap) * m - n_skip
+                                   - n_live) * per_a[k]
+            for ci, evaluate in work.items():
                 xs = fixed + combos[ci]
-                operands = []  # see _IdentityContext.bracket_sum
-                for pair, triple in getters:
-                    op = pr.get(pair(xs))
-                    hit = None if op is None else ab.get(triple(xs))
-                    if hit is None or not alpha[hit[0]][0]:
-                        operands.append(None)
-                    else:
-                        key, psign = hit
-                        operands.append((op[0], ctx.rows_of(key), psign))
-                for k, plan in enumerate(plans):
-                    for a, mask in todo[k]:
-                        if not mask >> ci & 1:
-                            continue
-                        s = ctx.bracket_sum(operands, plan, a)
-                        if not s:
+                swapped = (x2, x1) + combos[ci]
+                terms: list = [None] * 3  # per group, its operands here
+                sums: dict = {}  # (group, a) -> its sum here
+                for pair, uses, a in evaluate:
+                    parts = []
+                    for group in pair:
+                        part = sums.get((group, a))
+                        if part is None:
+                            if terms[group] is None:
+                                terms[group] = ctx.group_terms(group, xs)
+                            part = sums[group, a] = ctx.group_sum(
+                                terms[group], a)
+                        parts.append(part)
+                    p, q = parts
+                    made = None
+                    for k, order, (sp, sq) in uses[:orders]:
+                        if (sp, sq) != made:
+                            # sp p + sq q vanishes where q = -sp sq p
+                            made = sp, sq
+                            zero = q == (p if sp != sq else sv_scale(p, -1))
+                            s = None
+                        if zero:
                             checked[k] += per_a[k]
-                        elif not outers[k]:
-                            reports[k].record({"x": xs, "a": a})
-                        else:
-                            ok, b_gaps, bad = ctx.on_phi2_b(s)
-                            checked[k] += ok
-                            skipped[k] += b_gaps
-                            for b in bad:
-                                reports[k].record({"x": xs, "a": a, "b": b})
-    for rep, ok, gaps in zip(reports, checked, skipped):
-        rep.tick(ok)
-        rep.skip(gaps)
+                            continue
+                        where = swapped if order else xs
+                        if k == 0:
+                            failed[k] += 1
+                            _keep(kept[k], (where, a))
+                            continue
+                        if s is None:
+                            s = dict(p) if sp == 1 else sv_scale(p, -1)
+                            sv_axpy(s, sq, q)
+                        ok, b_gaps, bad = ctx.on_phi2_b(s)
+                        checked[k] += ok
+                        skipped[k] += b_gaps
+                        failed[k] += len(bad)
+                        for b in bad:
+                            _keep(kept[k], (where, a, b))
+    reports = []
+    for k in range(3):
+        rep = CheckReport(f"identity-{k + 1}", checked=checked[k],
+                          skipped=skipped[k])
+        for where, a, *b in kept[k]:
+            rep.record({"x": where, "a": a, **{"b": v for v in b}})
+        rep.failure_count = failed[k]
+        reports.append(rep)
     return reports
 
 
@@ -1058,163 +1098,120 @@ def _check_ho_pairs(ctx: _IdentityContext, name: str, combos,
     Identity 4 asks phi(s) to kill every alpha^2 e_x5; identities 5 and
     6 (with_c) ask the same of every phi^2(e_c) phi(s).  The two other
     flags are the enumeration each identity's proven symmetry allows:
-    x3 > x2 for identity 5, b > a for identity 6.  Each combo has one
-    side that reads x4 (slot 3); its other slot and the fixed side
-    place the combo's masks over x4.
+    x3 > x2 for identity 5, b > a for identity 6.
     """
     rep = CheckReport(name)
     n, m = ctx.n, ctx.m
     per_ab = n * m if with_c else n
-    rho, prod, phi_apply = ctx.rho, ctx.prod, ctx.phi_apply
-    x4_masks = ctx.x4_masks
+    rho, phi_prod, x4_masks = ctx.rho, ctx.phi_prod, ctx.x4_masks
     on_t = ctx.on_phi2_c if with_c else ctx.on_alpha2
-    looks = [(itemgetter(p, q), itemgetter(r, s)) for (p, q), (r, s) in combos]
     # per combo: (its fixed side's slots, whether that is the a side,
-    # the other slot of the side that reads x4)
-    sides = [(itemgetter(p, q), True, r if s == 3 else s) if 3 in (r, s)
-             else (itemgetter(r, s), False, p if q == 3 else q)
+    # the other slot of the side that reads x4, whether x4 comes first)
+    sides = [(itemgetter(p, q), True, r if s == 3 else s, r == 3)
+             if 3 in (r, s) else
+             (itemgetter(r, s), False, p if q == 3 else q, p == 3)
              for (p, q), (r, s) in combos]
+    by_x4 = (ctx.rho_at, list(zip(*ctx.rho_at)))
     everything = (1 << m) - 1
-    # the b's each a is paired with, as bit masks, and how many a's
-    # each b is paired with
-    b_range = [everything & ~((2 << a) - 1) if b_after_a else everything
-               for a in range(m)]
-    n_bs = [bs.bit_count() for bs in b_range]
-    n_as = [sum(bs >> b & 1 for bs in b_range) for b in range(m)]
-    n_pairs = sum(n_bs)
-    in_range: dict = {}  # (a's, b's) as masks -> their (a, b) in range
-    all_x4 = (1 << n) - 1
+    # the (a, b) in range, over the bits a * m + b, and over the bits
+    # x4 * m^2 + a * m + b of the (x4, a, b)
+    ab_range = sum((everything & ~((2 << a) - 1) if b_after_a
+                    else everything) << a * m for a in range(m))
+    in_range = ab_range * _spread((1 << n) - 1, m * m)
+    n_in_range = in_range.bit_count()
     checked = skipped = 0
     for x1 in range(n):
         for x2 in range(x1 + 1, n):
             for x3 in range(x2 + 1 if x3_after_x2 else 0, n):
                 fixed = (x1, x2, x3)
-                none_a = [0] * m  # per a, the x4 where an a side is None
-                none_b = [0] * m
-                active = [0] * m  # per a, the x4 with a nonzero a side
-                for side, a_side, slot in sides:
+                # over the (x4, a): where an a side is None, and where it
+                # is nonzero with an operator on the b side; over the
+                # (x4, a, b): where the a side, resp. the b side, is None
+                none_a = active = gap_a = gap_b = 0
+                live_sides = []  # (fixed operator, x4 side by x4, a side)
+                for side, a_side, slot, x4_first in sides:
                     op = rho.get(side(fixed))
-                    present, x4_none, x4_nonzero = x4_masks[fixed[slot]]
+                    present, x4_none, x4_nonzero, x4_gap_a, x4_gap_b = \
+                        x4_masks[fixed[slot]]
                     if a_side:
-                        for b, mask in x4_none:
-                            none_b[b] |= mask
+                        gap_b |= x4_gap_b
                         if op is not None:
-                            for a in ones(op[1]):
-                                none_a[a] = all_x4
-                            for a in ones(op[2]):
-                                active[a] |= present
+                            none_a |= op[5]
+                            gap_a |= op[6]
+                            active |= op[2] * present
                     else:
-                        for a, mask in x4_none:
-                            none_a[a] |= mask
+                        none_a |= x4_none
+                        gap_a |= x4_gap_a
                         if op is not None:
-                            for b in ones(op[1]):
-                                none_b[b] = all_x4
-                            for a, mask in x4_nonzero:
-                                active[a] |= mask
-                # (a, b) pairs with a None side, summed over x4: those
-                # with a None a side, plus those with a None b side, less
-                # those with both, counted per pair of distinct masks
-                gaps = 0
+                            gap_b |= op[7]
+                            active |= x4_nonzero
+                    if op is not None:
+                        live_sides.append(
+                            (op, by_x4[x4_first][fixed[slot]], a_side))
+                clear = in_range & ~(gap_a | gap_b)
+                n_clear = clear.bit_count()
+                skipped += (n_in_range - n_clear) * per_ab
+                # the pairs the product window leaves undetermined, and
+                # those summed, are taken out again below
+                checked += n_clear * per_ab
                 visit = 0
-                a_groups: dict = {}  # a None mask -> the a's that have it
-                for a, mask in enumerate(none_a):
-                    visit |= active[a] & ~mask
-                    if mask:
-                        gaps += n_bs[a] * mask.bit_count()
-                        a_groups[mask] = a_groups.get(mask, 0) | 1 << a
-                b_groups: dict = {}
-                for b, mask in enumerate(none_b):
-                    if mask:
-                        gaps += n_as[b] * mask.bit_count()
-                        b_groups[mask] = b_groups.get(mask, 0) | 1 << b
-                for b_mask, bs in b_groups.items():
-                    for a_mask, as_ in a_groups.items():
-                        both = (a_mask & b_mask).bit_count()
-                        if both:
-                            pairs = in_range.get((as_, bs))
-                            if pairs is None:
-                                pairs = in_range[as_, bs] = sum(
-                                    (b_range[a] & bs).bit_count()
-                                    for a in ones(as_))
-                            gaps -= both * pairs
-                skipped += gaps * per_ab
-                # the evaluated pairs are taken out again below and
-                # counted by their outcome
-                checked += (n * n_pairs - gaps) * per_ab
+                for at in ones(active & ~none_a):
+                    visit |= 1 << at // m
                 for x4 in ones(visit):
-                    xs = (x1, x2, x3, x4)
-                    x4_none_a = x4_none_b = active_a = 0
                     live = []
-                    for left, right in looks:
-                        u = rho.get(left(xs))
-                        v = rho.get(right(xs))
-                        if u is not None:
-                            x4_none_a |= u[1]
-                        if v is not None:
-                            x4_none_b |= v[1]
-                            if u is not None:
-                                live.append((u, v))
-                                active_a |= u[2]
-                    for a in ones(active_a & ~x4_none_a):
-                        todo = 0
-                        terms = []
-                        for (ucols, _, u_nonzero), (vcols, _, v_nonzero) \
-                                in live:
-                            if u_nonzero >> a & 1:
-                                todo |= v_nonzero
-                                terms.append((ucols[a], vcols))
-                        todo &= b_range[a] & ~x4_none_b
-                        checked -= todo.bit_count() * per_ab
-                        for b in ones(todo):
-                            s: SVec | None = {}
-                            for u, vcols in terms:
-                                v = vcols[b]
-                                if v:
-                                    term = prod(u, v)
-                                    if term is None:
-                                        s = None
-                                        break
-                                    sv_axpy(s, 1, term)
-                            if s is None:
-                                skipped += per_ab
-                                continue
-                            t = phi_apply(s)
-                            if not t:
-                                checked += per_ab
-                                continue
-                            ok, t_gaps, bad = on_t(t)
-                            checked += ok
-                            skipped += t_gaps
-                            for place in bad:
-                                if with_c:
-                                    c, x5 = place
-                                    rep.record({"x": xs, "x5": x5, "a": a,
-                                                "b": b, "c": c})
-                                else:
-                                    rep.record({"x": xs, "x5": place,
-                                                "a": a, "b": b})
+                    for op, x4_side, a_side in live_sides:
+                        other = x4_side[x4]
+                        if other is not None:
+                            live.append((op, other) if a_side else (other, op))
+                    # over the (a, b): those a term's products leave
+                    # undetermined, and those where they may be nonzero
+                    unsettled = summed = 0
+                    for u, v in live:
+                        for i, spread in u[4]:
+                            i_none, i_nonzero = v[3][i]
+                            unsettled |= i_none * spread
+                            summed |= i_nonzero * spread
+                    unsettled &= clear >> x4 * m * m
+                    summed &= clear >> x4 * m * m & ~unsettled
+                    n_unsettled = unsettled.bit_count()
+                    skipped += n_unsettled * per_ab
+                    checked -= (n_unsettled + summed.bit_count()) * per_ab
+                    for at in ones(summed):
+                        a, b = divmod(at, m)
+                        t: SVec = {}  # phi(s(a, b))
+                        for u, v in live:
+                            col, vb = u[0][a], v[0][b]
+                            if col and vb:
+                                for i, ci in col.items():
+                                    row = phi_prod[i]
+                                    for j, cj in vb.items():
+                                        sv_axpy(t, ci * cj, row[j])
+                        ok, t_gaps, bad = on_t(t) if t else (per_ab, 0, ())
+                        checked += ok
+                        skipped += t_gaps
+                        for place in bad:
+                            wit = {"x": (x1, x2, x3, x4), "x5": place,
+                                   "a": a, "b": b}
+                            if with_c:
+                                wit["c"], wit["x5"] = place
+                            rep.record(wit)
     rep.tick(checked)
     rep.skip(skipped)
     return rep
 
 
 def check_identity_suite(B: RinehartBundle) -> SuiteReport:
-    """The six multilinear compatibility identities of a full bundle."""
+    """The six multilinear compatibility identities of a full bundle:
+    identities 1-3 together from the group sums GA, GB and GC over the
+    x1 <= x2, identities 4-6 each from the table of phi(e_i e_j), with
+    the window settled by masks before any arithmetic (see above)."""
     ctx = _IdentityContext(B)
-    suite = SuiteReport("identities")
-    for rep in _check_ho_brackets(ctx, [("identity-1", _HO1_TERMS, False),
-                                        ("identity-2", _HO2_TERMS, True),
-                                        ("identity-3", _HO3_TERMS, True)]):
-        suite.add(rep)
-    suite.add(_check_ho_pairs(ctx, "identity-4", _HO4_COMBOS,
-                              x3_after_x2=False, b_after_a=False,
-                              with_c=False))
-    suite.add(_check_ho_pairs(ctx, "identity-5", _HO5_COMBOS,
-                              x3_after_x2=True, b_after_a=False,
-                              with_c=True))
-    suite.add(_check_ho_pairs(ctx, "identity-6", _HO6_COMBOS,
-                              x3_after_x2=False, b_after_a=True,
-                              with_c=True))
+    suite = SuiteReport("identities", _check_ho_brackets(ctx))
+    # (name, combos, x3 > x2, b > a, with phi^2(e_c))
+    for spec in (("identity-4", _HO4_COMBOS, False, False, False),
+                 ("identity-5", _HO5_COMBOS, True, False, True),
+                 ("identity-6", _HO6_COMBOS, False, True, True)):
+        suite.add(_check_ho_pairs(ctx, *spec))
     return suite
 
 

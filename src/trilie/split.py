@@ -151,14 +151,18 @@ class Decomposition:
 
     `pieces` are the (form, space) pairs in form key order; `index`
     maps a form to its space and `sparse` to its basis as sparse
-    vectors.  AH is the matrix of alpha on H in H's basis.
+    vectors.  AH is the matrix of alpha on H in H's basis, and
+    twist_inv the inverse of the twist the space is graded by (alpha
+    for roots, phi for weights).
     """
 
-    __slots__ = ("H", "AH", "pieces", "forms", "index", "sparse", "zero")
+    __slots__ = ("H", "AH", "pieces", "forms", "index", "sparse", "zero",
+                 "twist_inv")
 
-    def __init__(self, H, AH, pieces, zero):
+    def __init__(self, H, AH, pieces, zero, twist_inv):
         self.H = H
         self.AH = AH
+        self.twist_inv = twist_inv
         self.pieces = tuple(pieces)
         self.forms = tuple(form for form, _ in self.pieces)
         self.index = dict(self.pieces)
@@ -250,7 +254,7 @@ def _grade(H: SubspaceQ, frame, twist: MatrixQ, twist_inv: MatrixQ,
         else:
             pieces.append((form, space))
     pieces.sort(key=lambda item: item[0].key())
-    dec = Decomposition(H, AH, pieces, zero)
+    dec = Decomposition(H, AH, pieces, zero, twist_inv)
 
     for form, space in dec.pieces:
         for v, vs in zip(space.basis, dec.sparse[form]):
@@ -346,14 +350,13 @@ def check_thm1_properties(B: RinehartBundle, dec: Decomposition,
     """
     suite = SuiteReport("thm1")
     l_index, a_index = _upper_index(dec), _upper_index(wdec)
-    _, _, alpha_inv, AH_inv = _h_frame(B, dec.H)
+    AH_inv = _h_frame(B, dec.H)[3]
 
-    for name, twist, twist_inv, side, index, key in (
-            ("phi-moves-weights", B.A.phi, None, wdec, a_index, "weight"),
-            ("alpha-moves-roots", B.L.alpha, alpha_inv, dec, l_index,
-             "root")):
+    for name, twist, side, index, key in (
+            ("phi-moves-weights", B.A.phi, wdec, a_index, "weight"),
+            ("alpha-moves-roots", B.L.alpha, dec, l_index, "root")):
         report = suite.add(CheckReport(name))
-        powers = _powers(twist, _THM1_POWERS, twist_inv)
+        powers = _powers(twist, _THM1_POWERS, side.twist_inv)
         for k in _THM1_POWERS:
             P = powers[k]
             pulled = _pullback_uppers(side.forms, side.AH, k, AH_inv)

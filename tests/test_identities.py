@@ -1,14 +1,16 @@
 """The identity suite against a literal reference evaluation.
 
-`check_identity_suite` counts identities 1-3 from bit masks over the
-(x3, x4, x5) of each (x1, x2), evaluating only where a term acts
-through a nonzero action entry and none through a None one, and
-identities 4-6 from bit masks over x4 of each (x1, x2, x3), visiting
-only the x4 with a live term.  The reference below evaluates every
-(tuple, a, b, c, x5) instance one by one, identity by identity, in the
-enumeration order of the suite, with the sign of each operand looked
-up per instance.  Reports must agree exactly: verdict, checked and
-skipped counts, failure counts and witnesses in order.
+`check_identity_suite` counts identities 1-3 together, from three
+group sums over the unordered (x1, x2) and bit masks over the
+(x3, x4, x5), evaluating only where a term acts through a nonzero
+action entry and none through a None one; and identities 4-6 from bit
+masks over x4 and over the (a, b) of each (x1, x2, x3), summing only
+the (a, b) whose products the window determines and may leave
+nonzero.  The reference below evaluates every (tuple, a, b, c, x5)
+instance one by one, identity by identity, in the enumeration order of
+the suite, from the literal term lists, with the sign of each operand
+looked up per instance.  Reports must agree exactly: verdict, checked
+and skipped counts, failure counts and witnesses in order.
 """
 
 from fractions import Fraction
@@ -26,18 +28,45 @@ from trilie.rinehart import (
     CommAlgebra,
     ModuleAction,
     RinehartBundle,
-    _HO1_TERMS,
-    _HO2_TERMS,
-    _HO3_TERMS,
-    _HO4_COMBOS,
-    _HO5_COMBOS,
-    _HO6_COMBOS,
     _IdentityContext,
     _check_ho_brackets,
     check_identity_suite,
 )
 
 _EMPTY: dict = {}
+
+# The terms of identities 1-3: (rho pair slots, bracket slots) over
+# (x1, ..., x5) as indices 0..4.
+_HO1_TERMS = (
+    ((3, 4), (0, 1, 2)),
+    ((4, 2), (0, 1, 3)),
+    ((2, 3), (0, 1, 4)),
+    ((1, 2), (0, 3, 4)),
+    ((1, 3), (2, 0, 4)),
+    ((1, 4), (2, 3, 0)),
+)
+_HO2_TERMS = (
+    ((3, 4), (0, 1, 2)),
+    ((4, 2), (0, 1, 3)),
+    ((2, 3), (0, 1, 4)),
+    ((2, 0), (1, 3, 4)),
+    ((3, 0), (2, 1, 4)),
+    ((4, 0), (2, 3, 1)),
+)
+_HO3_TERMS = (
+    ((1, 2), (0, 3, 4)),
+    ((1, 3), (2, 0, 4)),
+    ((1, 4), (2, 3, 0)),
+    ((0, 2), (1, 3, 4)),
+    ((0, 3), (2, 1, 4)),
+    ((0, 4), (2, 3, 1)),
+)
+# The products of identities 4-6: (a-side pair slots, b-side pair
+# slots) over (x1, ..., x4).
+_HO4_COMBOS = (((0, 1), (2, 3)), ((0, 3), (1, 2)), ((1, 3), (2, 0)))
+_HO5_COMBOS = (((0, 1), (2, 3)), ((1, 2), (0, 3)), ((2, 0), (1, 3)))
+_HO6_COMBOS = (((0, 3), (1, 2)), ((1, 3), (2, 0)),
+               ((1, 2), (3, 0)), ((2, 0), (3, 1)))
 
 
 class _ReferenceContext:
@@ -306,91 +335,92 @@ def test_witnesses_of_identities_1_to_3_are_the_first_in_tuple_order():
     assert_same_reports(B)
 
 
-def _live_sums(B, identities) -> int:
-    """The (tuple, identity, a) whose sum has a term acting through a
-    nonzero action entry and no term that is undetermined, has a None
-    column or acts through a None entry, counted one by one from the
-    reference operands."""
-    ctx = _ReferenceContext(B)
-    table = B.act.table
-    absent = object()
-
-    def live(terms, xs, a):
-        found = False
-        for (p, q), (r, s, t) in terms:
-            cols, sign = ctx.op_at(ctx.pr, xs[p], xs[q])
-            key, bsign = sort3(xs[r], xs[s], xs[t])
-            if sign == 0 or cols is None or bsign == 0:
-                continue
-            bvec, avec = ctx.ab[key], cols[a]
-            if avec is None or bvec is None:
-                return False
-            for i in avec:
-                for x in bvec:
-                    entry = table.get((i, x), absent)
-                    if entry is None:
-                        return False
-                    found = found or (entry is not absent and bool(entry))
-        return found
-
-    n, m = ctx.n, ctx.m
-    return sum(live(terms, (x1, x2, *combo), a)
-               for _, terms, _ in identities
-               for x1 in range(n) for x2 in range(n)
-               for combo in combinations(range(n), 3) for a in range(m))
-
-
-def test_one_pass_evaluates_only_live_sums_from_rows_built_once(
+def test_one_pass_evaluates_each_group_sum_once_from_rows_built_once(
         monkeypatch):
-    """Identities 1-3 settle by masks every (tuple, a) where each term
-    acts as zero or some term meets a None entry, and evaluate only the
-    others, from the rows act(e_i, alpha[triple]) built once per
-    (triple, i): the action is called to build a row or to check a sum
-    against every phi^2(e_b), nowhere else.  On two-block window 1 that
-    is 1,496 sums from 68 rows; every sum holds, and the reports are the
-    same in one pass as in a pass per identity."""
+    """Identities 1-3 enumerate only the x1 <= x2 and evaluate each of
+    the group sums GA, GB and GC at most once per (unordered pair,
+    combo, a), from operands looked up once per (group, combo) and the
+    rows act(e_i, alpha[triple]) built once per (triple, i): the action
+    is called to build a row or to check a sum against every
+    phi^2(e_b), nowhere else.  On two-block window 1 that is 944
+    group sums from 68 rows; every identity holds, and the reports are
+    the reference's."""
     B = generate("two-block", window=1)
-    identities = [("identity-1", _HO1_TERMS, False),
-                  ("identity-2", _HO2_TERMS, True),
-                  ("identity-3", _HO3_TERMS, True)]
-    sums = []
-    real_sum = _IdentityContext.bracket_sum
+    looked_up = {}  # id of a group's operands -> (group, xs, operands)
+    summed = []
+    real_terms = _IdentityContext.group_terms
+    real_sum = _IdentityContext.group_sum
 
-    def counted_sum(self, operands, plan, a):
-        s = real_sum(self, operands, plan, a)
-        sums.append(s)
-        return s
+    def group_terms(self, group, xs):
+        terms = real_terms(self, group, xs)
+        looked_up[id(terms)] = group, xs, terms
+        return terms
 
-    monkeypatch.setattr(_IdentityContext, "bracket_sum", counted_sum)
+    def group_sum(self, terms, a):
+        summed.append((*looked_up[id(terms)][:2], a))
+        return real_sum(self, terms, a)
 
-    def spied_context():
-        ctx = _IdentityContext(B)
-        act = ctx.act
-        calls = []
+    monkeypatch.setattr(_IdentityContext, "group_terms", group_terms)
+    monkeypatch.setattr(_IdentityContext, "group_sum", group_sum)
+    ctx = _IdentityContext(B)
+    act = ctx.act
+    calls = []
 
-        def counting(u, v):
-            calls.append((u, v))
-            return act(u, v)
-        ctx.act = counting
-        return ctx, calls
+    def counting(u, v):
+        calls.append((u, v))
+        return act(u, v)
+    ctx.act = counting
+    reports = [rep.to_dict() for rep in _check_ho_brackets(ctx)]
+    reference = reference_identity_suite(B).to_dict()["checks"][:3]
+    assert reports == reference
+    assert all(rep["status"] == "pass" for rep in reports)
 
-    ctx, together = spied_context()
-    one_pass = [rep.to_dict() for rep in _check_ho_brackets(ctx, identities)]
+    groups = [key[:2] for key in looked_up.values()]
+    assert len(groups) == len(set(groups))
+    assert len(summed) == len(set(summed)) == 944
+    assert all(xs[0] <= xs[1] for _, xs, _ in summed)
     alphas = {key: vec for key, (vec, _, _) in ctx.alpha.items() if vec}
-    rows = [(next(iter(u)), key) for u, v in together
+    rows = [(next(iter(u)), key) for u, v in calls
             for key, vec in alphas.items() if v is vec and len(u) == 1]
-    checks = [v for u, v in together if any(u is p for p in ctx.phi2)]
-    assert len(rows) + len(checks) == len(together)
+    checks = [v for u, v in calls if any(u is p for p in ctx.phi2)]
+    assert len(rows) + len(checks) == len(calls)
     assert len(rows) == len(set(rows)) == 68
-    assert len(sums) == _live_sums(B, identities) == 1496
-    assert not any(sums) and not checks
-    n_together = len(sums)
 
-    ctx, _ = spied_context()
-    per_identity = [_check_ho_brackets(ctx, [identity])[0].to_dict()
-                    for identity in identities]
-    assert one_pass == per_identity
-    assert len(sums) == 2 * n_together
+
+def test_products_and_phi_are_taken_only_to_build_the_tables(monkeypatch):
+    """Identities 4-6 sum u_i v_j phi(e_i e_j) from a table built once
+    per suite call, and identities 5 and 6 multiply a sum by phi^2(e_c)
+    from the rows phi^2(e_c) e_i built with it: CommAlgebra.product and
+    phi_apply are called only while the context is built, m (m + 1) / 2
+    and m^2 times.  jacobian-weak at degree cap 2 fails identities 4-6,
+    so the suite sums and checks products there."""
+    B = generate("jacobian-weak", degree_cap=2)
+    m = B.A.dim
+    building = []
+    calls = {"product": [], "phi_apply": []}
+    real_init = _IdentityContext.__init__
+
+    def init(self, bundle):
+        building.append(True)
+        real_init(self, bundle)
+        building.pop()
+
+    def spy(name):
+        real = getattr(CommAlgebra, name)
+
+        def counted(self, *args):
+            calls[name].append(bool(building))
+            return real(self, *args)
+        return counted
+
+    monkeypatch.setattr(_IdentityContext, "__init__", init)
+    for name in calls:
+        monkeypatch.setattr(CommAlgebra, name, spy(name))
+    report = check_identity_suite(B)
+    assert [c.passed for c in report.checks] == [True] * 3 + [False] * 3
+    assert all(calls["product"]) and all(calls["phi_apply"])
+    assert len(calls["phi_apply"]) == m * (m + 1) // 2
+    assert len(calls["product"]) == m * m
 
 
 # --- random bundles with window holes -------------------------------------
@@ -414,7 +444,8 @@ def _matrix(draw, dim):
 
 
 @st.composite
-def random_bundles(draw, action_blocks=False, anchor_within=False):
+def random_bundles(draw, action_blocks=False, anchor_within=False,
+                   product_holes=False):
     """Bracket, product, action and anchor tables with random entries,
     None holes and explicit zero coefficients; no law is assumed.
 
@@ -423,7 +454,9 @@ def random_bundles(draw, action_blocks=False, anchor_within=False):
     None holes: a term then often acts through no entry at all, or only
     through holes.  With anchor_within, the anchor has operators only
     on pairs inside a random set of L-indices, so every x4 outside it
-    leaves the x4 side of identities 4-6 zero.
+    leaves the x4 side of identities 4-6 zero.  With product_holes,
+    about a third of the product table is None, so the product window
+    settles many (a, b) of identities 4-6.
     """
     n = draw(st.integers(2, 5))
     m = draw(st.integers(1, 3))
@@ -438,7 +471,8 @@ def random_bundles(draw, action_blocks=False, anchor_within=False):
         elif vec:
             bracket[key] = vec
     L = Hom3Lie(StructureConstants3(n, bracket, missing), _matrix(draw, n))
-    product = {(i, j): _vec(draw, m, holes)
+    product = {(i, j): (None if product_holes and draw(st.integers(0, 2)) == 0
+                        else _vec(draw, m, holes))
                for i in range(m) for j in range(i, m) if _present(draw)}
     A = CommAlgebra(m, product, _matrix(draw, m))
     if action_blocks:
@@ -481,6 +515,56 @@ def test_suite_matches_the_reference_with_the_anchor_on_a_subset(B):
     """The masks over x4 of identities 4-6 count whole x4 ranges where
     the x4 side of every term is zero."""
     assert_same_reports(B)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_bundles(product_holes=True))
+def test_suite_matches_the_reference_with_product_window_holes(B):
+    """The product-window masks of identities 4-6 settle an (a, b)
+    whose products meet a None entry, or are all zero, without
+    summing it."""
+    assert_same_reports(B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_bundles(), random_bundles(action_blocks=True),
+                 random_bundles(action_blocks=True, anchor_within=True),
+                 random_bundles(product_holes=True)))
+def test_the_literal_sums_obey_the_relations_the_suite_counts_by(B):
+    """From the literal term lists, per instance: identity 2 at
+    (x1, x2, ...) is minus identity 1 at (x2, x1, ...), with the same
+    None status; identity 3 is the sum of identity 1 at both orders
+    where both are determined; and s6 = s4 - s5 where s4 and s5 are
+    determined.  These follow from the antisymmetry of rho and of the
+    bracket; no law of the tables is assumed."""
+    ctx = _ReferenceContext(B)
+    n, m = ctx.n, ctx.m
+    for x1 in range(n):
+        for x2 in range(n):
+            for combo in combinations(range(n), 3):
+                xs, swapped = (x1, x2, *combo), (x2, x1, *combo)
+                for a in range(m):
+                    one = _inner_sum(ctx, _HO1_TERMS, xs, a)
+                    other = _inner_sum(ctx, _HO1_TERMS, swapped, a)
+                    two = _inner_sum(ctx, _HO2_TERMS, xs, a)
+                    assert two == (None if other is None
+                                   else sv_scale(other, -1))
+                    if one is not None and other is not None:
+                        both = dict(one)
+                        sv_axpy(both, 1, other)
+                        assert _inner_sum(ctx, _HO3_TERMS, xs, a) == both
+            for x3 in range(n):
+                for x4 in range(n):
+                    xs = (x1, x2, x3, x4)
+                    for a in range(m):
+                        for b in range(m):
+                            s4, s5 = (_pair_product_sum(ctx, combos, xs, a, b)
+                                      for combos in (_HO4_COMBOS,
+                                                     _HO5_COMBOS))
+                            if s4 is not None and s5 is not None:
+                                sv_axpy(s4, -1, s5)
+                                assert _pair_product_sum(
+                                    ctx, _HO6_COMBOS, xs, a, b) == s4
 
 
 def test_an_explicit_zero_in_an_anchor_column_changes_nothing():

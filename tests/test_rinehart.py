@@ -2,6 +2,12 @@
 
 import pytest
 
+from test_identities import (
+    _HO1_TERMS,
+    _HO3_TERMS,
+    _ReferenceContext,
+    _check_ho_bracket,
+)
 from test_law_kernels import rho_on_vec_left
 from trilie.corpus import (
     _phi_matrix,
@@ -24,13 +30,9 @@ from trilie.repmod import (
 )
 from trilie.report import CheckReport, SuiteReport
 from trilie.rinehart import (
-    _HO1_TERMS,
-    _HO3_TERMS,
     CommAlgebra,
     ModuleAction,
     RinehartBundle,
-    _check_ho_brackets,
-    _IdentityContext,
     centers,
     check_anchor_derivations,
     check_commutative_associative,
@@ -193,16 +195,22 @@ def test_tb_bundle_passes_everything():
 def test_printed_identity_indices_fail():
     """Negative control: the paper prints (x2, x4, x1) as the last bracket
     of identity 1 and the third of identity 3; with those term lists
-    tb-rinehart(2) fails, with the corrected ones it passes."""
-    ctx = _IdentityContext(tb_rinehart(2))
+    tb-rinehart(2) fails, with the corrected ones it passes.  The term
+    lists are evaluated by the literal reference, which agrees with the
+    suite on the corrected ones."""
+    B = tb_rinehart(2)
+    ctx = _ReferenceContext(B)
+    suite = check_identity_suite(B)
     misprint = ((1, 4), (1, 3, 0))
     printed1 = _HO1_TERMS[:5] + (misprint,)
     printed3 = _HO3_TERMS[:2] + (misprint,) + _HO3_TERMS[3:]
-    for terms, printed, outer, failures in ((_HO1_TERMS, printed1, False, 27),
-                                            (_HO3_TERMS, printed3, True, 31)):
-        right, rep = _check_ho_brackets(ctx, [("ho", terms, outer),
-                                              ("ho", printed, outer)])
+    for name, terms, printed, outer, failures in (
+            ("identity-1", _HO1_TERMS, printed1, False, 27),
+            ("identity-3", _HO3_TERMS, printed3, True, 31)):
+        right = _check_ho_bracket(ctx, name, terms, outer)
+        assert right == suite.find(name)
         assert right.passed is True
+        rep = _check_ho_bracket(ctx, name, printed, outer)
         assert rep.passed is False
         assert rep.failure_count == failures
 

@@ -187,7 +187,8 @@ def test_thm1_laws_hold_on_the_split_corpus():
 
 def test_thm1_inverts_each_twist_once(monkeypatch):
     """Laws 1 and 2 take alpha^k and phi^k for k = -2..2 from one
-    inverse of each twist and successive products."""
+    inverse of each twist and successive products: the inverse the
+    decomposition graded by, so thm1 itself inverts neither."""
     B = two_block(1)
     H = h_space(B)
     dec, wdec = root_decompose(B, H), weight_decompose(B, H)
@@ -203,7 +204,7 @@ def test_thm1_inverts_each_twist_once(monkeypatch):
     got = check_thm1_properties(B, dec, wdec)
     assert got.to_dict() == want.to_dict()
     for twist in (B.L.alpha, B.A.phi):
-        assert sum(m is twist for m in inverted) <= 1
+        assert not any(m is twist for m in inverted)
 
 
 def _count_inversions(monkeypatch):
@@ -245,8 +246,8 @@ def test_decompose_inverts_alpha_and_alpha_on_h_once_per_frame(
     thm1 and the weight-class walks take them from it: one `decompose`
     of two-block window 3 inverts alpha once, alpha on H twice (the
     frame and `root_classes`, whose callers hand it only AH) and phi
-    twice (weight grading and thm1), and reduces neither alpha nor
-    alpha on H apart from those inverses."""
+    once (weight grading, whose inverse thm1 reuses), and reduces
+    neither alpha nor alpha on H apart from those inverses."""
     B = two_block(3)
     path = tmp_path / "two-block.json"
     path.write_text(dumps_bundle(B), encoding="utf-8")
@@ -257,8 +258,8 @@ def test_decompose_inverts_alpha_and_alpha_on_h_once_per_frame(
     capsys.readouterr()
     counts = [sum(m == twist for m in inverted)
               for twist in (B.L.alpha, AH, B.A.phi)]
-    assert counts == [1, 2, 2]
-    assert len(inverted) == 5
+    assert counts == [1, 2, 1]
+    assert len(inverted) == 4
     square = [twist.rows for twist in (B.L.alpha, AH, B.A.phi)]
     assert not [rows for rows in reduced if rows in square]
 
