@@ -968,6 +968,8 @@ def _term_masks(ctx: _IdentityContext, pair, triple, fixed):
     distinct, undetermined, holes, live = ctx.triple_masks(triple, fixed)
     skip = {a: mask & distinct for a, mask in none.items()}
     on: dict = {}
+    if not (any(holes) or any(live)):  # no e_i acts through an entry
+        return present & undetermined, skip, on
     for a, per_i in has.items():
         hole = hit = 0
         for i, mask in per_i:
@@ -1171,8 +1173,9 @@ def _check_ho_pairs(ctx: _IdentityContext, name: str, combos,
                             i_none, i_nonzero = v[3][i]
                             unsettled |= i_none * spread
                             summed |= i_nonzero * spread
-                    unsettled &= clear >> x4 * m * m
-                    summed &= clear >> x4 * m * m & ~unsettled
+                    allowed = clear >> x4 * m * m
+                    unsettled &= allowed
+                    summed &= allowed & ~unsettled
                     n_unsettled = unsettled.bit_count()
                     skipped += n_unsettled * per_ab
                     checked -= (n_unsettled + summed.bit_count()) * per_ab
