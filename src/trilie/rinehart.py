@@ -648,9 +648,9 @@ class _IdentityContext:
     `exactq.operand` of phi.rho(e_i, e_j), resp. rho(e_i, e_j), signed
     by the order; rho's also holds its `_column_masks` and its None
     columns as a sides over the (x4, a), and as a, resp. b, sides over
-    the (x4, a, b).  rho_at[j][x] is rho's entry of (j, x); x4_masks[j]
-    holds rho(e_j, e_x4) present, None and nonzero over the (x4, a) and
-    None as a, resp. b, side over the (x4, a, b).  phi_prod[i][j] is
+    the (x4, a, b).  x4_masks[j] holds rho(e_j, e_x4) present, None and
+    nonzero over the (x4, a) and None as a, resp. b, side over the
+    (x4, a, b).  phi_prod[i][j] is
     phi(e_i e_j); c_rows[c] the rows phi^2(e_c) e_i and their None mask.
     ab maps an ordered triple of distinct indices to (sorted triple,
     sign); alpha a sorted triple to (alpha[e_i, e_j, e_k]; the e_i
@@ -660,9 +660,9 @@ class _IdentityContext:
     """
 
     __slots__ = ("n", "m", "act", "alpha2", "phi2", "phi_prod", "c_rows",
-                 "ab", "alpha", "rows", "pr", "rho", "rho_at", "x4_masks",
-                 "combos", "masks", "x1_masks", "groups", "seen_b",
-                 "seen_c", "seen_x5")
+                 "ab", "alpha", "rows", "pr", "rho", "x4_masks", "combos",
+                 "masks", "x1_masks", "groups", "seen_b", "seen_c",
+                 "seen_x5")
 
     def __init__(self, B: RinehartBundle):
         L, A = B.L, B.A
@@ -729,8 +729,6 @@ class _IdentityContext:
                     at[k] |= mask << there * m
                 at[3] |= a_gaps << there * m * m
                 at[4] |= b_gaps << there * m * m
-        self.rho_at = [[self.rho.get((j, x)) for x in range(n)]
-                       for j in range(n)]
         self.masks: dict = {}
         self.x1_masks: dict = {}
         self.groups: dict = {}
@@ -1113,7 +1111,8 @@ def _check_ho_pairs(ctx: _IdentityContext, name: str, combos,
              if 3 in (r, s) else
              (itemgetter(r, s), False, p if q == 3 else q, p == 3)
              for (p, q), (r, s) in combos]
-    by_x4 = (ctx.rho_at, list(zip(*ctx.rho_at)))
+    by_x4 = [[rho.get((j, x)) for x in range(n)] for j in range(n)]
+    by_x4 = by_x4, list(zip(*by_x4))  # rho(e_j, e_x4), rho(e_x4, e_j)
     everything = (1 << m) - 1
     # the (a, b) in range, over the bits a * m + b, and over the bits
     # x4 * m^2 + a * m + b of the (x4, a, b)
