@@ -603,7 +603,8 @@ def _construct(args) -> int:
         out = tensor_extension(alg, A, rep, name=args.name or "tensor",
                                l_labels=l_labels, a_labels=a_labels)
     except ConstructionError as exc:
-        raise CliError(str(exc)) from exc
+        where = f"--seed {args.seed}" if args.seed is not None else args.path
+        raise CliError(f"{where}: {exc}") from exc
     return _write_result(args, out)
 
 

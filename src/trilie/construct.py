@@ -17,6 +17,7 @@ block-diagonal bundles over a shared coefficient algebra.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from .core3lie import Hom3Lie, StructureConstants3, check_multiplicative
 from .exactq import MatrixQ, SVec, mat_apply_sv, mat_columns_sv, sv_axpy
@@ -173,6 +174,19 @@ def tensor_preconditions(L: Hom3Lie, A: CommAlgebra,
     return suite
 
 
+# The tensor bracket is built triple by triple over all C(N, 3) basis
+# triples of the output, N = dim A * dim L, keeping every undetermined
+# one, and the flags measured before it is written visit each triple
+# against every pair, so the cost grows faster than the triple count.
+# On a shared 2-vCPU host, rho-prime at degree cap 2 (N = 100, 161,700
+# triples) takes about 7 s and 80 MB; tprime-split at window 4 (N =
+# 171, 818,805 triples) runs past 90 s, and jacobian-weak at degree
+# cap 3 (N = 400, 10,586,800 triples) runs out of memory under a 1 GB
+# cap.  An output with more triples than this is refused before
+# anything is built.
+MAX_TENSOR_TRIPLES = 200_000
+
+
 def _tensor_label(alabel: str, llabel: str) -> str:
     return llabel if alabel == "1" else f"{alabel}*{llabel}"
 
@@ -196,18 +210,26 @@ def tensor_extension(L: Hom3Lie, A: CommAlgebra, rep: HomRepresentation,
     the twist is phi (x) alpha, the anchor of two basis tensors is
     phi(a1 a2) rho(x1,x2), and A acts by multiplication in the left
     factor.  Triples or action values that run out of a product
-    window are recorded as missing rather than guessed.
+    window are recorded as missing rather than guessed.  An output with
+    more than MAX_TENSOR_TRIPLES basis triples is refused before the
+    hypotheses are checked or anything is built.
     """
     rho = rep.action
     if rho.dim_l != L.n or rho.dim_v != A.dim:
         raise ValueError("rho shape does not match L and A")
     if rep.phi != A.phi:
         raise ValueError("the representation's phi is not the twist of A")
+    nG = A.dim * L.n
+    triples = comb(nG, 3)
+    if triples > MAX_TENSOR_TRIPLES:
+        raise ConstructionError(
+            f"tensor output too large: dimension {nG} = {A.dim} x {L.n} "
+            f"(dim A x dim L) gives C({nG}, 3) = {triples:,} triples, "
+            f"more than the {MAX_TENSOR_TRIPLES:,} a tensor is built with")
     suite = tensor_preconditions(L, A, rep)
     _raise_on_failure("tensor", suite)
 
     nL, mA = L.n, A.dim
-    nG = mA * nL
     acols = mat_columns_sv(L.alpha)
 
     def tensor_into(acc: SVec, scalar, avec: SVec, lvec: SVec) -> None:

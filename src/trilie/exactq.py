@@ -595,7 +595,10 @@ def sv_axpy(acc: dict, scalar, vec: dict) -> None:
     if scalar == 0 or not vec:
         return
     for idx, coeff in vec.items():
-        new = qnorm(acc.get(idx, 0) + scalar * coeff)
+        new = acc.get(idx, 0) + scalar * coeff
+        # qnorm, inlined: this is the innermost loop of the law kernels
+        if type(new) is Fraction and new.denominator == 1:
+            new = new.numerator
         if new == 0:
             acc.pop(idx, None)
         else:

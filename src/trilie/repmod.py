@@ -12,21 +12,26 @@ operands are built once per call, each an `exactq.operand` (its
 columns with one int mask of its None columns and one of its nonzero
 columns): rho(alpha e_i, alpha e_j) for i < j (kept with the
 representation per algebra, so check_hr4 reuses it) and rho(e_m, alpha
-e_j) phi for all m, j.  Each stored operator rho(e_c, e_d) also
-carries, per module index r, the mask of its columns with r in their
-support, and the r that some column reads (`masked_ops`, from
-`exactq.masks`).  A column k of a product rho(alpha e_a, alpha e_b)
-rho(e_c, e_d) is undetermined when column k of rho(e_c, e_d) is None
-or its support meets the None columns of the outer factor, and can be
-nonzero only when its support meets the outer's nonzero columns; the
-phi-terms, sums of rows rho(e_m, alpha e_j) phi, OR the masks of their
-rows.  So a few ANDs and ORs give each instance its undetermined
-columns, counted as skipped, and the columns where some term may be
-nonzero.  An instance with none of the latter is only counted as
-checked; the rest sum their terms on those columns alone.  The bracket
-rows and their masks are the algebra's (`core3lie.brackets`): a triple
-outside the bracket window skips its hr2 instances in one step, and
-hr3 skips (p, q) when [p, q_1] or [p, q_2] is missing.
+e_j) phi for all m, j.  Neither table copies what it can share: a zero
+operand is one shared tuple, a zero column of a built operator is one
+shared empty vector, and with phi = Id and alpha e_j = c e_k, rho(e_m,
+alpha e_j) phi is the stored operator rho(e_m, e_k) itself when the
+sign works out to 1, or a scaled list that keeps its zero columns.
+Each stored operator rho(e_c, e_d) also carries, per module index r,
+the mask of its columns with r in their support, and the r that some
+column reads (`masked_ops`, from `exactq.masks`).  A column k of a
+product rho(alpha e_a, alpha e_b) rho(e_c, e_d) is undetermined when
+column k of rho(e_c, e_d) is None or its support meets the None
+columns of the outer factor, and can be nonzero only when its support
+meets the outer's nonzero columns; the phi-terms, sums of rows
+rho(e_m, alpha e_j) phi, OR the masks of their rows.  So a few ANDs
+and ORs give each instance its undetermined columns, counted as
+skipped, and the columns where some term may be nonzero.  An instance
+with none of the latter is only counted as checked; the rest sum their
+terms on those columns alone.  The bracket rows and their masks are
+the algebra's (`core3lie.brackets`): a triple outside the bracket
+window skips its hr2 instances in one step, and an hr3 instance skips
+when a bracket it reads is missing.
 
 hr2 lays the same masks out over every (x4, column) of a triple at
 once (`_x4_masks`), so a triple costs a few ORs and two popcounts, and
@@ -36,12 +41,16 @@ reach arithmetic.
 hr3 takes the instances (p, q) and (q, p) together.  Both compare
 D = rho(alpha p) rho(q) - rho(alpha q) rho(p) with their phi-terms,
 D = Phi(p, q) and -D = Phi(q, p), so D is composed once per unordered
-pair.  For each p, two masks over the pairs q > p mark the sides the
-bracket window leaves undetermined; their popcounts are skipped, and
-only the q with a determined side are visited.  The smallest
-MAX_FAILURES failure keys (p, q, column) are kept with a count, so the
-witnesses are those of a loop over every (p, q) in order.  hr4 uses
-the same product kernel.
+pair.  It lays the masks out over the (q, column) bits of every q > p
+at once, as hr2 does over (x4, column): per p, a few ORs of masks
+built once per call (per module index for D, per (m, x) for Phi(p, q),
+the bracket rows' `has` for Phi(q, p)) give both sides' undetermined
+and possibly nonzero columns at every q, the skipped and checked
+instances are counted by popcount, and only the q with a determined,
+possibly nonzero column are visited.  The smallest MAX_FAILURES failure
+keys (p, q, column) are kept with a count, so the witnesses are those
+of a loop over every (p, q) in order.  hr4 uses the same product
+kernel.
 """
 
 from __future__ import annotations
@@ -67,6 +76,8 @@ from .report import MAX_FAILURES, CheckReport, SuiteReport, stored_on
 SVec = dict
 
 Columns = list  # list[SVec | None], one per module basis vector
+
+_EMPTY: SVec = {}
 
 
 def op_zero(dim: int) -> Columns:
@@ -201,13 +212,37 @@ def _compare_columns(rep: CheckReport, witness, lhs: Columns, rhs: Columns) -> N
 # -- Hom representation axioms -----------------------------------------
 
 
+def _operand(cols: Columns, zero: tuple) -> tuple:
+    """`exactq.operand` of newly built columns, each zero column
+    replaced by one shared empty vector, or zero when all are zero."""
+    cols, none, nonzero = operand([c if c is None or c else _EMPTY
+                                   for c in cols])
+    return (cols, none, nonzero) if none or nonzero else zero
+
+
+def _rho_at(act: PairAction, m: int, vec: SVec):
+    """Columns of rho(e_m, vec).  When vec is c e_j they come from the
+    stored operator: its own list when the sign works out to 1, else a
+    scaled list that keeps its zero columns; None when it is not
+    stored."""
+    if len(vec) != 1:
+        return act.bilinear({m: 1}, vec)
+    (j, c), = vec.items()
+    op = act.ops.get((m, j) if m < j else (j, m))
+    if op is None:
+        return None
+    s = c if m < j else -c
+    return op if s == 1 else [col and sv_scale(col, s) for col in op]
+
+
 @stored_on("_alpha_pairs", owner=1)
 def _alpha_pair_table(alg: Hom3Lie, rep: HomRepresentation) -> dict:
     """rho(alpha e_i, alpha e_j) for i < j as `exactq.operand`s, kept
-    with rep per algebra."""
+    with rep per algebra; the zero ones share one operand."""
     act = rep.action
     acols = alg._alpha_cols
-    return {(i, j): operand(act.bilinear(acols[i], acols[j]))
+    zero = ([_EMPTY] * act.dim_v, 0, 0)
+    return {(i, j): _operand(act.bilinear(acols[i], acols[j]), zero)
             for i, j in combinations(range(alg.n), 2)}
 
 
@@ -262,35 +297,25 @@ def _add_product(acc: dict, outer: tuple, inner: tuple, sign) -> None:
     o_cols, cols = outer[0], inner[0]
     for k, out in acc.items():
         for r, c in cols[k].items():
-            if o_cols[r]:
-                sv_axpy(out, sign * c, o_cols[r])
-
-
-def _phi_masks(rmp: dict, terms) -> tuple[int, int]:
-    """(undetermined, possibly nonzero) columns of the sum of
-    s rho(vec, alpha e_y) phi over the terms (vec, y, s)."""
-    none = nonzero = 0
-    for vec, y, _ in terms:
-        for m in vec:
-            _, m_none, m_nonzero = rmp[(m, y)]
-            none |= m_none
-            nonzero |= m_nonzero
-    return none, nonzero
+            col = o_cols[r]
+            if col:
+                sv_axpy(out, sign * c, col)
 
 
 def _add_phi(acc: dict, rmp: dict, terms) -> None:
     """acc[k] += that sum at column k, for the columns k of acc."""
     for vec, y, s in terms:
         for m, c in vec.items():
-            cols = rmp[(m, y)][0]
-            for k, out in acc.items():
-                if cols[k]:
-                    sv_axpy(out, s * c, cols[k])
+            cols, _, nonzero = rmp[(m, y)]
+            if nonzero:
+                for k, out in acc.items():
+                    if cols[k]:
+                        sv_axpy(out, s * c, cols[k])
 
 
 def _differ(rmp: dict, phi, prods, want: int) -> list:
     """The columns in the mask want, each determined, where the
-    phi-terms (as for `_phi_masks`) and the sum of the non-None
+    phi-terms (as for `_add_phi`) and the sum of the non-None
     `_product`s prods differ."""
     acc = {k: {} for k in ones(want)}
     _add_phi(acc, rmp, phi)
@@ -322,39 +347,76 @@ def _keep(kept: list, key) -> None:
         kept.pop()
 
 
-def _d_masks(ra_p: tuple, op_p, ra_q: tuple, op_q) -> tuple[int, int]:
-    """(undetermined, possibly nonzero) columns of D = rho(alpha p)
-    rho(q) - rho(alpha q) rho(p), op_p and op_q from `masked_ops` or
-    None when not stored."""
-    none = nonzero = 0
-    if op_q is not None:
-        none, nonzero = _product_masks(ra_p, op_q)
-    if op_p is not None:
-        q_none, q_nonzero = _product_masks(ra_q, op_p)
-        none |= q_none
-        nonzero |= q_nonzero
-    return none, nonzero
-
-
 def _check_hr3(br: PairRows, ra: dict, rmp: dict, sparse: dict,
                dim_v: int) -> CheckReport:
     """hr3 over the pairs p <= q, each composing D once for the
     instances (p, q) and (q, p); see the module docstring.
 
-    Per p, two masks over the pairs q > p settle the sides the bracket
-    window leaves undetermined: (p, q) when row p is None at an index
-    of q (the OR of `holding` over row p's None bits), (q, p) when row
-    q is None at x1 or x2 (`none_at`).  Their popcounts are skipped,
-    and only the q with a determined side are visited, in ascending
-    order.
+    Per p, masks over the (q, column k) bits of every q > p, bit
+    q * dim_v + k as hr2 lays out (x4, k), give both sides'
+    undetermined and possibly nonzero columns in a few ORs:
+
+    - D: rho(alpha p) rho(q) has the None columns of rho(q) and those
+      whose support meets the None (nonzero) columns of rho(alpha p),
+      from per-r masks of the stored operators; rho(alpha q) rho(p)
+      has rho(p)'s column masks spread over every q, ANDed with per-r
+      masks of the q whose rho(alpha q) is None (nonzero) at r.
+    - Phi(p, q): for x outside p and m in [p, e_x], the column masks
+      of rho(e_m, alpha e_y) phi placed at the pairs {x, y}
+      (`_placed`, built once per (m, x)).
+    - Phi(q, p): for each m, the pairs whose row at x1 (x2) has m in
+      its support (`PairRows.has`), each given the column masks of
+      rho(e_m, alpha e_x2) phi (of rho(e_m, alpha e_x1) phi).
+    - A side is dead, all its columns skipped, where the bracket window
+      leaves a row it reads None: (p, q) where row p is None at an
+      index of q, (q, p) where row q is None at x1 or x2.
+
+    The undetermined columns are skipped and the rest checked, both by
+    popcount.  Only the q with a determined, possibly nonzero column
+    are visited, in ascending order; they sum their terms on those
+    columns alone.  The smallest MAX_FAILURES failure keys (p, q,
+    column) are kept with a count, so the witnesses are those of a loop
+    over every (p, q) in order.
     """
-    rows, pairs = br.rows, br.pairs
-    # holding[k]: the pairs that contain k, bit b for pairs[b]
-    holding = [0] * len(br.none_at)
-    for b, (i, j) in enumerate(pairs):
-        holding[i] |= 1 << b
-        holding[j] |= 1 << b
-    every = (1 << len(pairs)) - 1
+    rows, pairs, has = br.rows, br.pairs, br.has
+    n, count = len(br.none_at), len(pairs)
+    full = (1 << dim_v) - 1
+    # per module index r: the columns of the stored rho(q) with r in
+    # their support, and the pairs q whose rho(alpha q) is None
+    # (nonzero) at r; holding[k]: the pairs that contain k
+    op_none, op_has = 0, [0] * dim_v
+    ra_none, ra_nonzero = [0] * dim_v, [0] * dim_v
+    holding = [0] * n
+    unit = 0
+    for iq, q in enumerate(pairs):
+        shift = iq * dim_v
+        unit |= 1 << shift
+        holding[q[0]] |= full << shift
+        holding[q[1]] |= full << shift
+        _, none, nonzero = ra[q]
+        for r in ones(none):
+            ra_none[r] |= full << shift
+        for r in ones(nonzero):
+            ra_nonzero[r] |= full << shift
+        op = sparse.get(q)
+        if op is not None:
+            op_none |= op[1] << shift
+            for r in op[4]:
+                op_has[r] |= op[3][r] << shift
+    none_at = [0] * n
+    for x, at in enumerate(br.none_at):
+        for iq in ones(at):
+            none_at[x] |= full << iq * dim_v
+    # the (m, y) with rho(e_m, alpha e_y) phi not zero, with its (None,
+    # nonzero) column masks, listed by y and by m
+    acting, by_m = [[] for _ in range(n)], [[] for _ in range(n)]
+    for (m, y), (_, c_none, c_nonzero) in rmp.items():
+        if c_none or c_nonzero:
+            acting[y].append((m, c_none, c_nonzero))
+            by_m[m].append((y, c_none, c_nonzero))
+    # placed[m * n + x]: `_placed` of (m, x), from its first use to its
+    # last, the last pair whose row at x has m in its support
+    placed: dict = {}
     kept: list = []
     failed = skipped = checked = 0
     for ip, p in enumerate(pairs):
@@ -366,57 +428,85 @@ def _check_hr3(br: PairRows, ra: dict, rmp: dict, sparse: dict,
             skipped += gaps
             checked -= gaps
         checked += dim_v
-        after = every >> (ip + 1) << (ip + 1)
-        dead_1 = 0
+        # D = rho(alpha p) rho(q) - rho(alpha q) rho(p)
+        _, a_none, a_nonzero = ra_p
+        d_none, d_nonzero = op_none, 0
+        for r in ones(a_none):
+            d_none |= op_has[r]
+        for r in ones(a_nonzero):
+            d_nonzero |= op_has[r]
+        if op_p is not None:
+            _, none, _, p_has, reads = op_p
+            d_none |= none * unit
+            for r in reads:
+                at = p_has[r] * unit
+                d_none |= at & ra_none[r]
+                d_nonzero |= at & ra_nonzero[r]
+        # Phi(p, q), and (p, q) dead where row p is None at x3 or x4
+        dead_1 = none_1 = nonzero_1 = 0
         for k in ones(br.masks[p][0]):
             dead_1 |= holding[k]
-        dead_1 &= after
-        dead_2 = (br.none_at[x1] | br.none_at[x2]) & after
-        skipped += dim_v * (dead_1.bit_count() + dead_2.bit_count())
-        for iq in ones(after & ~(dead_1 & dead_2)):
-            # the sides the bracket window determines, as (key,
-            # phi-terms, sign of D in rhs - lhs)
+        for x in ones(br.masks[p][1]):
+            for m in row_p[x]:
+                got = placed.get(m * n + x)
+                if got is None:
+                    got = placed[m * n + x] = _placed(by_m[m], n, dim_v, x)
+                if not has[x][m] >> ip + 1:
+                    del placed[m * n + x]
+                none_1 |= got[0]
+                nonzero_1 |= got[1]
+        # from here on bit j * dim_v + k is column k of q = pairs[ip+1+j]
+        after, lo = ip + 1, (ip + 1) * dim_v
+        d_none >>= lo
+        d_nonzero >>= lo
+        dead_1 >>= lo
+        none_1 >>= lo
+        nonzero_1 >>= lo
+        # Phi(q, p), and (q, p) dead where row q is None at x1 or x2
+        dead_2 = (none_at[x1] | none_at[x2]) >> lo
+        none_2 = nonzero_2 = 0
+        for x, y in ((x1, x2), (x2, x1)):
+            has_x = has[x]
+            for m, c_none, c_nonzero in acting[y]:
+                at = has_x[m] >> after
+                while at:
+                    low = at & -at
+                    shift = (low.bit_length() - 1) * dim_v
+                    if c_none:
+                        none_2 |= c_none << shift
+                    if c_nonzero:
+                        nonzero_2 |= c_nonzero << shift
+                    at ^= low
+        none_1 = (d_none | none_1) & ~dead_1
+        none_2 = (d_none | none_2) & ~dead_2
+        gaps = (dead_1.bit_count() + dead_2.bit_count()
+                + none_1.bit_count() + none_2.bit_count())
+        skipped += gaps
+        checked += 2 * (count - after) * dim_v - gaps
+        want_1 = (d_nonzero | nonzero_1) & ~(dead_1 | none_1)
+        want_2 = (d_nonzero | nonzero_2) & ~(dead_2 | none_2)
+        live = want_1 | want_2
+        while live:
+            j = ((live & -live).bit_length() - 1) // dim_v
+            shift = j * dim_v
+            live = live >> shift + dim_v << shift + dim_v
+            iq = after + j
             q = pairs[iq]
-            sides = []
-            if not dead_1 >> iq & 1:
-                x3, x4 = q
-                sides.append(((ip, iq), ((row_p[x3], x4, 1),
-                                         (row_p[x4], x3, -1)), -1))
-            if not dead_2 >> iq & 1:
-                row_q = rows[q]
-                sides.append(((iq, ip), ((row_q[x1], x2, 1),
-                                         (row_q[x2], x1, -1)), 1))
-            # D = rho(alpha p) rho(q) - rho(alpha q) rho(p)
-            ra_q, op_q = ra[q], sparse.get(q)
-            d_none, d_nonzero = _d_masks(ra_p, op_p, ra_q, op_q)
-            wants = []
-            for key, phi, sign in sides:
-                none, nonzero = _phi_masks(rmp, phi)
-                none |= d_none
-                gaps = none.bit_count()
-                skipped += gaps
-                checked += dim_v - gaps
-                want = (nonzero | d_nonzero) & ~none
-                if want:
-                    wants.append((key, phi, sign, want))
-            if not wants:
-                continue
-            cols = 0
-            for *_, want in wants:
-                cols |= want
-            d = {k: {} for k in ones(cols & d_nonzero)}
-            if d and op_q is not None:
-                _add_product(d, ra_p, op_q, 1)
+            want_p, want_q = want_1 >> shift & full, want_2 >> shift & full
+            d = {k: {} for k in ones((want_p | want_q) & d_nonzero >> shift)}
+            if d and q in sparse:
+                _add_product(d, ra_p, sparse[q], 1)
             if d and op_p is not None:
-                _add_product(d, ra_q, op_p, -1)
-            for key, phi, sign, want in wants:
-                acc = {k: {} for k in ones(want)}
-                _add_phi(acc, rmp, phi)
-                for k, out in acc.items():
-                    sv_axpy(out, sign, d.get(k))
-                    if out:
-                        failed += 1
-                        _keep(kept, (*key, k))
+                _add_product(d, ra[q], op_p, -1)
+            # (p, q): Phi(p, q) - D, (q, p): Phi(q, p) + D
+            if want_p:
+                x3, x4 = q
+                failed += _hr3_side(kept, (ip, iq), rmp, (
+                    (row_p[x3], x4, 1), (row_p[x4], x3, -1)), d, -1, want_p)
+            if want_q:
+                row_q = rows[q]
+                failed += _hr3_side(kept, (iq, ip), rmp, (
+                    (row_q[x1], x2, 1), (row_q[x2], x1, -1)), d, 1, want_q)
     r3 = CheckReport("hr3")
     r3.skip(skipped)
     r3.tick(checked)
@@ -424,6 +514,36 @@ def _check_hr3(br: PairRows, ra: dict, rmp: dict, sparse: dict,
         r3.record({"pairs": [list(pairs[ip]), list(pairs[iq])], "column": k})
     r3.failure_count = failed
     return r3
+
+
+def _hr3_side(kept: list, key: tuple, rmp: dict, terms, d: dict, sign,
+              want: int) -> int:
+    """One side of hr3, its phi-terms plus sign D, summed on the
+    columns in want; keeps the failing (key, column)s (`_keep`) and
+    returns how many there are."""
+    acc = {k: {} for k in ones(want)}
+    _add_phi(acc, rmp, terms)
+    failed = 0
+    for k, out in acc.items():
+        sv_axpy(out, sign, d.get(k))
+        if out:
+            failed += 1
+            _keep(kept, (*key, k))
+    return failed
+
+
+def _placed(terms: list, n: int, dim_v: int, x: int) -> tuple:
+    """The (None, nonzero) column masks of rho(e_m, alpha e_y) phi, for
+    the terms (y, None, nonzero) of one m with y != x, at the (pair,
+    column) bits of the pair {x, y}."""
+    none = nonzero = 0
+    for y, c_none, c_nonzero in terms:
+        if y != x:
+            a, b = (x, y) if x < y else (y, x)
+            shift = (a * (2 * n - a - 1) // 2 + b - a - 1) * dim_v
+            none |= c_none << shift
+            nonzero |= c_nonzero << shift
+    return none, nonzero
 
 
 def _x4_masks(n: int, dim_v: int, rmp: dict, sparse: dict):
@@ -520,9 +640,22 @@ def check_hom_rep(alg: Hom3Lie, rep: HomRepresentation) -> SuiteReport:
     acols = alg._alpha_cols
     ra = _alpha_pair_table(alg, rep)
     # rho(e_m, alpha e_j) phi: the phi-terms of hr2 and hr3 are sums of
-    # these rows, since composing with phi distributes over the sum
-    rmp = {(m, j): operand(op_compose(act.bilinear({m: 1}, acols[j]), phi))
-           for m in range(n) for j in range(n)}
+    # these rows, since composing with phi distributes over the sum.
+    # With phi = Id and alpha e_j = c e_k they are the stored operators'
+    # columns (`_rho_at`); the zero ones share one operand.
+    phi_id = all(col == {k: 1} for k, col in enumerate(phi))
+    zero = ([_EMPTY] * dim_v, 0, 0)
+    rmp = {}
+    for m in range(n):
+        for j in range(n):
+            cols = _rho_at(act, m, acols[j])
+            if cols is None:
+                rmp[(m, j)] = zero
+            elif phi_id and len(acols[j]) == 1:
+                rmp[(m, j)] = operand(cols)
+            else:
+                rmp[(m, j)] = _operand(
+                    cols if phi_id else op_compose(cols, phi), zero)
     br = brackets(alg)
     sparse = masked_ops(act)
 

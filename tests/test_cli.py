@@ -731,6 +731,30 @@ def test_construct_tensor_seed_output_checks_clean(tmp_path, capsys):
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+def test_construct_tensor_refuses_an_oversized_output_first(
+        tmp_path, capsys, monkeypatch):
+    """jacobian-weak at degree cap 3 would give a 400-dimensional
+    tensor with C(400, 3) = 10,586,800 triples.  It is refused with
+    exit 2, named by its input, before the hypotheses are checked or a
+    bracket table is built."""
+    path = corpus_file(tmp_path, capsys, "jacobian-weak",
+                       "--degree-cap", "3")
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the size was checked")
+
+    monkeypatch.setattr(construct, "tensor_preconditions", never)
+    monkeypatch.setattr(construct, "StructureConstants3", never)
+    code, out, err = run(capsys, "construct", "tensor", path,
+                         "-o", str(tmp_path / "tensor.json"))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: tensor output too large: dimension "
+                   "400 = 20 x 20 (dim A x dim L) gives C(400, 3) = "
+                   "10,586,800 triples, more than the 200,000 a tensor "
+                   "is built with\n")
+    assert not (tmp_path / "tensor.json").exists()
+
+
 def test_construct_tensor_reuses_the_input_reports(tmp_path, capsys,
                                                    monkeypatch):
     """Loading the flagged input computes its hr1-hr3 report; the

@@ -491,14 +491,33 @@ _BASES = [("tb-rinehart", {"degree_cap": 1}),
           ("jacobian-weak", {"degree_cap": 1}), ("d4", {}),
           ("tprime-split", {"window": 1})]
 _COEFF = st.sampled_from([1, -1, 2, Fraction(1, 2)])
+_SHEAR = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), 3, -1])
+
+
+def sheared_diagonal(draw, n):
+    """A random invertible diagonal n x n matrix (entries of _COEFF)
+    with one or two entries added off the diagonal of one or two
+    columns (entries of _SHEAR), or only the diagonal when n is 1."""
+    T = [[draw(_COEFF) if r == c else 0 for c in range(n)]
+         for r in range(n)]
+    if n > 1:
+        for b in draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=2, unique=True)):
+            others = [a for a in range(n) if a != b]
+            for a in draw(st.lists(st.sampled_from(others), min_size=1,
+                                   max_size=2, unique=True)):
+                T[a][b] = draw(_SHEAR)
+    return MatrixQ(T)
 
 
 @st.composite
 def perturbed_bundles(draw):
     """A corpus bundle with random window holes in its bracket, product
-    and anchor tables and one changed anchor column or bracket entry.
-    The laws hold everywhere else, so the failures are few and sit at
-    places the draw decides."""
+    and anchor tables and one changed anchor column or bracket entry,
+    its phi times a sheared diagonal.  Where phi is not an algebra map
+    or does not commute with the anchor, the laws that read phi fail
+    throughout; otherwise the failures are few and sit at places the
+    draw decides."""
     name, params = draw(st.sampled_from(_BASES))
     B = generate(name, **params)
     n, m = B.L.n, B.A.dim
@@ -537,7 +556,8 @@ def perturbed_bundles(draw):
         table[key] = vec
 
     L = Hom3Lie(StructureConstants3(n, table, missing), B.L.alpha)
-    A = CommAlgebra(m, product, B.A.phi, B.A.unit)
+    A = CommAlgebra(m, product, B.A.phi @ sheared_diagonal(draw, m),
+                    B.A.unit)
     return RinehartBundle(L, A, PairAction(n, m, ops),
                           ModuleAction(m, n, B.act.table))
 
@@ -546,6 +566,69 @@ def perturbed_bundles(draw):
 @given(perturbed_bundles())
 def test_kernels_match_the_references_on_perturbed_bundles(B):
     assert_same_reports(B)
+
+
+# --- hr1-hr3 as Hom 3-Lie laws of the semidirect product ---------------
+
+
+def semidirect(L, rep):
+    """L x| V for a representation (rho, phi) of L on V, as one Hom
+    3-Lie algebra on dim L + dim V: the bracket of L, [x1, x2, v] =
+    rho(x1, x2) v, zero on two or more vectors of V, twisted by
+    alpha (+) phi.  A None column of rho is a missing triple."""
+    n, m = L.n, rep.action.dim_v
+    table, missing = dict(L.sc.table), set(L.sc.missing)
+    for (i, j), cols in rep.action.ops.items():
+        for v, col in enumerate(cols):
+            if col is None:
+                missing.add((i, j, n + v))
+            elif col:
+                table[(i, j, n + v)] = {n + r: c for r, c in col.items()}
+    twist = ([[*row, *[0] * m] for row in L.alpha.rows]
+             + [[*[0] * n, *row] for row in rep.phi.rows])
+    return Hom3Lie(StructureConstants3(n + m, table, missing),
+                   MatrixQ(twist))
+
+
+def assert_semidirect_verdicts(L, rep):
+    """Hom-Jacobi of L x| V holds exactly when it holds on L and hr2
+    and hr3 hold (an instance with one vector of V in the pair is one
+    of hr2, in the triple one of hr3; two or more vanish), and for a
+    multiplicative L, alpha (+) phi is multiplicative exactly when hr1
+    holds.  Verdicts only: the instance counts differ."""
+    L = Hom3Lie(L.sc, L.alpha)
+    suite = check_hom_rep(L, HomRepresentation(rep.action, rep.phi))
+    hr1, hr2, hr3 = (suite.find(name).passed is True
+                     for name in ("hr1", "hr2", "hr3"))
+    S = semidirect(L, rep)
+    assert (check_hom_jacobi(S).passed is True) == (
+        check_hom_jacobi(L).passed is True and hr2 and hr3)
+    if core3lie.check_multiplicative(L).passed is True:
+        assert (core3lie.check_multiplicative(S).passed is True) == hr1
+    return hr1, hr2, hr3
+
+
+@pytest.mark.parametrize(
+    "name, params", CORPUS_CASES,
+    ids=["-".join([name, *map(str, params.values())])
+         for name, params in CORPUS_CASES])
+def test_semidirect_product_gives_the_corpus_verdicts(name, params):
+    B = generate(name, **params)
+    assert assert_semidirect_verdicts(B.L, B.rep) == (True, True, True)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 5, 19, 29])
+def test_semidirect_product_gives_the_rep_family_verdicts(seed):
+    """phi is not the identity on every seed; hr1 fails on 19 and 29."""
+    L, rep = rep_family(seed)
+    hr1, _, _ = assert_semidirect_verdicts(L, rep)
+    assert hr1 == (seed not in (19, 29))
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_bundles())
+def test_semidirect_product_gives_the_perturbed_verdicts(B):
+    assert_semidirect_verdicts(B.L, B.rep)
 
 
 def lookup_rows(alg) -> dict:
@@ -562,9 +645,6 @@ def lookup_rows(alg) -> dict:
     return rows
 
 
-_SHEAR = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), 3, -1])
-
-
 @settings(max_examples=100, deadline=None)
 @given(perturbed_bundles(), st.data())
 def test_alpha_rows_match_the_references_with_a_sheared_alpha(B, data):
@@ -576,15 +656,7 @@ def test_alpha_rows_match_the_references_with_a_sheared_alpha(B, data):
     or sum several.  They, the bracket rows and the Hom-Jacobi and
     hom-rep reports must match the references."""
     n = B.L.n
-    T = [[data.draw(_COEFF) if r == c else 0 for c in range(n)]
-         for r in range(n)]
-    for b in data.draw(st.lists(st.integers(0, n - 1), min_size=1,
-                                max_size=2, unique=True)):
-        others = [a for a in range(n) if a != b]
-        for a in data.draw(st.lists(st.sampled_from(others), min_size=1,
-                                    max_size=2, unique=True)):
-            T[a][b] = data.draw(_SHEAR)
-    L = Hom3Lie(B.L.sc, B.L.alpha @ MatrixQ(T))
+    L = Hom3Lie(B.L.sc, B.L.alpha @ sheared_diagonal(data.draw, n))
     acols = L._alpha_cols
     assert max(len(col) for col in acols) >= 2
     br = core3lie.brackets(L)
@@ -663,7 +735,10 @@ def test_hr3_composes_each_product_once(monkeypatch):
 def test_jacobi_sums_residuals_only_on_live_pairs(monkeypatch):
     """The pair masks settle dead and trivially zero (triple, pair)
     instances by popcount: on jacobian-weak degree cap 2, each Jacobi
-    check sums 456 of its 5,400 residuals."""
+    check sums 456 of its 5,400 residuals.  alpha is the identity
+    there, so Hom-Jacobi takes Jacobi's report and sums none; with
+    alpha = -Id, whose alpha rows are the bracket rows, it sums the
+    same 456 itself."""
     B = generate("jacobian-weak", degree_cap=2)
     L = Hom3Lie(B.L.sc, B.L.alpha)
     residual = core3lie._residual
@@ -678,9 +753,14 @@ def test_jacobi_sums_residuals_only_on_live_pairs(monkeypatch):
     assert jacobi.checked + jacobi.skipped == 5400
     assert len(calls) == 456
     hom_jacobi = check_hom_jacobi(L)
+    assert len(calls) == 456
+    signed = Hom3Lie(B.L.sc, B.L.alpha.scale(-1))
+    signed_hom_jacobi = check_hom_jacobi(signed)
     assert len(calls) == 2 * 456
     assert jacobi.to_dict() == reference_jacobi(B.L).to_dict()
     assert hom_jacobi.to_dict() == reference_hom_jacobi(B.L).to_dict()
+    assert (signed_hom_jacobi.to_dict()
+            == reference_hom_jacobi(signed).to_dict())
 
 
 def _count_calls(monkeypatch, module, name):
@@ -720,28 +800,93 @@ def test_law_kernels_reach_arithmetic_only_on_live_instances(monkeypatch):
         3656, 71411, 933)
 
 
-def test_hr3_visits_only_the_pairs_with_a_determined_side(monkeypatch):
-    """On the 32/4 tensor of tb-rinehart at degree cap 3, 11,184 of the
-    122,760 pairs p < q have a side (p, q) or (q, p) that the bracket
-    window determines.  hr3 counts the rest per p by popcount and
-    composes D's masks for those 11,184 alone."""
-    B = generate("tb-rinehart", degree_cap=3)
-    G = tensor_extension(B.L, B.A, B.rep)
-    L = Hom3Lie(G.L.sc, G.L.alpha)
-    rep = HomRepresentation(G.rho, G.A.phi)
-    visits = _count_calls(monkeypatch, repmod, "_d_masks")
+def _d_masks(ra_p, op_p, ra_q, op_q):
+    """(undetermined, possibly nonzero) columns of one pair's D =
+    rho(alpha p) rho(q) - rho(alpha q) rho(p), as hr3 once settled
+    them pair by pair."""
+    none = nonzero = 0
+    for outer, inner in ((ra_p, op_q), (ra_q, op_p)):
+        if inner is not None:
+            p_none, p_nonzero = repmod._product_masks(outer, inner)
+            none |= p_none
+            nonzero |= p_nonzero
+    return none, nonzero
+
+
+def _phi_masks(rmp, terms):
+    """(undetermined, possibly nonzero) columns of one side's
+    phi-terms, the sum of s rho(vec, alpha e_y) phi over (vec, y, s)."""
+    none = nonzero = 0
+    for vec, y, _ in terms:
+        for m in vec:
+            _, m_none, m_nonzero = rmp[(m, y)]
+            none |= m_none
+            nonzero |= m_nonzero
+    return none, nonzero
+
+
+def hr3_wanted_columns(br, ra, rmp, sparse):
+    """{(p, q) index pair: columns} of the hr3 instances with a
+    determined, possibly nonzero column, p != q, by a loop over every
+    pair with the per-pair masks."""
+    rows, pairs = br.rows, br.pairs
+    wanted = {}
+    for ip, iq in combinations(range(len(pairs)), 2):
+        p, q = pairs[ip], pairs[iq]
+        d_none, d_nonzero = _d_masks(ra[p], sparse.get(p), ra[q],
+                                     sparse.get(q))
+        for key, row, (u, v) in (((ip, iq), rows[p], q),
+                                 ((iq, ip), rows[q], p)):
+            if row[u] is None or row[v] is None:
+                continue
+            none, nonzero = _phi_masks(rmp, ((row[u], v, 1),
+                                             (row[v], u, -1)))
+            want = (nonzero | d_nonzero) & ~(none | d_none)
+            if want:
+                wanted[key] = want
+    return wanted
+
+
+@pytest.mark.parametrize("which", ["tensor", "jacobian-weak-2", "rep-29"])
+def test_hr3_reaches_arithmetic_exactly_on_the_wanted_columns(
+        which, monkeypatch):
+    """hr3 settles every pair by masks over all partners q at once.
+    The instances that reach arithmetic, and the columns they sum, are
+    exactly those with a determined, possibly nonzero column by the
+    per-pair masks: on the 32/4 tensor of tb-rinehart at degree cap 3,
+    536 instances of the 245,520 (p, q) with p != q; on rep_family
+    seed 29, phi is not the identity."""
+    if which == "rep-29":
+        L, rep = rep_family(29)
+    else:
+        if which == "tensor":
+            B = generate("tb-rinehart", degree_cap=3)
+            B = tensor_extension(B.L, B.A, B.rep)
+        else:
+            B = generate("jacobian-weak", degree_cap=2)
+        L = Hom3Lie(B.L.sc, B.L.alpha)
+        rep = HomRepresentation(B.rho, B.A.phi)
+    tables, summed = [], {}
+    kernel, side = repmod._check_hr3, repmod._hr3_side
+
+    def spied_kernel(*args):
+        tables.append(args)
+        return kernel(*args)
+
+    def spied_side(kept, key, rmp, terms, d, sign, want):
+        assert key not in summed
+        summed[key] = want
+        return side(kept, key, rmp, terms, d, sign, want)
+
+    monkeypatch.setattr(repmod, "_check_hr3", spied_kernel)
+    monkeypatch.setattr(repmod, "_hr3_side", spied_side)
     hr3 = check_hom_rep(L, rep).find("hr3")
-    br = core3lie.brackets(L)
-    rows = br.rows
-
-    def determined(p, q):
-        return rows[p][q[0]] is not None and rows[p][q[1]] is not None
-
-    pairs = list(combinations(br.pairs, 2))
-    live = sum(determined(p, q) or determined(q, p) for p, q in pairs)
-    assert (len(pairs), live) == (122760, 11184)
-    assert visits["_check_hr3"] == 11184
-    assert hr3.checked + hr3.skipped == len(br.pairs) ** 2 * G.A.dim
+    br, ra, rmp, sparse, dim_v = tables[0]
+    assert summed == hr3_wanted_columns(br, ra, rmp, sparse)
+    assert hr3.checked + hr3.skipped == len(br.pairs) ** 2 * dim_v
+    if which == "tensor":
+        assert (len(br.pairs) * (len(br.pairs) - 1), len(summed)) == (
+            245520, 536)
 
 
 def test_hom_jacobi_takes_its_alpha_rows_from_the_bracket_rows(
@@ -757,6 +902,41 @@ def test_hom_jacobi_takes_its_alpha_rows_from_the_bracket_rows(
     hom_jacobi = check_hom_jacobi(L)
     assert not calls
     assert hom_jacobi.checked + hom_jacobi.skipped == 4960 * 496
+
+
+def test_hom_jacobi_reads_jacobi_when_alpha_is_the_identity(monkeypatch):
+    """With alpha = Id, Hom-Jacobi is Jacobi instance by instance, so
+    it takes check_jacobi's report: on jacobian-weak degree cap 3 no
+    alpha rows are built and the residuals are summed in one pass.  On
+    the failing 32/4 tensor of tb-rinehart at degree cap 3 (alpha = Id
+    too) the report, witnesses and their order, is the reference's.  A
+    twist other than the identity runs its own pass: tprime-split,
+    alpha = -Id."""
+    alpha_rows = _count_calls(monkeypatch, core3lie, "_alpha_rows")
+    passes = _count_calls(monkeypatch, core3lie, "_jacobi_residuals")
+    B = generate("jacobian-weak", degree_cap=3)
+    L = Hom3Lie(B.L.sc, B.L.alpha)
+    assert L.alpha == MatrixQ.identity(L.n)
+    hom_jacobi = check_hom_jacobi(L)
+    assert not alpha_rows and passes == {"check_jacobi": 1}
+    assert hom_jacobi.name == "hom-jacobi"
+    assert hom_jacobi.checked == check_jacobi(L).checked
+    assert passes == {"check_jacobi": 1}
+
+    B = generate("tb-rinehart", degree_cap=3)
+    G = tensor_extension(B.L, B.A, B.rep)
+    L = Hom3Lie(G.L.sc, G.L.alpha)
+    assert L.alpha == MatrixQ.identity(L.n)
+    hom_jacobi = check_hom_jacobi(L)
+    assert hom_jacobi.failure_count == 378
+    assert hom_jacobi.to_dict() == reference_hom_jacobi(L).to_dict()
+    assert not alpha_rows and passes == {"check_jacobi": 2}
+
+    B = generate("tprime-split", window=1)
+    L = Hom3Lie(B.L.sc, B.L.alpha)
+    assert check_hom_jacobi(L).to_dict() == reference_hom_jacobi(L).to_dict()
+    assert alpha_rows == {"check_hom_jacobi": 1}
+    assert passes == {"check_jacobi": 2, "check_hom_jacobi": 1}
 
 
 def test_action_rho_compat_keeps_its_first_witnesses_in_order():
