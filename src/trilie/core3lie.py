@@ -17,11 +17,11 @@ from itertools import combinations
 
 from .exactq import (
     MatrixQ,
-    SubspaceQ,
     masks,
     mat_apply_sv,
     mat_columns_sv,
     ones,
+    pair_bilinear,
     qnorm,
     sv_axpy,
     sv_scale,
@@ -234,25 +234,13 @@ def brackets(alg: Hom3Lie) -> PairRows:
 
 def _alpha_rows(alg: Hom3Lie, br: PairRows) -> dict:
     """[alpha e_i, alpha e_j, e_m] as a row over m for each pair i < j,
-    from the bracket rows br of alg: the sum of a_pi a_qj [e_p, e_q, e_m]
-    over p, q != p in the supports of alpha e_i and alpha e_j.  An entry
-    is None when a row it reads is None there, as in `trilinear`."""
-    n, rows, acols = alg.n, br.rows, alg._alpha_cols
-    half = {}
-    for i, j in combinations(range(n), 2):
-        terms = [(cp * cq, rows[(p, q)]) for p, cp in acols[i].items()
-                 for q, cq in acols[j].items() if p != q]
-        out = []
-        for m in range(n):
-            acc = {}
-            for c, row in terms:
-                if row[m] is None:
-                    acc = None
-                    break
-                sv_axpy(acc, c, row[m])
-            out.append(acc)
-        half[(i, j)] = out
-    return half
+    the bracket rows br of alg read at (alpha e_i, alpha e_j) by
+    `exactq.pair_bilinear`.  An entry is None when a row it reads is
+    None there, as in `trilinear`; a row that is a single bracket row
+    with coefficient 1 is that row's own list."""
+    n, acols = alg.n, alg._alpha_cols
+    return {(i, j): pair_bilinear(br.rows, n, acols[i], acols[j])
+            for i, j in br.pairs}
 
 
 # -- axiom checkers ----------------------------------------------------
@@ -264,9 +252,12 @@ def _alpha_rows(alg: Hom3Lie, br: PairRows) -> dict:
 #     sum_m t_m outer[P][m] - sum_(k, Q) sum_m [P, e_k]_m outer[Q][m]
 #
 # where outer[P][m] is [e_m, P] (Jacobi) or [e_m, alpha P] (Hom-Jacobi).
-# The bracket rows and their masks are kept with the algebra; the outer
-# rows of Hom-Jacobi are built once per check, as sums of bracket rows
-# (`_alpha_rows`), with the same masks (`PairRows`).  The masks are
+# The bracket rows and their masks are kept with the algebra.  The outer
+# rows of Hom-Jacobi are the bracket rows read at (alpha e_i, alpha e_j)
+# (`_alpha_rows`).  Where every one of them is the bracket row object
+# of its pair, as with alpha = Id or alpha = -Id, Hom-Jacobi is Jacobi
+# instance by instance and takes its report; otherwise they get the
+# same masks (`PairRows`) and a pass of their own.  The masks are
 # indexed by pair, so for each triple a few ORs over the bits of t and
 # of the three outer rows Q give every pair at once:
 #
@@ -360,12 +351,15 @@ def check_hom_jacobi(alg: Hom3Lie) -> CheckReport:
         + [a(x3),[x1,x2,x4],a(x5)] + [a(x3),a(x4),[x1,x2,x5]]
     with a = alpha.
 
-    When alpha is the identity this is the residual of check_jacobi
-    instance by instance, with the triple and the pair in each other's
-    places, so the report is check_jacobi's (kept with the algebra),
-    its witnesses relabelled, and the law is evaluated once.
+    When every alpha row [alpha e_i, alpha e_j, .] is the bracket row
+    object of its pair (`_alpha_rows`), this is the residual of
+    check_jacobi instance by instance, with the triple and the pair in
+    each other's places, so the report is check_jacobi's (kept with the
+    algebra), its witnesses relabelled, and the law is evaluated once.
     """
-    if all(col == {i: 1} for i, col in enumerate(alg._alpha_cols)):
+    br = brackets(alg)
+    half = _alpha_rows(alg, br)
+    if all(half[pq] is br.rows[pq] for pq in br.pairs):
         jacobi = check_jacobi(alg)
         return CheckReport(
             "hom-jacobi", jacobi.passed, jacobi.checked, jacobi.skipped,
@@ -373,9 +367,8 @@ def check_hom_jacobi(alg: Hom3Lie) -> CheckReport:
               "residual_support": w["residual_support"]}
              for w in jacobi.failures],
             jacobi.failure_count)
-    br = brackets(alg)
     # [alpha e_i, alpha e_j, e_m], which is [e_m, alpha e_i, alpha e_j]
-    aa = PairRows(alg.n, _alpha_rows(alg, br))
+    aa = PairRows(alg.n, half)
     return _jacobi_residuals(CheckReport("hom-jacobi"), br, aa,
                              lambda t, p: {"x": list(p),
                                            "triple": list(t)})
@@ -400,35 +393,3 @@ def check_multiplicative(alg: Hom3Lie) -> CheckReport:
         if lhs != rhs:
             rep.record({"triple": [i, j, k]})
     return rep
-
-
-def center(alg: Hom3Lie) -> tuple[SubspaceQ, int]:
-    """Solutions of [x, e_p, e_q] = 0 for all p < q.
-
-    Returns (subspace, excluded) where excluded counts coordinates that
-    had to be left out because some bracket with them is missing; with a
-    complete table excluded is 0 and the answer is exact.
-    """
-    n = alg.n
-    sc = alg.sc
-    usable = []
-    for m in range(n):
-        if all(
-            sc.lookup(m, p, q)[0] is not None for p, q in combinations(range(n), 2)
-        ):
-            usable.append(m)
-    rows = []
-    for p, q in combinations(range(n), 2):
-        outputs = [sc.lookup(m, p, q)[0] for m in usable]
-        support = sorted({r for out in outputs for r in out})
-        for r in support:
-            rows.append([out.get(r, 0) for out in outputs])
-    from .exactq import kernel_basis
-
-    vecs = []
-    for kv in kernel_basis(rows, len(usable)):
-        dense = [0] * n
-        for pos, m in enumerate(usable):
-            dense[m] = kv[pos]
-        vecs.append(tuple(dense))
-    return SubspaceQ(n, vecs), n - len(usable)

@@ -28,6 +28,12 @@ work done bit by bit keeps the order of a loop over every position.
 `ones` walks the mask's bytes through a table of each byte value's
 bits, so its cost is linear in the mask's width, not in the width
 times the number of set bits.
+
+Pair tables.  The laws read antisymmetric tables of column lists
+stored at pairs p < q, the bracket rows [e_p, e_q, .] and the anchor
+operators rho(e_p, e_q), at twisted arguments (alpha e_i, alpha e_j).
+`pair_bilinear` is the one evaluator of such a sum; where alpha is a
+signed permutation it mostly returns stored lists themselves.
 """
 
 from __future__ import annotations
@@ -642,6 +648,41 @@ def sv_table(table, key_ok, dim_out: int, what: str) -> dict:
     return out
 
 
+def pair_bilinear(table: dict, dim: int, u: dict, v: dict) -> list:
+    """The columns of the sum of u_p v_q T(p, q) over p != q.
+
+    T(p, q) is table[(p, q)] for p < q and -table[(q, p)] for p > q, a
+    list of dim columns, each a sparse vector or None; an absent pair
+    is zero.  A column of the sum is None where a term's column is.
+    A single term c T(p, q) is the stored list itself when c is 1 and
+    its columns scaled by c otherwise; a zero column of a longer sum is
+    the shared empty vector.  The result is shared: callers must not
+    mutate it.
+    """
+    terms = []
+    for p, cp in u.items():
+        for q, cq in v.items():
+            if p != q:
+                cols = table.get((p, q) if p < q else (q, p))
+                if cols is not None:
+                    terms.append((cp * cq if p < q else -cp * cq, cols))
+    if len(terms) == 1:
+        (c, cols), = terms
+        return cols if c == 1 else [col and sv_scale(col, c) for col in cols]
+    out = []
+    for k in range(dim):
+        acc = {}
+        for c, cols in terms:
+            col = cols[k]
+            if col is None:
+                acc = None
+                break
+            if col:
+                sv_axpy(acc, c, col)
+        out.append(acc if acc is None or acc else _EMPTY)
+    return out
+
+
 def sv_bilinear(table: dict, u, v):
     """Sum of u_i v_j table[(i, j)]; None if u, v or a needed entry is None."""
     if u is None or v is None:
@@ -748,9 +789,13 @@ def mat_from_columns_sv(cols: list, n: int) -> "MatrixQ":
     return MatrixQ([[cols[j].get(i, 0) for j in range(n)] for i in range(n)])
 
 
-def mat_apply_sv(cols: list, vec: dict) -> dict:
-    """Apply a matrix, given as sparse columns, to a sparse vector."""
+def mat_apply_sv(cols: list, vec: dict):
+    """Apply a matrix, given as sparse columns, to a sparse vector;
+    None when a column it reads is None (undetermined)."""
     out: dict = {}
     for idx, coeff in vec.items():
-        sv_axpy(out, coeff, cols[idx])
+        col = cols[idx]
+        if col is None:
+            return None
+        sv_axpy(out, coeff, col)
     return out

@@ -12,11 +12,12 @@ operands are built once per call, each an `exactq.operand` (its
 columns with one int mask of its None columns and one of its nonzero
 columns): rho(alpha e_i, alpha e_j) for i < j (kept with the
 representation per algebra, so check_hr4 reuses it) and rho(e_m, alpha
-e_j) phi for all m, j.  Neither table copies what it can share: a zero
-operand is one shared tuple, a zero column of a built operator is one
-shared empty vector, and with phi = Id and alpha e_j = c e_k, rho(e_m,
-alpha e_j) phi is the stored operator rho(e_m, e_k) itself when the
-sign works out to 1, or a scaled list that keeps its zero columns.
+e_j) phi for all m, j.  Both are read from the stored operators by
+`exactq.pair_bilinear`, which shares what it can: where alpha e_i and
+alpha e_j are single basis vectors, an operand's columns are a stored
+operator's own list when the sign works out to 1 (else that list
+scaled), and a zero column of a sum is one shared empty vector.  With
+phi = Id they are kept as read; a zero operand is one shared tuple.
 Each stored operator rho(e_c, e_d) also carries, per module index r,
 the mask of its columns with r in their support, and the r that some
 column reads (`masked_ops`, from `exactq.masks`).  A column k of a
@@ -60,15 +61,14 @@ from itertools import combinations
 
 from .exactq import (
     MatrixQ,
-    SubspaceQ,
-    kernel_basis,
     masks,
+    mat_apply_sv,
     mat_columns_sv,
     ones,
     operand,
+    pair_bilinear,
     qnorm,
     sv_axpy,
-    sv_scale,
 )
 from .core3lie import Hom3Lie, PairRows, brackets
 from .report import MAX_FAILURES, CheckReport, SuiteReport, stored_on
@@ -84,32 +84,8 @@ def op_zero(dim: int) -> Columns:
     return [{} for _ in range(dim)]
 
 
-def op_apply(cols: Columns, vec: SVec):
-    """Apply an operator to a sparse vector; None when undetermined."""
-    out: SVec = {}
-    for idx, coeff in vec.items():
-        col = cols[idx]
-        if col is None:
-            return None
-        sv_axpy(out, coeff, col)
-    return out
-
-
-def op_axpy(acc: Columns, scalar, cols: Columns) -> None:
-    """acc += scalar * cols, column by column, None infecting per column."""
-    if scalar == 0:
-        return
-    for c, col in enumerate(cols):
-        if acc[c] is None:
-            continue
-        if col is None:
-            acc[c] = None
-        elif col:
-            sv_axpy(acc[c], scalar, col)
-
-
 def op_compose(outer: Columns, inner: Columns) -> Columns:
-    return [col if col is None else op_apply(outer, col) if col else {}
+    return [col if col is None else mat_apply_sv(outer, col) if col else {}
             for col in inner]
 
 
@@ -148,15 +124,9 @@ class PairAction:
         return self.ops.get((j, i)) or op_zero(self.dim_v), -1
 
     def bilinear(self, u: SVec, v: SVec) -> Columns:
-        """Columns of rho(u, v) for sparse vectors u, v."""
-        acc = op_zero(self.dim_v)
-        for i, cu in u.items():
-            for j, cv in v.items():
-                if i == j:
-                    continue
-                cols, sign = self.pair(i, j)
-                op_axpy(acc, cu * cv * sign, cols)
-        return acc
+        """Columns of rho(u, v) for sparse vectors u, v, shared as
+        `exactq.pair_bilinear` shares them."""
+        return pair_bilinear(self.ops, self.dim_v, u, v)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PairAction)
@@ -213,26 +183,9 @@ def _compare_columns(rep: CheckReport, witness, lhs: Columns, rhs: Columns) -> N
 
 
 def _operand(cols: Columns, zero: tuple) -> tuple:
-    """`exactq.operand` of newly built columns, each zero column
-    replaced by one shared empty vector, or zero when all are zero."""
-    cols, none, nonzero = operand([c if c is None or c else _EMPTY
-                                   for c in cols])
+    """`exactq.operand` of cols, or zero when every column is zero."""
+    cols, none, nonzero = operand(cols)
     return (cols, none, nonzero) if none or nonzero else zero
-
-
-def _rho_at(act: PairAction, m: int, vec: SVec):
-    """Columns of rho(e_m, vec).  When vec is c e_j they come from the
-    stored operator: its own list when the sign works out to 1, else a
-    scaled list that keeps its zero columns; None when it is not
-    stored."""
-    if len(vec) != 1:
-        return act.bilinear({m: 1}, vec)
-    (j, c), = vec.items()
-    op = act.ops.get((m, j) if m < j else (j, m))
-    if op is None:
-        return None
-    s = c if m < j else -c
-    return op if s == 1 else [col and sv_scale(col, s) for col in op]
 
 
 @stored_on("_alpha_pairs", owner=1)
@@ -627,6 +580,19 @@ def _check_hr2(br: PairRows, ra: dict, rmp: dict, sparse: dict,
     return r2
 
 
+def check_hr1(alg: Hom3Lie, rep: HomRepresentation) -> CheckReport:
+    """hr1, rho(alpha x1, alpha x2) phi = phi rho(x1, x2), on the basis
+    pairs x1 < x2, column by column."""
+    ra = _alpha_pair_table(alg, rep)
+    act, phi = rep.action, rep._phi_cols
+    r1 = CheckReport("hr1")
+    for i, j in combinations(range(alg.n), 2):
+        lhs = op_compose(ra[(i, j)][0], phi)
+        raw, _ = act.pair(i, j)
+        _compare_columns(r1, {"pair": [i, j]}, lhs, op_compose(phi, raw))
+    return r1
+
+
 @stored_on("_hom_rep", owner=1)
 def check_hom_rep(alg: Hom3Lie, rep: HomRepresentation) -> SuiteReport:
     """hr1 on basis pairs, hr2 and hr3 on basis 4-tuples, hr2 and hr3
@@ -640,33 +606,20 @@ def check_hom_rep(alg: Hom3Lie, rep: HomRepresentation) -> SuiteReport:
     acols = alg._alpha_cols
     ra = _alpha_pair_table(alg, rep)
     # rho(e_m, alpha e_j) phi: the phi-terms of hr2 and hr3 are sums of
-    # these rows, since composing with phi distributes over the sum.
-    # With phi = Id and alpha e_j = c e_k they are the stored operators'
-    # columns (`_rho_at`); the zero ones share one operand.
+    # these rows, since composing with phi distributes over the sum;
+    # the zero ones share one operand.
     phi_id = all(col == {k: 1} for k, col in enumerate(phi))
     zero = ([_EMPTY] * dim_v, 0, 0)
     rmp = {}
     for m in range(n):
         for j in range(n):
-            cols = _rho_at(act, m, acols[j])
-            if cols is None:
-                rmp[(m, j)] = zero
-            elif phi_id and len(acols[j]) == 1:
-                rmp[(m, j)] = operand(cols)
-            else:
-                rmp[(m, j)] = _operand(
-                    cols if phi_id else op_compose(cols, phi), zero)
+            cols = act.bilinear({m: 1}, acols[j])
+            rmp[(m, j)] = _operand(
+                cols if phi_id else op_compose(cols, phi), zero)
     br = brackets(alg)
     sparse = masked_ops(act)
 
-    # hr1: rho(alpha x1, alpha x2) phi = phi rho(x1, x2)
-    r1 = CheckReport("hr1")
-    for i, j in br.pairs:
-        lhs = op_compose(ra[(i, j)][0], phi)
-        raw, _ = act.pair(i, j)
-        rhs = op_compose(phi, raw)
-        _compare_columns(r1, {"pair": [i, j]}, lhs, rhs)
-
+    r1 = check_hr1(alg, rep)
     r2 = _check_hr2(br, ra, rmp, sparse, dim_v)
 
     # hr3: rho(a x1, a x2) rho(x3, x4) = rho(a x3, a x4) rho(x1, x2)
@@ -727,40 +680,3 @@ def check_hr4_equivalence(alg: Hom3Lie, rep: HomRepresentation) -> CheckReport:
         out.record({"hr3": hr3.status, "hr4": hr4.status})
     out.detail = f"hr3 {hr3.status}, hr4 {hr4.status}"
     return out
-
-
-def kernel_of_rep(alg: Hom3Lie, act: PairAction) -> tuple[SubspaceQ, int]:
-    """{x : rho(x, e_j) = 0 for all j}, restricted to coordinates whose
-    operators the window fully determines; the second component counts
-    excluded coordinates (0 means the kernel is exact)."""
-    n = alg.n
-    usable = []
-    for m in range(n):
-        good = True
-        for j in range(n):
-            if j == m:
-                continue
-            cols, _ = act.pair(m, j)
-            if any(c is None for c in cols):
-                good = False
-                break
-        if good:
-            usable.append(m)
-    rows = []
-    for j in range(n):
-        for c in range(act.dim_v):
-            outputs = []
-            for m in usable:
-                cols, sign = act.pair(m, j)
-                col = cols[c] if m != j else {}
-                outputs.append(sv_scale(col, sign) if sign == -1 else col)
-            support = sorted({r for out in outputs for r in out})
-            for r in support:
-                rows.append([out.get(r, 0) for out in outputs])
-    vecs = []
-    for kv in kernel_basis(rows, len(usable)):
-        dense = [0] * n
-        for pos, m in enumerate(usable):
-            dense[m] = kv[pos]
-        vecs.append(tuple(dense))
-    return SubspaceQ(n, vecs), n - len(usable)

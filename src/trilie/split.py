@@ -36,6 +36,7 @@ from .exactq import (
     MatrixQ,
     SubspaceQ,
     eigenspace,
+    mat_apply_sv,
     mat_from_columns_sv,
     qstr,
     rational_spectrum,
@@ -46,7 +47,6 @@ from .exactq import (
     vsub,
 )
 from .report import CheckReport, SuiteReport, stored_on
-from .repmod import op_apply
 from .rinehart import RinehartBundle, centers
 
 
@@ -262,7 +262,7 @@ def _grade(H: SubspaceQ, frame, twist: MatrixQ, twist_inv: MatrixQ,
             for (a, b), cols in columns.items():
                 lam = form.mat.rows[a][b]
                 want = tuple(lam * c for c in image)
-                if sv_to_tuple(op_apply(cols, vs), ambient) != want:
+                if sv_to_tuple(mat_apply_sv(cols, vs), ambient) != want:
                     raise InternalError(f"eigenvector fails the {name}"
                                         f" eigen-identity")
     return dec
@@ -401,7 +401,7 @@ def check_thm1_properties(B: RinehartBundle, dec: Decomposition,
         ops = [B.rho.bilinear(x, y) for x, y in product(sv_r[i], sv_r[j])]
         for w, sa, pw in zip(lam, sv_w, pb_w):
             _law(c6, a_index.get(vadd(pair, pw)),
-                 starmap(op_apply, product(ops, sa)),
+                 starmap(mat_apply_sv, product(ops, sa)),
                  {"roots": [gam[i].key(), gam[j].key()], "weight": w.key()})
 
     return suite
@@ -736,7 +736,7 @@ def _weight_zero_vectors(B: RinehartBundle, dec: Decomposition,
             ops = [B.rho.bilinear(x, y)
                    for x, y in product(dec.sparse[gam[i]], dec.sparse[gam[j]])]
             vecs.extend(_generators(
-                m, op_apply, (ops, wdec.sparse[beta]),
+                m, mat_apply_sv, (ops, wdec.sparse[beta]),
                 "anchor window too small",
                 f"rho(L_gamma, L_delta) A_beta undetermined for roots"
                 f" {gam[i]!r}, {gam[j]!r} and weight {beta!r}"))

@@ -781,19 +781,20 @@ def test_decompose_computes_the_centers_once(tmp_path, capsys,
                                              monkeypatch):
     """The direct-sum and weight-class stages both read the centers of
     the bundle; they are computed once and kept with it.  The spy is
-    the kernel of the representation, which only centers computes."""
+    `rinehart.kernel_basis`, which only centers calls: once for Z_L(A)
+    in A (dim 7) and once for Z_rho(L) in L (dim 15)."""
     path = corpus_file(tmp_path, capsys, "tprime-split", "--window", "3")
     runs = []
-    body = rinehart.kernel_of_rep
+    body = rinehart.kernel_basis
 
-    def spied(alg, act):
-        runs.append(alg.n)
-        return body(alg, act)
+    def spied(rows, ncols):
+        runs.append(ncols)
+        return body(rows, ncols)
 
-    monkeypatch.setattr(rinehart, "kernel_of_rep", spied)
+    monkeypatch.setattr(rinehart, "kernel_basis", spied)
     code, _, err = run(capsys, "decompose", path, "--report", "json")
     assert code == 0, err
-    assert runs == [15]
+    assert runs == [7, 15]
 
 
 def test_construct_twist_from_maps_file(tmp_path, capsys):

@@ -2,11 +2,11 @@
 
 import itertools
 
+from center_oracles import center
 from trilie.core3lie import (
     Hom3Lie,
     StructureConstants3,
     ad_columns,
-    center,
     check_hom_jacobi,
     check_jacobi,
     check_multiplicative,

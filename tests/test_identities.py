@@ -21,9 +21,15 @@ from hypothesis import given, settings, strategies as st
 
 from trilie.core3lie import Hom3Lie, StructureConstants3, sort3
 from trilie.corpus import generate
-from trilie.exactq import MatrixQ, mat_columns_sv, sv_axpy, sv_scale
+from trilie.exactq import (
+    MatrixQ,
+    mat_apply_sv,
+    mat_columns_sv,
+    sv_axpy,
+    sv_scale,
+)
 from trilie.report import MAX_FAILURES, CheckReport, SuiteReport
-from trilie.repmod import PairAction, op_apply, op_compose
+from trilie.repmod import PairAction, op_compose
 from trilie.rinehart import (
     CommAlgebra,
     ModuleAction,
@@ -89,7 +95,7 @@ class _ReferenceContext:
                 for k in range(j + 1, self.n):
                     vec, _ = sc.lookup(i, j, k)
                     self.ab[(i, j, k)] = (None if vec is None
-                                          else op_apply(acols, vec))
+                                          else mat_apply_sv(acols, vec))
         # phi composed with every anchor operator
         self.pr: dict = {}
         self.rho_ops: dict = {}

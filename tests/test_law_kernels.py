@@ -30,15 +30,20 @@ from trilie.core3lie import (
     check_jacobi,
 )
 from trilie.corpus import generate
-from trilie.exactq import MatrixQ, mat_columns_sv, sv_axpy, sv_scale
+from trilie.exactq import (
+    MatrixQ,
+    mat_apply_sv,
+    mat_columns_sv,
+    pair_bilinear,
+    sv_axpy,
+    sv_scale,
+)
 from trilie.report import MAX_FAILURES, CheckReport, SuiteReport
 from trilie.repmod import (
     HomRepresentation,
     PairAction,
     check_hom_rep,
     check_hr4,
-    op_apply,
-    op_axpy,
     op_compose,
     op_zero,
 )
@@ -53,6 +58,32 @@ from trilie.rinehart import (
 
 
 # --- references -----------------------------------------------------------
+
+
+def op_axpy(acc, scalar, cols) -> None:
+    """acc += scalar * cols, column by column, None infecting per column."""
+    if scalar == 0:
+        return
+    for c, col in enumerate(cols):
+        if acc[c] is None:
+            continue
+        if col is None:
+            acc[c] = None
+        elif col:
+            sv_axpy(acc[c], scalar, col)
+
+
+def reference_bilinear(act, u, v):
+    """Columns of rho(u, v) for sparse vectors u, v: the literal double
+    sum of u_i v_j rho(e_i, e_j), a new list of new columns."""
+    acc = op_zero(act.dim_v)
+    for i, cu in u.items():
+        for j, cv in v.items():
+            if i == j:
+                continue
+            cols, sign = act.pair(i, j)
+            op_axpy(acc, cu * cv * sign, cols)
+    return acc
 
 
 def _compare_columns(rep, witness, lhs, rhs):
@@ -79,9 +110,9 @@ def reference_hom_rep(alg, rep) -> SuiteReport:
     n = alg.n
     phi = rep._phi_cols
     acols = alg._alpha_cols
-    ra = {(i, j): act.bilinear(acols[i], acols[j])
+    ra = {(i, j): reference_bilinear(act, acols[i], acols[j])
           for i, j in combinations(range(n), 2)}
-    rm = {(m, j): act.bilinear({m: 1}, acols[j])
+    rm = {(m, j): reference_bilinear(act, {m: 1}, acols[j])
           for m in range(n) for j in range(n)}
 
     r1 = CheckReport("hr1")
@@ -142,7 +173,7 @@ def reference_hom_rep(alg, rep) -> SuiteReport:
 def reference_hr4(alg, rep) -> CheckReport:
     act = rep.action
     acols = alg._alpha_cols
-    ra = {(i, j): act.bilinear(acols[i], acols[j])
+    ra = {(i, j): reference_bilinear(act, acols[i], acols[j])
           for i, j in combinations(range(alg.n), 2)}
     rep4 = CheckReport("hr4")
     pairs = list(combinations(range(alg.n), 2))
@@ -176,7 +207,7 @@ def _derivation_into(A, cols, hd1, hd2, pair):
     for i in range(n):
         for j in range(i, n):
             p = A.basis_product(i, j)
-            lhs = None if p is None else op_apply(cols, p)
+            lhs = None if p is None else mat_apply_sv(cols, p)
             r1 = A.product(phic[i], dvec[j])
             r2 = A.product(dvec[i], phic[j])
             if lhs is None or r1 is None or r2 is None:
@@ -194,7 +225,7 @@ def _derivation_into(A, cols, hd1, hd2, pair):
             fij = A.phi_apply(pij)
             for k in range(j, n):
                 p = A.product(pij, {k: 1})
-                lhs = None if p is None else op_apply(cols, p)
+                lhs = None if p is None else mat_apply_sv(cols, p)
                 fjk = A.phi_apply(A.basis_product(j, k))
                 fik = A.phi_apply(A.basis_product(i, k))
                 t1 = A.product(fij, dvec[k])
@@ -484,6 +515,46 @@ def test_kernels_match_the_references_on_a_failing_tensor():
     assert_same_reports(G, hr4=False)
 
 
+@st.composite
+def pair_actions(draw):
+    """A pair action of dim L 2..5 on dim V 1..3 whose stored operators
+    mix None, zero and nonzero columns, some pairs left absent."""
+    n, dim = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    column = st.dictionaries(st.integers(0, dim - 1), st.integers(-2, 2),
+                             max_size=dim)
+    ops = {}
+    for key in combinations(range(n), 2):
+        if draw(st.booleans()):
+            ops[key] = [None if draw(st.integers(0, 3)) == 0
+                        else draw(column) for _ in range(dim)]
+    return PairAction(n, dim, ops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_actions(), st.data())
+def test_pair_bilinear_is_the_literal_double_sum(act, data):
+    """pair_bilinear equals the double sum of `reference_bilinear`,
+    None holes included, for u and v of one or several terms that may
+    share indices.  A single term c T(p, q) is the stored list itself
+    exactly when c = 1; the zero columns of any other sum are one
+    shared empty vector."""
+    vectors = st.dictionaries(st.integers(0, act.dim_l - 1),
+                              st.sampled_from([1, -1, 2, Fraction(-1, 2)]),
+                              min_size=1, max_size=3)
+    u, v = data.draw(vectors), data.draw(vectors)
+    out = pair_bilinear(act.ops, act.dim_v, u, v)
+    assert out == reference_bilinear(act, u, v)
+    terms = [(p, q) for p in u for q in v
+             if p != q and (min(p, q), max(p, q)) in act.ops]
+    if len(terms) == 1:
+        (p, q), = terms
+        c = u[p] * v[q] * (1 if p < q else -1)
+        assert (out is act.ops[(min(p, q), max(p, q))]) == (c == 1)
+    else:
+        zero = [col for col in out if col == {}]
+        assert all(col is zero[0] for col in zero)
+
+
 # --- near-lawful bundles with window holes and one defect ---------------
 
 _BASES = [("tb-rinehart", {"degree_cap": 1}),
@@ -737,8 +808,8 @@ def test_jacobi_sums_residuals_only_on_live_pairs(monkeypatch):
     instances by popcount: on jacobian-weak degree cap 2, each Jacobi
     check sums 456 of its 5,400 residuals.  alpha is the identity
     there, so Hom-Jacobi takes Jacobi's report and sums none; with
-    alpha = -Id, whose alpha rows are the bracket rows, it sums the
-    same 456 itself."""
+    alpha = -Id, whose alpha rows are the bracket rows, it takes the
+    Jacobi report of that new algebra, which sums the same 456."""
     B = generate("jacobian-weak", degree_cap=2)
     L = Hom3Lie(B.L.sc, B.L.alpha)
     residual = core3lie._residual
@@ -904,24 +975,39 @@ def test_hom_jacobi_takes_its_alpha_rows_from_the_bracket_rows(
     assert hom_jacobi.checked + hom_jacobi.skipped == 4960 * 496
 
 
-def test_hom_jacobi_reads_jacobi_when_alpha_is_the_identity(monkeypatch):
-    """With alpha = Id, Hom-Jacobi is Jacobi instance by instance, so
-    it takes check_jacobi's report: on jacobian-weak degree cap 3 no
-    alpha rows are built and the residuals are summed in one pass.  On
-    the failing 32/4 tensor of tb-rinehart at degree cap 3 (alpha = Id
-    too) the report, witnesses and their order, is the reference's.  A
-    twist other than the identity runs its own pass: tprime-split,
-    alpha = -Id."""
-    alpha_rows = _count_calls(monkeypatch, core3lie, "_alpha_rows")
+def test_hom_jacobi_reads_jacobi_when_the_alpha_rows_are_the_bracket_rows(
+        monkeypatch):
+    """Where every alpha row [alpha e_i, alpha e_j, .] is the bracket row
+    object of its pair, Hom-Jacobi is Jacobi instance by instance and
+    takes check_jacobi's report: with alpha = Id (jacobian-weak degree
+    cap 3) and alpha = -Id (tprime-split) the residuals are summed in
+    one pass and no PairRows is built for the outer rows.  On the
+    failing 32/4 tensor of tb-rinehart at degree cap 3 (alpha = Id) the
+    report, witnesses and their order, is the reference's.  A sheared
+    alpha runs its own pass."""
     passes = _count_calls(monkeypatch, core3lie, "_jacobi_residuals")
+    pair_rows = _count_calls(monkeypatch, core3lie, "PairRows")
     B = generate("jacobian-weak", degree_cap=3)
     L = Hom3Lie(B.L.sc, B.L.alpha)
     assert L.alpha == MatrixQ.identity(L.n)
     hom_jacobi = check_hom_jacobi(L)
-    assert not alpha_rows and passes == {"check_jacobi": 1}
+    assert passes == {"check_jacobi": 1} and pair_rows == {"brackets": 1}
     assert hom_jacobi.name == "hom-jacobi"
     assert hom_jacobi.checked == check_jacobi(L).checked
     assert passes == {"check_jacobi": 1}
+
+    B = generate("tprime-split", window=1)
+    L = Hom3Lie(B.L.sc, B.L.alpha)
+    assert L.alpha == MatrixQ.identity(L.n).scale(-1)
+    assert check_hom_jacobi(L).to_dict() == reference_hom_jacobi(L).to_dict()
+    assert passes == {"check_jacobi": 2} and pair_rows == {"brackets": 2}
+
+    shear = [[int(r == c) for c in range(L.n)] for r in range(L.n)]
+    shear[0][1] = 1
+    S = Hom3Lie(B.L.sc, L.alpha @ MatrixQ(shear))
+    assert check_hom_jacobi(S).to_dict() == reference_hom_jacobi(S).to_dict()
+    assert passes == {"check_jacobi": 2, "check_hom_jacobi": 1}
+    assert pair_rows == {"brackets": 3, "check_hom_jacobi": 1}
 
     B = generate("tb-rinehart", degree_cap=3)
     G = tensor_extension(B.L, B.A, B.rep)
@@ -930,13 +1016,7 @@ def test_hom_jacobi_reads_jacobi_when_alpha_is_the_identity(monkeypatch):
     hom_jacobi = check_hom_jacobi(L)
     assert hom_jacobi.failure_count == 378
     assert hom_jacobi.to_dict() == reference_hom_jacobi(L).to_dict()
-    assert not alpha_rows and passes == {"check_jacobi": 2}
-
-    B = generate("tprime-split", window=1)
-    L = Hom3Lie(B.L.sc, B.L.alpha)
-    assert check_hom_jacobi(L).to_dict() == reference_hom_jacobi(L).to_dict()
-    assert alpha_rows == {"check_hom_jacobi": 1}
-    assert passes == {"check_jacobi": 2, "check_hom_jacobi": 1}
+    assert passes == {"check_jacobi": 3, "check_hom_jacobi": 1}
 
 
 def test_action_rho_compat_keeps_its_first_witnesses_in_order():

@@ -6,19 +6,24 @@ from itertools import combinations
 
 from trilie.core3lie import Hom3Lie, StructureConstants3, ad_columns
 from trilie.corpus import d4_structure
-from trilie.exactq import MatrixQ, mat_columns_sv, sv_scale, sv_to_tuple
+from trilie.exactq import (
+    MatrixQ,
+    mat_apply_sv,
+    mat_columns_sv,
+    sv_scale,
+    sv_to_tuple,
+)
 from trilie.repmod import (
     HomRepresentation,
     PairAction,
     check_hom_rep,
     check_hr4,
     check_hr4_equivalence,
-    kernel_of_rep,
-    op_apply,
     op_compose,
     op_zero,
 )
 
+from center_oracles import kernel_of_rep
 from families import rep_family
 
 
@@ -38,8 +43,8 @@ def test_op_helpers_match_dense():
         comp = op_compose(ca, cb)
         vec = tuple(rng.randint(-2, 2) for _ in range(n))
         sparse = {i: c for i, c in enumerate(vec) if c}
-        assert sv_to_tuple(op_apply(comp, sparse), n) == (a @ b).apply(vec)
-    assert op_apply(op_zero(3), {0: 1}) == {}
+        assert sv_to_tuple(mat_apply_sv(comp, sparse), n) == (a @ b).apply(vec)
+    assert mat_apply_sv(op_zero(3), {0: 1}) == {}
 
 
 def test_pair_action_antisymmetry():
@@ -49,14 +54,14 @@ def test_pair_action_antisymmetry():
     assert fwd is bwd and sf == -sb
     same, s0 = act.pair(1, 1)
     assert all(col == {} for col in same)
-    assert sv_scale(op_apply(bwd, {1: 1}), sb) == {1: -1}
+    assert sv_scale(mat_apply_sv(bwd, {1: 1}), sb) == {1: -1}
 
 
 def test_pair_action_bilinear_expansion():
     act = PairAction(3, 2, {(0, 1): euler_cols(2), (1, 2): euler_cols(2, 3)})
     cols = act.bilinear({0: 1, 2: 2}, {1: 1})
     # rho(e0 + 2 e2, e1) = rho(0,1) - 2 rho(1,2)
-    assert op_apply(cols, {1: 1}) == {1: 1 - 6}
+    assert mat_apply_sv(cols, {1: 1}) == {1: 1 - 6}
 
 
 def test_explicit_zeros_are_dropped():

@@ -2,6 +2,8 @@
 
 import pytest
 
+from center_oracles import center, kernel_of_rep
+from families import rep_family
 from test_identities import (
     _HO1_TERMS,
     _HO3_TERMS,
@@ -12,21 +14,27 @@ from test_law_kernels import rho_on_vec_left
 from trilie.corpus import (
     _phi_matrix,
     _truncated_poly_algebra,
+    d4_bundle,
     jacobian_weak,
     rho_prime,
     tb_rinehart,
     tensor_family,
+    toy_split,
     tprime_split,
 )
-from trilie.construct import tensor_extension
+from trilie.construct import ConstructionError, tensor_extension
 from trilie.core3lie import Hom3Lie
-from trilie.exactq import MatrixQ, SubspaceQ, mat_columns_sv, sv_to_tuple
+from trilie.exactq import (
+    MatrixQ,
+    SubspaceQ,
+    mat_apply_sv,
+    mat_columns_sv,
+    sv_to_tuple,
+)
 from trilie.repmod import (
     HomRepresentation,
     PairAction,
     check_hom_rep,
-    kernel_of_rep,
-    op_apply,
 )
 from trilie.report import CheckReport, SuiteReport
 from trilie.rinehart import (
@@ -93,7 +101,7 @@ def rinehart_ideal_check(B: RinehartBundle, space: SubspaceQ) -> SuiteReport:
     twist = suite.add(CheckReport("twist-stable"))
     acols = mat_columns_sv(B.L.alpha)
     for g in gens:
-        w = op_apply(acols, g)
+        w = mat_apply_sv(acols, g)
         if space.contains(sv_to_tuple(w, n)):
             twist.tick()
         else:
@@ -319,6 +327,43 @@ def test_centers_of_tprime():
     assert z.contains(tuple(vec))
     # windowed data: the consistency law is reported, not asserted
     assert zc["excluded_L_pairs"] > 0
+
+
+def _center_bundles():
+    """The corpus bundles the window leaves complete (d4 and toy-split
+    at their defaults), the rep_family pairs over a zero product and
+    action, and the tensor_family inputs (zero action) and their
+    tensors."""
+    yield d4_bundle()
+    yield toy_split()
+    for seed in range(30):
+        alg, rep = rep_family(seed)
+        m = rep.action.dim_v
+        yield RinehartBundle(alg, CommAlgebra(m, {}, rep.phi), rep.action,
+                             ModuleAction(m, alg.n))
+    for seed in range(20):
+        alg, A, rho, _ = tensor_family(seed)
+        yield RinehartBundle(alg, A, rho, ModuleAction(A.dim, alg.n))
+        try:
+            yield tensor_extension(alg, A, HomRepresentation(rho, A.phi))
+        except ConstructionError:
+            pass
+
+
+def test_z_rho_is_the_center_meet_the_kernel_of_the_anchor():
+    """Z_rho(L), the x with [x, L, L] = 0 and rho(x, L) = 0, is the
+    center of L meet the kernel of rho wherever the window leaves no
+    pair out, the two solved on their own by the oracles."""
+    complete = 0
+    for B in _center_bundles():
+        zc = centers(B)
+        z_center, excluded_center = center(B.L)
+        kernel, excluded_kernel = kernel_of_rep(B.L, B.rho)
+        if zc["excluded_L_pairs"] or excluded_center or excluded_kernel:
+            continue
+        complete += 1
+        assert zc["Z_rho_L"] == z_center.intersect(kernel), B
+    assert complete == 72
 
 
 def test_windowed_checks_skip_and_count():

@@ -12,11 +12,12 @@ from itertools import (combinations, combinations_with_replacement,
 
 import pytest
 
+from center_oracles import center
 from trilie import exactq, split
 from trilie.bundleio import dumps_bundle
 from trilie.cli import main
 from trilie.construct import bundle_direct_sum
-from trilie.core3lie import Hom3Lie, StructureConstants3, center
+from trilie.core3lie import Hom3Lie, StructureConstants3
 from trilie.corpus import (
     d4_bundle,
     d4_structure,
