@@ -222,7 +222,7 @@ def verify_flags(B: RinehartBundle, flags: dict) -> None:
                   f"but verification found {actual}")
 
 
-def obj_to_bundle(obj, verify: bool = True) -> RinehartBundle:
+def obj_to_bundle(obj) -> RinehartBundle:
     if not isinstance(obj, dict):
         _fail("top level", "bundle file must be a JSON object")
     version = obj.get("format_version")
@@ -363,25 +363,25 @@ def obj_to_bundle(obj, verify: bool = True) -> RinehartBundle:
     except ValueError as exc:
         _fail("bundle", str(exc))
 
-    if verify and flags:
+    if flags:
         verify_flags(B, flags)
     return B
 
 
-def loads_bundle(text: str, verify: bool = True) -> RinehartBundle:
+def loads_bundle(text: str) -> RinehartBundle:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BundleLoadError(
             f"parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    return obj_to_bundle(obj, verify=verify)
+    return obj_to_bundle(obj)
 
 
-def load_bundle(path: str, verify: bool = True) -> RinehartBundle:
+def load_bundle(path: str) -> RinehartBundle:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise BundleLoadError(f"cannot read {path}: {exc}") from exc
-    return loads_bundle(text, verify=verify)
+    return loads_bundle(text)

@@ -85,8 +85,10 @@ def op_zero(dim: int) -> Columns:
 
 
 def op_compose(outer: Columns, inner: Columns) -> Columns:
-    return [col if col is None else mat_apply_sv(outer, col) if col else {}
-            for col in inner]
+    """outer after inner by columns, None where a column read is None;
+    zero columns are the shared empty vector: never mutate the result."""
+    cols = (col and mat_apply_sv(outer, col) for col in inner)
+    return [col if col or col is None else _EMPTY for col in cols]
 
 
 class PairAction:
@@ -95,25 +97,29 @@ class PairAction:
     Columns are stored as `exactq.sv_table` stores its entries, without
     zero coefficients, and a zero operator is not stored, so two pair
     actions are the same map exactly when their stored operators agree.
+    `_masked` holds the table of `masked_ops` once it is built.
     """
 
-    __slots__ = ("dim_l", "dim_v", "ops")
+    __slots__ = ("dim_l", "dim_v", "ops", "_masked")
 
     def __init__(self, dim_l: int, dim_v: int, ops: dict | None = None):
         self.dim_l = dim_l
         self.dim_v = dim_v
         self.ops: dict = {}
-        if ops:
-            for (i, j), op in ops.items():
+        at = {p: p for p in range(dim_v)}  # KeyError for a bad index
+        try:
+            for (i, j), op in (ops or {}).items():
                 if not 0 <= i < j < dim_l:
                     raise ValueError(f"pair key {(i, j)} is not ordered")
                 op = [None if c is None else
-                      {p: qnorm(x) for p, x in c.items() if x != 0}
+                      {at[p]: qnorm(x) for p, x in c.items() if x != 0}
                       for c in op]
                 if len(op) != dim_v:
                     raise ValueError("operator shape mismatch")
                 if any(c is None or c for c in op):
                     self.ops[(i, j)] = op
+        except KeyError as exc:
+            raise ValueError(f"column index {exc} out of range") from None
 
     def pair(self, i: int, j: int):
         """(columns, sign) for rho(e_i, e_j)."""
@@ -199,11 +205,13 @@ def _alpha_pair_table(alg: Hom3Lie, rep: HomRepresentation) -> dict:
             for i, j in combinations(range(alg.n), 2)}
 
 
+@stored_on("_masked")
 def masked_ops(act: PairAction) -> dict:
     """Each stored operator rho(e_i, e_j), i < j, as its columns with
     their `exactq.masks` and the module indices some column reads:
     (columns, none, nonzero, has, reads), has[r] the columns with r in
-    their support."""
+    their support.  Built once per pair action and kept with it, so
+    every anchor kernel shares it; it must not be mutated."""
     out = {}
     for key, op in act.ops.items():
         none, nonzero, has = masks(op, act.dim_v)

@@ -47,7 +47,7 @@ from .repmod import (
     op_compose,
     op_zero,
 )
-from .report import MAX_FAILURES, CheckReport, SuiteReport, stored_on
+from .report import CheckReport, SuiteReport, stored_on
 
 
 class CommAlgebra:
@@ -56,10 +56,13 @@ class CommAlgebra:
     The multiplication table stores e_i * e_j for i <= j; a None entry
     means the product leaves the representable window.  Absent keys are
     zero products.  phi is the algebra endomorphism carried by the
-    bundle; unit, when declared, is the coordinate vector of 1.
+    bundle; unit, when declared, is the coordinate vector of 1.  The
+    last three fields hold the reports of check_commutative_associative,
+    check_phi_multiplicative and check_unit once they have run.
     """
 
-    __slots__ = ("dim", "table", "phi", "unit", "_phi_cols", "_lookup")
+    __slots__ = ("dim", "table", "phi", "unit", "_phi_cols", "_lookup",
+                 "_assoc", "_phi_hom", "_unit_law")
 
     def __init__(self, dim: int, table: dict | None = None,
                  phi: MatrixQ | None = None, unit: SVec | None = None):
@@ -74,6 +77,8 @@ class CommAlgebra:
         self.phi = phi if phi is not None else MatrixQ.identity(dim)
         if self.phi.nrows != dim or self.phi.ncols != dim:
             raise ValueError("phi shape mismatch")
+        if unit is not None and any(not 0 <= p < dim for p in unit):
+            raise ValueError("unit coordinate out of range")
         self.unit = None if unit is None else dict(unit)
         self._phi_cols = mat_columns_sv(self.phi)
 
@@ -105,59 +110,48 @@ class CommAlgebra:
 _EMPTY: SVec = {}
 
 
+def _basis_law(name: str, keys, instances) -> CheckReport:
+    """The report of one law on basis instances, given as (index tuple,
+    lhs, rhs): skipped where a side is None, checked where the sides
+    agree, and otherwise failed with the witness dict(zip(keys, index)),
+    which is not counted as checked."""
+    rep = CheckReport(name)
+    for index, lhs, rhs in instances:
+        if lhs is None or rhs is None:
+            rep.skipped += 1
+        elif lhs == rhs:
+            rep.checked += 1
+        else:
+            rep.record(dict(zip(keys, index)))
+    return rep
+
+
+@stored_on("_assoc")
 def check_commutative_associative(A: CommAlgebra) -> CheckReport:
     """(e_i e_j) e_k == e_i (e_j e_k) over i <= j <= k."""
-    rep = CheckReport("assoc")
-    n = A.dim
-    for i in range(n):
-        ei = {i: 1}
-        for j in range(i, n):
-            pij = A.basis_product(i, j)
-            for k in range(j, n):
-                lhs = A.product(pij, {k: 1})
-                rhs = A.product(ei, A.basis_product(j, k))
-                if lhs is None or rhs is None:
-                    rep.skip()
-                    continue
-                if lhs == rhs:
-                    rep.tick()
-                else:
-                    rep.record({"i": i, "j": j, "k": k})
-    return rep
+    return _basis_law("assoc", "ijk", (
+        ((i, j, k), A.product(pij, {k: 1}),
+         A.product({i: 1}, A.basis_product(j, k)))
+        for i, j in combinations_with_replacement(range(A.dim), 2)
+        for pij in (A.basis_product(i, j),) for k in range(j, A.dim)))
 
 
+@stored_on("_phi_hom")
 def check_phi_multiplicative(A: CommAlgebra) -> CheckReport:
     """phi(e_i e_j) == phi(e_i) phi(e_j)."""
-    rep = CheckReport("phi-hom")
     cols = A._phi_cols
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            lhs = A.phi_apply(A.basis_product(i, j))
-            rhs = A.product(cols[i], cols[j])
-            if lhs is None or rhs is None:
-                rep.skip()
-                continue
-            if lhs == rhs:
-                rep.tick()
-            else:
-                rep.record({"i": i, "j": j})
-    return rep
+    return _basis_law("phi-hom", "ij", (
+        ((i, j), A.phi_apply(A.basis_product(i, j)),
+         A.product(cols[i], cols[j]))
+        for i, j in combinations_with_replacement(range(A.dim), 2)))
 
 
+@stored_on("_unit_law")
 def check_unit(A: CommAlgebra) -> CheckReport:
-    rep = CheckReport("unit")
     if A.unit is None:
-        rep.block("no unit declared")
-        return rep
-    for i in range(A.dim):
-        prod = A.product(A.unit, {i: 1})
-        if prod is None:
-            rep.skip()
-        elif prod == {i: 1}:
-            rep.tick()
-        else:
-            rep.record({"i": i})
-    return rep
+        return CheckReport("unit", None, detail="no unit declared")
+    return _basis_law("unit", "i", (
+        ((i,), A.product(A.unit, {i: 1}), {i: 1}) for i in range(A.dim)))
 
 
 class ModuleAction:
@@ -242,7 +236,7 @@ def check_anchor_derivations(B: RinehartBundle) -> CheckReport:
 @stored_on("_derivations", owner=1)
 def check_rho_derivations(A: CommAlgebra,
                           rep: HomRepresentation) -> CheckReport:
-    """hd1 and hd2 for every stored rho(e_i, e_j), merged into one report.
+    """hd1 and hd2 for every stored rho(e_i, e_j), in one report.
 
     hd1: D(ab) = phi(a) D(b) + D(a) phi(b)
     hd2: D(abc) = phi(ab) D(c) + phi(bc) D(a) + phi(ac) D(b)
@@ -250,59 +244,45 @@ def check_rho_derivations(A: CommAlgebra,
     The products of basis vectors and their phi-images are the same for
     every anchor operator D, so they are built once, and an instance
     whose product leaves the window is skipped for all of them at once.
-    The report is kept with rep per algebra A.  Witnesses carry the law
+    The instances run law by law, hd1 over every stored pair and then
+    hd2, each pair's None columns read from `repmod.masked_ops`.  The
+    report is kept with rep per algebra A.  Witnesses carry the law
     they break and the pair they come from.
     """
-    n = A.dim
     phic = A._phi_cols
     prods = {}  # (i, j) -> (e_i e_j, phi(e_i e_j)) for i <= j
-    for i, j in combinations_with_replacement(range(n), 2):
+    for i, j in combinations_with_replacement(range(A.dim), 2):
         p = A.basis_product(i, j)
         prods[(i, j)] = p, A.phi_apply(p)
-    triples = list(combinations_with_replacement(range(n), 3))
-    # per law: its report, its instance count and the instances whose
-    # products are determined, as (witness keys, the argument of D, the
-    # terms (v, k) of the sum of v D(e_k), the columns of D they read)
-    laws = [(CheckReport("hd1"), len(prods), []),
-            (CheckReport("hd2"), len(triples), [])]
-
-    def instance(law, where, p, terms):
-        need = bits(p) | bits(k for _, k in terms)
-        laws[law][2].append((where, p, terms, need))
-
-    for (i, j), (p, _) in prods.items():
-        if p is not None:
-            instance(0, {"i": i, "j": j}, p, ((phic[i], j), (phic[j], i)))
+    triples = list(combinations_with_replacement(range(A.dim), 3))
+    # per law: its instances whose products are determined, as (witness
+    # keys, the argument of D, the terms (v, k) of the sum of v D(e_k))
+    hd1 = [({"i": i, "j": j}, p, ((phic[i], j), (phic[j], i)))
+           for (i, j), (p, _) in prods.items() if p is not None]
+    hd2 = []
     for i, j, k in triples:
         (pij, fij), fjk, fik = prods[(i, j)], prods[(j, k)][1], prods[(i, k)][1]
         p = A.product(pij, {k: 1})
         if not (p is None or fij is None or fjk is None or fik is None):
-            instance(1, {"i": i, "j": j, "k": k}, p,
-                     ((fij, k), (fjk, i), (fik, j)))
+            hd2.append(({"i": i, "j": j, "k": k}, p,
+                        ((fij, k), (fjk, i), (fik, j))))
 
-    for pair, cols in sorted(rep.action.ops.items()):
-        gaps = masks(cols)[0]
-        for part, count, live in laws:
-            part.skip(count - len(live))
-            for where, p, terms, need in live:
+    ops = sorted(masked_ops(rep.action).items())
+    out = CheckReport("rho-derivation")
+    for law, count, live in (("hd1", len(prods), hd1),
+                             ("hd2", len(triples), hd2)):
+        # the columns of D each instance reads
+        needs = [bits(p) | bits(k for _, k in terms) for _, p, terms in live]
+        for pair, (cols, gaps, _, _, _) in ops:
+            out.skip(count - len(live))
+            for (where, p, terms), need in zip(live, needs):
                 rhs = None if need & gaps else _sum_of_products(A, terms, cols)
                 if rhs is None:
-                    part.skip()
+                    out.skip()
                 elif mat_apply_sv(cols, p) == rhs:
-                    part.tick()
+                    out.tick()
                 else:
-                    part.record({"pair": pair, **where})
-
-    out = CheckReport("rho-derivation")
-    for part, _, _ in laws:
-        out.checked += part.checked
-        out.skipped += part.skipped
-        out.failure_count += part.failure_count
-        for wit in part.failures:
-            if len(out.failures) < MAX_FAILURES:
-                out.failures.append({"law": part.name, **wit})
-        if part.passed is False:
-            out.passed = False
+                    out.record({"law": law, "pair": pair, **where})
     return out
 
 
@@ -320,58 +300,29 @@ def _sum_of_products(A: CommAlgebra, terms, cols: Columns):
 
 def check_action_module(B: RinehartBundle) -> CheckReport:
     """(ab) x == a (bx) on basis triples."""
-    rep = CheckReport("action-assoc")
     A, act = B.A, B.act
-    for a in range(A.dim):
-        for b in range(a, A.dim):
-            prod = A.basis_product(a, b)
-            for m in range(B.L.n):
-                lhs = act.act(prod, {m: 1})
-                rhs = act.act({a: 1}, act.basis_act(b, m))
-                if lhs is None or rhs is None:
-                    rep.skip()
-                    continue
-                if lhs == rhs:
-                    rep.tick()
-                else:
-                    rep.record({"a": a, "b": b, "m": m})
-    return rep
+    return _basis_law("action-assoc", "abm", (
+        ((a, b, m), act.act(prod, {m: 1}),
+         act.act({a: 1}, act.basis_act(b, m)))
+        for a, b in combinations_with_replacement(range(A.dim), 2)
+        for prod in (A.basis_product(a, b),) for m in range(B.L.n)))
 
 
 def check_action_unital(B: RinehartBundle) -> CheckReport:
-    rep = CheckReport("action-unital")
     if B.A.unit is None:
-        rep.block("no unit declared")
-        return rep
-    for m in range(B.L.n):
-        out = B.act.act(B.A.unit, {m: 1})
-        if out is None:
-            rep.skip()
-        elif out == {m: 1}:
-            rep.tick()
-        else:
-            rep.record({"m": m})
-    return rep
+        return CheckReport("action-unital", None, detail="no unit declared")
+    return _basis_law("action-unital", "m", (
+        ((m,), B.act.act(B.A.unit, {m: 1}), {m: 1}) for m in range(B.L.n)))
 
 
 def check_action_twist(B: RinehartBundle) -> CheckReport:
     """alpha(a x) == phi(a) alpha(x)."""
-    rep = CheckReport("action-twist")
     acols = B.L._alpha_cols
     pc = B.A._phi_cols
-    for a in range(B.A.dim):
-        for m in range(B.L.n):
-            ax = B.act.basis_act(a, m)
-            lhs = None if ax is None else mat_apply_sv(acols, ax)
-            rhs = B.act.act(pc[a], acols[m])
-            if lhs is None or rhs is None:
-                rep.skip()
-                continue
-            if lhs == rhs:
-                rep.tick()
-            else:
-                rep.record({"a": a, "m": m})
-    return rep
+    return _basis_law("action-twist", "am", (
+        ((a, m), None if (ax := B.act.basis_act(a, m)) is None
+         else mat_apply_sv(acols, ax), B.act.act(pc[a], acols[m]))
+        for a in range(B.A.dim) for m in range(B.L.n)))
 
 
 def _meets(supports, targets, step: int = 1) -> list:
@@ -711,9 +662,9 @@ class _IdentityContext:
         # a * m + b; on_a (on_ab) has those of (x4, 0) ((x4, 0, 0))
         on_a, on_ab = (_spread((1 << n) - 1, size) for size in (m, m * m))
         self.x4_masks = [[0] * 5 for _ in range(n)]
-        for (i, j), cols in B.rho.ops.items():
+        for (i, j), (cols, col_none, col_nonzero, _, _) in masked_ops(
+                B.rho).items():
             phi_rho = op_compose(pc, cols)
-            col_none, col_nonzero, _ = masks(cols)
             a_gaps = _spread(col_none, m) * ((1 << m) - 1)
             b_gaps = _spread((1 << m) - 1, m) * col_none
             shared = (*_column_masks(cols, prod_none, prod_nonzero),

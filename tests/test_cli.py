@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -775,6 +776,59 @@ def test_construct_tensor_reuses_the_input_reports(tmp_path, capsys,
                        "-o", str(tmp_path / "tensor.json"))
     assert code == 0, err
     assert runs == [6, 18]
+
+
+def spy_masked_ops(monkeypatch) -> list:
+    """The pair actions `masked_ops` builds its table for, one entry
+    per build, from then on."""
+    builds = []
+    body = repmod.masked_ops.__wrapped__
+
+    def spied(act):
+        builds.append(act)
+        return body(act)
+
+    stored = stored_on("_masked")(spied)
+    for module in (repmod, rinehart):
+        monkeypatch.setattr(module, "masked_ops", stored)
+    return builds
+
+
+def test_construct_tensor_computes_each_law_of_a_and_anchor_table_once(
+        tmp_path, capsys, monkeypatch):
+    """The input and the output of a tensor share their algebra A.
+    Loading the flagged input, the tensor preconditions and the flags
+    of the output all read its assoc, phi-hom and unit reports, which
+    are computed once; each anchor's masked table is built once, for
+    the input's pair action and for the output's."""
+    path = corpus_file(tmp_path, capsys, "tb-rinehart", "--degree-cap", "3")
+    laws = Counter()
+    basis_law = rinehart._basis_law
+
+    def spied(name, keys, instances):
+        laws[name] += 1
+        return basis_law(name, keys, instances)
+
+    monkeypatch.setattr(rinehart, "_basis_law", spied)
+    builds = spy_masked_ops(monkeypatch)
+    code, _, err = run(capsys, "construct", "tensor", path,
+                       "-o", str(tmp_path / "tensor.json"))
+    assert code == 0, err
+    assert (laws["assoc"], laws["phi-hom"], laws["unit"]) == (1, 1, 1)
+    assert [act.dim_l for act in builds] == [8, 32]
+
+
+def test_rinehart_suite_builds_the_anchor_table_once(tmp_path, capsys,
+                                                     monkeypatch):
+    """hom-rep, hr4, the derivations, Leibniz and action-rho-compat
+    all read one masked table of the anchor."""
+    path = corpus_file(tmp_path, capsys, "jacobian-weak", "--degree-cap",
+                       "3")
+    builds = spy_masked_ops(monkeypatch)
+    code, _, _ = run(capsys, "check", path, "--suite", "rinehart",
+                     "--report", "json")
+    assert code == 1
+    assert len(builds) == 1
 
 
 def test_decompose_computes_the_centers_once(tmp_path, capsys,

@@ -20,8 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from families import rep_family
+from test_identities import reference_identity_suite
 
-from trilie import core3lie, repmod, rinehart
+from trilie import core3lie, exactq, repmod, rinehart
 from trilie.construct import tensor_extension
 from trilie.core3lie import (
     Hom3Lie,
@@ -156,7 +157,8 @@ def reference_hom_rep(alg, rep) -> SuiteReport:
             if b123 is None or b124 is None:
                 r3.skip(act.dim_v)
                 continue
-            rhs = op_compose(ra[(x3, x4)], o12)
+            rhs = op_zero(act.dim_v)
+            op_axpy(rhs, 1, op_compose(ra[(x3, x4)], o12))
             term2 = op_zero(act.dim_v)
             for m, coeff in b123.items():
                 op_axpy(term2, coeff, rm[(m, x4)])
@@ -1046,3 +1048,21 @@ def test_hr2_keeps_its_first_witnesses_in_order():
                                     ([1, 2, 4], 2, 3)]
     assert (check_hom_rep(B.L, rep).to_dict()
             == reference_hom_rep(B.L, rep).to_dict())
+
+
+def test_shared_empty_vectors_stay_empty():
+    """`op_compose`, `pair_bilinear` and the table lookups return one
+    shared empty vector per module for every zero column or product,
+    and no kernel or reference may mutate it.  The check runs after the
+    kernel and identity tests of a full run, and first runs hom-rep and
+    the identity suite with phi = 2 Id, so that every phi-term and every
+    phi.rho is a composed operator, next to their references."""
+    B = generate("tb-rinehart", degree_cap=2)
+    A = CommAlgebra(B.A.dim, B.A.table, B.A.phi.scale(2), B.A.unit)
+    twisted = RinehartBundle(Hom3Lie(B.L.sc, B.L.alpha), A, B.rho, B.act)
+    assert (check_hom_rep(twisted.L, twisted.rep)
+            == reference_hom_rep(B.L, twisted.rep))
+    assert (rinehart.check_identity_suite(twisted)
+            == reference_identity_suite(twisted))
+    for module in (exactq, core3lie, repmod, rinehart):
+        assert module._EMPTY == {}, module.__name__

@@ -169,6 +169,11 @@ def test_tables_reject_out_of_range_output_coordinates():
         CommAlgebra(2, {(0, 0): {5: 1}})
     with pytest.raises(ValueError):
         ModuleAction(1, 2, {(0, 0): {5: 1}})
+    with pytest.raises(ValueError, match="unit coordinate out of range"):
+        CommAlgebra(2, {}, unit={9: 1})
+    for bad in (5, -1):
+        with pytest.raises(ValueError, match=f"column index {bad} out of range"):
+            PairAction(3, 2, {(0, 1): [{bad: 1}, {}]})
 
 
 def test_scaled_euler_is_phi_derivation():
