@@ -278,8 +278,8 @@ def test_basis_laws_match_the_loops_on_perturbed_bundles(name, params):
 
 def test_every_law_fails_and_skips_on_some_perturbation():
     """The perturbations reach every branch of every law: some bundle
-    fails it with more witnesses than a report keeps or not, skips an
-    instance of it, and blocks the two unit laws."""
+    fails it and some bundle skips an instance of it; the two unit laws
+    are also blocked where no unit is declared."""
     failed, skipped, blocked = Counter(), Counter(), Counter()
     for name, params in CORPUS_CASES:
         base = generate(name, **params)
