@@ -54,6 +54,7 @@ from .rinehart import (
     check_phi_multiplicative,
     check_unit,
     check_weak_rinehart,
+    suite_verdicts,
 )
 from .split import (
     InternalError,
@@ -542,12 +543,14 @@ def _read_matrix_file(path: str, n: int, m: int, key: str) -> MatrixQ:
 
 def _write_result(args, B: RinehartBundle) -> int:
     # flags are verified again on load, so they must be measured,
-    # never assumed from the construction that produced the bundle
+    # never assumed from the construction that produced the bundle; a
+    # suite flag is a verdict, settled by the suite's first failing check
+    weak, full = suite_verdicts(B)
     B.meta["flags"] = {
         "hom_jacobi": check_hom_jacobi(B.L).passed is True,
         "multiplicative": check_multiplicative(B.L).passed is True,
-        "weak_rinehart": check_weak_rinehart(B).passed is True,
-        "full_rinehart": check_full_rinehart(B).passed is True,
+        "weak_rinehart": weak,
+        "full_rinehart": full,
     }
     text = dumps_bundle(B)
     if args.output:

@@ -12,7 +12,8 @@ Hom-Jacobi, where the anchor of an outer pair meets an element of the
 inner triple and the rest of the triple is bracketed with the result
 (`tests/test_construct.py::test_tensor_gap_regression`; the tensor of
 corpus tb-rinehart at degree cap 3 is another).  A tensor output is
-therefore judged by the check suite, not by its hypotheses alone.
+therefore judged by the check suite, not by its hypotheses alone; its
+suite flags are verdicts, settled by their first failing check.
 
 `change_basis` and `bundle_direct_sum` are utility constructions used
 to compare bundles up to a linear identification and to assemble
@@ -21,7 +22,7 @@ block-diagonal bundles over a shared coefficient algebra.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .core3lie import Hom3Lie, StructureConstants3, check_multiplicative
@@ -228,18 +229,26 @@ def tensor_extension(L: Hom3Lie, A: CommAlgebra, rep: HomRepresentation,
                 else:
                     acc.pop(key, None)
 
+    # phi(a_i a_j) per (a_i, a_j), phi(a1 a2 a3) per index triple and
+    # the signed anchor coefficient phi(a_i a_j) rho(x_i, x_j)(e_ak) per
+    # (a_i, a_j, a_k, x_i, x_j), each computed once
+    fprod = [[A.phi_apply(A.basis_product(i, j)) for j in range(mA)]
+             for i in range(mA)]
+    f123 = {(a1, a2, a3): A.phi_apply(A.product(A.basis_product(a1, a2),
+                                                {a3: 1}))
+            for a1, a2, a3 in combinations_with_replacement(range(mA), 3)}
+    coeffs: dict = {}
+
     def anchor_term(ai, aj, ak, xi, xj, xk):
         # phi(a_i a_j) rho(x_i, x_j)(e_ak) (x) alpha(e_xk)
-        cols, sign = rho.pair(xi, xj)
-        col = cols[ak]
-        if col is None:
-            return None
-        if not col:
-            return {}
-        fij = A.phi_apply(A.basis_product(ai, aj))
-        coeff = A.product(fij, col)
-        if coeff is None:
-            return None
+        key = (ai, aj, ak, xi, xj)
+        if key not in coeffs:
+            cols, sign = rho.pair(xi, xj)
+            col = cols[ak]
+            coeffs[key] = col and A.product(fprod[ai][aj], col), sign
+        coeff, sign = coeffs[key]
+        if not coeff:
+            return None if coeff is None else {}
         out: SVec = {}
         tensor_into(out, sign, coeff, acols[xk])
         return out
@@ -251,12 +260,12 @@ def tensor_extension(L: Hom3Lie, A: CommAlgebra, rep: HomRepresentation,
         a2, x2 = divmod(g2, nL)
         a3, x3 = divmod(g3, nL)
         entry: SVec = {}
-        p123 = A.product(A.basis_product(a1, a2), {a3: 1})
+        p123 = f123[(a1, a2, a3)]
         vec, sign = L.sc.lookup(x1, x2, x3)
         if p123 is None or vec is None:
             missing.append((g1, g2, g3))
             continue
-        tensor_into(entry, sign, A.phi_apply(p123), vec)
+        tensor_into(entry, sign, p123, vec)
         parts = (anchor_term(a1, a2, a3, x1, x2, x3),
                  anchor_term(a2, a3, a1, x2, x3, x1),
                  anchor_term(a3, a1, a2, x3, x1, x2))
@@ -287,7 +296,7 @@ def tensor_extension(L: Hom3Lie, A: CommAlgebra, rep: HomRepresentation,
             if x1 == x2:
                 continue
             cols, sign = rho.pair(x1, x2)
-            f12 = A.phi_apply(A.basis_product(a1, a2))
+            f12 = fprod[a1][a2]
             if f12 is None:
                 ops[(g1, g2)] = [None] * mA
                 continue

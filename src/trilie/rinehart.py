@@ -129,9 +129,10 @@ def _basis_law(name: str, keys, instances) -> CheckReport:
 @stored_on("_assoc")
 def check_commutative_associative(A: CommAlgebra) -> CheckReport:
     """(e_i e_j) e_k == e_i (e_j e_k) over i <= j <= k."""
+    e = [{i: 1} for i in range(A.dim)]
     return _basis_law("assoc", "ijk", (
-        ((i, j, k), A.product(pij, {k: 1}),
-         A.product({i: 1}, A.basis_product(j, k)))
+        ((i, j, k), A.product(pij, e[k]),
+         A.product(e[i], A.basis_product(j, k)))
         for i, j in combinations_with_replacement(range(A.dim), 2)
         for pij in (A.basis_product(i, j),) for k in range(j, A.dim)))
 
@@ -301,9 +302,10 @@ def _sum_of_products(A: CommAlgebra, terms, cols: Columns):
 def check_action_module(B: RinehartBundle) -> CheckReport:
     """(ab) x == a (bx) on basis triples."""
     A, act = B.A, B.act
+    e_a, e_m = ([{i: 1} for i in range(d)] for d in (A.dim, B.L.n))
     return _basis_law("action-assoc", "abm", (
-        ((a, b, m), act.act(prod, {m: 1}),
-         act.act({a: 1}, act.basis_act(b, m)))
+        ((a, b, m), act.act(prod, e_m[m]),
+         act.act(e_a[a], act.basis_act(b, m)))
         for a, b in combinations_with_replacement(range(A.dim), 2)
         for prod in (A.basis_product(a, b),) for m in range(B.L.n)))
 
@@ -311,8 +313,9 @@ def check_action_module(B: RinehartBundle) -> CheckReport:
 def check_action_unital(B: RinehartBundle) -> CheckReport:
     if B.A.unit is None:
         return CheckReport("action-unital", None, detail="no unit declared")
+    e = [{m: 1} for m in range(B.L.n)]
     return _basis_law("action-unital", "m", (
-        ((m,), B.act.act(B.A.unit, {m: 1}), {m: 1}) for m in range(B.L.n)))
+        ((m,), B.act.act(B.A.unit, e[m]), e[m]) for m in range(B.L.n)))
 
 
 def check_action_twist(B: RinehartBundle) -> CheckReport:
@@ -430,22 +433,43 @@ def check_bracket_action_leibniz(B: RinehartBundle) -> CheckReport:
     return rep
 
 
+def _weak_parts(B: RinehartBundle):
+    """The parts of the weak suite in report order, each a list of
+    checks computed only when the caller asks for it."""
+    yield [check_multiplicative(B.L)]
+    yield [check_hom_jacobi(B.L)]
+    yield [check_commutative_associative(B.A)]
+    yield [check_phi_multiplicative(B.A)]
+    yield [check_unit(B.A)]
+    yield [check_anchor_derivations(B)]
+    yield check_hom_rep(B.L, B.rep).checks
+    yield [check_action_module(B)]
+    yield [check_action_unital(B)]
+    yield [check_action_twist(B)]
+    yield [check_bracket_action_leibniz(B)]
+
+
 @stored_on("_weak")
 def check_weak_rinehart(B: RinehartBundle) -> SuiteReport:
     """The weak Hom 3-Lie-Rinehart axiom suite."""
-    suite = SuiteReport("weak-rinehart")
-    suite.add(check_multiplicative(B.L))
-    suite.add(check_hom_jacobi(B.L))
-    suite.add(check_commutative_associative(B.A))
-    suite.add(check_phi_multiplicative(B.A))
-    suite.add(check_unit(B.A))
-    suite.add(check_anchor_derivations(B))
-    suite.extend(check_hom_rep(B.L, B.rep))
-    suite.add(check_action_module(B))
-    suite.add(check_action_unital(B))
-    suite.add(check_action_twist(B))
-    suite.add(check_bracket_action_leibniz(B))
-    return suite
+    return SuiteReport("weak-rinehart",
+                       [c for part in _weak_parts(B) for c in part])
+
+
+def suite_verdicts(B: RinehartBundle) -> tuple[bool, bool]:
+    """(check_weak_rinehart(B).passed, check_full_rinehart(B).passed),
+    settled by the first weak part that fails, without the parts after
+    it; a bundle that fails none keeps its weak suite."""
+    if getattr(B, "_weak", None) is None:
+        checks = []
+        for part in _weak_parts(B):
+            if any(c.passed is False for c in part):
+                return False, False
+            checks.extend(part)
+        # stored as `report.stored_on` keeps it: (other arguments, report)
+        B._weak = ((), SuiteReport("weak-rinehart", checks))
+    weak = check_weak_rinehart(B).passed
+    return weak, weak and check_full_rinehart(B).passed
 
 
 def _rho_column(ops: dict, vec: SVec, j: int, c: int) -> SVec:
@@ -664,14 +688,17 @@ class _IdentityContext:
         self.x4_masks = [[0] * 5 for _ in range(n)]
         for (i, j), (cols, col_none, col_nonzero, _, _) in masked_ops(
                 B.rho).items():
-            phi_rho = op_compose(pc, cols)
+            phi_rho, *pr_masks = operand(op_compose(pc, cols))
             a_gaps = _spread(col_none, m) * ((1 << m) - 1)
             b_gaps = _spread((1 << m) - 1, m) * col_none
             shared = (*_column_masks(cols, prod_none, prod_nonzero),
                       col_none * on_a, a_gaps * on_ab, b_gaps * on_ab)
-            for key, sign in (((i, j), 1), ((j, i), -1)):
-                self.rho[key] = (*operand(cols, sign), *shared)
-                self.pr[key] = operand(phi_rho, sign)
+            # the sign of the order leaves the masks as they are
+            neg = [[c and sv_scale(c, -1) for c in op]
+                   for op in (cols, phi_rho)]
+            for key, (rc, pr) in (((i, j), (cols, phi_rho)), ((j, i), neg)):
+                self.rho[key] = (rc, col_none, col_nonzero, *shared)
+                self.pr[key] = (pr, *pr_masks)
             for here, there in ((i, j), (j, i)):
                 at = self.x4_masks[here]
                 for k, mask in enumerate((1, col_none, col_nonzero)):

@@ -760,8 +760,19 @@ def test_construct_tensor_reuses_the_input_reports(tmp_path, capsys,
                                                    monkeypatch):
     """Loading the flagged input computes its hr1-hr3 report; the
     tensor preconditions reuse it, so the hr1-hr3 body runs once for
-    the input and once for the output's flags."""
+    the input.  The output fails Hom-Jacobi, which settles its suite
+    flags before hr1-hr3 is reached."""
     path = corpus_file(tmp_path, capsys, "tb-rinehart", "--degree-cap", "2")
+    runs = spy_hom_rep(monkeypatch)
+    code, _, err = run(capsys, "construct", "tensor", path,
+                       "-o", str(tmp_path / "tensor.json"))
+    assert code == 0, err
+    assert runs == [6]
+
+
+def spy_hom_rep(monkeypatch) -> list:
+    """The dim L of each algebra the hr1-hr3 body runs on, one entry
+    per run, from then on."""
     runs = []
     body = repmod.check_hom_rep.__wrapped__
 
@@ -772,10 +783,29 @@ def test_construct_tensor_reuses_the_input_reports(tmp_path, capsys,
     stored = stored_on("_hom_rep", owner=1)(spied)
     for module in (repmod, rinehart, construct, cli):
         monkeypatch.setattr(module, "check_hom_rep", stored)
-    code, _, err = run(capsys, "construct", "tensor", path,
-                       "-o", str(tmp_path / "tensor.json"))
+    return runs
+
+
+def test_construct_tensor_passing_output_runs_each_weak_part_once(
+        tmp_path, capsys, monkeypatch):
+    """The tensor of d4 passes every flag, so its weak verdict runs the
+    whole weak suite and keeps it: hr1-hr3 and Leibniz run once for the
+    input, on load, and once for the output."""
+    path = corpus_file(tmp_path, capsys, "d4")
+    runs = spy_hom_rep(monkeypatch)
+    leibniz = []
+    body = rinehart.check_bracket_action_leibniz
+
+    def counted(B):
+        leibniz.append(B.L.n)
+        return body(B)
+
+    monkeypatch.setattr(rinehart, "check_bracket_action_leibniz", counted)
+    out = tmp_path / "tensor.json"
+    code, _, err = run(capsys, "construct", "tensor", path, "-o", str(out))
     assert code == 0, err
-    assert runs == [6, 18]
+    assert runs == leibniz == [4, 12]
+    assert all(json.loads(out.read_text())["flags"].values())
 
 
 def spy_masked_ops(monkeypatch) -> list:
@@ -799,8 +829,9 @@ def test_construct_tensor_computes_each_law_of_a_and_anchor_table_once(
     """The input and the output of a tensor share their algebra A.
     Loading the flagged input, the tensor preconditions and the flags
     of the output all read its assoc, phi-hom and unit reports, which
-    are computed once; each anchor's masked table is built once, for
-    the input's pair action and for the output's."""
+    are computed once.  The input's anchor table is built once; the
+    output fails Hom-Jacobi, which settles its suite flags before any
+    check reads its anchor table."""
     path = corpus_file(tmp_path, capsys, "tb-rinehart", "--degree-cap", "3")
     laws = Counter()
     basis_law = rinehart._basis_law
@@ -815,7 +846,7 @@ def test_construct_tensor_computes_each_law_of_a_and_anchor_table_once(
                        "-o", str(tmp_path / "tensor.json"))
     assert code == 0, err
     assert (laws["assoc"], laws["phi-hom"], laws["unit"]) == (1, 1, 1)
-    assert [act.dim_l for act in builds] == [8, 32]
+    assert [act.dim_l for act in builds] == [8]
 
 
 def test_rinehart_suite_builds_the_anchor_table_once(tmp_path, capsys,

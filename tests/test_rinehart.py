@@ -1,28 +1,33 @@
 """Coefficient algebras, module actions, and the bundle check suites."""
 
+from collections import Counter
+
 import pytest
 
 from center_oracles import center, kernel_of_rep
 from families import rep_family
+from test_basis_laws import SEEDS, perturbed
 from test_identities import (
     _HO1_TERMS,
     _HO3_TERMS,
     _ReferenceContext,
     _check_ho_bracket,
 )
-from test_law_kernels import rho_on_vec_left
+from test_law_kernels import CORPUS_CASES, rho_on_vec_left
 from trilie.corpus import (
     _phi_matrix,
     _truncated_poly_algebra,
     d4_bundle,
+    generate,
     jacobian_weak,
     rho_prime,
     tb_rinehart,
     tensor_family,
     toy_split,
     tprime_split,
+    twist_family,
 )
-from trilie.construct import ConstructionError, tensor_extension
+from trilie.construct import ConstructionError, tensor_extension, twist
 from trilie.core3lie import Hom3Lie
 from trilie.exactq import (
     MatrixQ,
@@ -50,6 +55,7 @@ from trilie.rinehart import (
     check_rho_derivations,
     check_unit,
     check_weak_rinehart,
+    suite_verdicts,
 )
 
 
@@ -387,3 +393,73 @@ def test_full_suite_check_names_stable():
         "action-unital", "action-twist", "bracket-action-leibniz",
         "action-rho-compat",
     ]
+
+
+# --- suite verdicts -------------------------------------------------------
+
+
+def _tensor_of(B) -> RinehartBundle:
+    return tensor_extension(B.L, B.A, B.rep)
+
+
+def _family_tensor(seed: int) -> RinehartBundle:
+    alg, A, rho, _ = tensor_family(seed)
+    return tensor_extension(alg, A, HomRepresentation(rho, A.phi))
+
+
+def _non_multiplicative(B) -> RinehartBundle:
+    """B with alpha replaced by diag(2, 1, ..., 1)."""
+    alpha = MatrixQ.diagonal([2] + [1] * (B.L.n - 1))
+    return RinehartBundle(Hom3Lie(B.L.sc, alpha), B.A, B.rho, B.act)
+
+
+def _without_unit(B) -> RinehartBundle:
+    A = B.A
+    return RinehartBundle(B.L, CommAlgebra(A.dim, A.table, A.phi), B.rho,
+                          B.act)
+
+
+def _verdict_cases() -> list:
+    """Makers of fresh bundles: the perturbed corpus, the tensor and
+    twist families, corpus tensors (failing Hom-Jacobi), d4 with a
+    non-multiplicative alpha, and d4 without a unit (its unit laws
+    blocked)."""
+    cases = [lambda name=name, params=params, seed=seed: perturbed(
+                 generate(name, **params), seed)
+             for name, params in CORPUS_CASES for seed in SEEDS]
+    cases += [lambda seed=seed: _family_tensor(seed) for seed in range(20)]
+    cases += [lambda seed=seed: twist(twist_family(seed)[1])
+              for seed in range(6)]
+    cases += [lambda cap=cap: _tensor_of(generate("tb-rinehart",
+                                                  degree_cap=cap))
+              for cap in (2, 3)]
+    cases += [lambda: _tensor_of(generate("two-block")),
+              lambda: _non_multiplicative(generate("d4")),
+              lambda: _without_unit(generate("d4"))]
+    return cases
+
+
+WEAK_PARTS = (("multiplicative",), ("hom-jacobi",), ("assoc",),
+              ("phi-hom",), ("unit",), ("rho-derivation",),
+              ("hr1", "hr2", "hr3"), ("action-assoc",), ("action-unital",),
+              ("action-twist",), ("bracket-action-leibniz",))
+
+
+def test_verdicts_equal_the_suites_on_fresh_bundles():
+    """suite_verdicts agrees with the suites computed on another fresh
+    copy of each bundle, and a weak verdict that passes leaves the same
+    suite stored.  Every weak part is the first failing one somewhere,
+    and a bundle with blocked unit laws passes."""
+    firsts, blocked_passes = Counter(), 0
+    for make in _verdict_cases():
+        B, fresh = make(), make()
+        weak, full = check_weak_rinehart(fresh), check_full_rinehart(fresh)
+        assert suite_verdicts(B) == (weak.passed, full.passed)
+        if weak.passed:
+            assert check_weak_rinehart(B) == weak
+            blocked_passes += weak.find("action-unital").passed is None
+        first = next((c.name for c in weak.checks if c.passed is False),
+                     None)
+        firsts.update(part for part in WEAK_PARTS if first in part)
+    assert set(firsts) == set(WEAK_PARTS)
+    assert blocked_passes > 0
