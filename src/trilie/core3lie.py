@@ -124,12 +124,13 @@ class StructureConstants3:
 class Hom3Lie:
     """A bracket table together with a linear twist map alpha.
 
-    `_brackets` holds its bracket rows once a check has read them, and
-    the last three fields the reports of check_jacobi, check_hom_jacobi
-    and check_multiplicative once they have run.
+    `_brackets` and `_by_index` hold its bracket rows and its per-index
+    view of the table once a caller has read them, and the last three
+    fields the reports of check_jacobi, check_hom_jacobi and
+    check_multiplicative once they have run.
     """
 
-    __slots__ = ("sc", "alpha", "_alpha_cols", "_brackets",
+    __slots__ = ("sc", "alpha", "_alpha_cols", "_brackets", "_by_index",
                  "_jacobi", "_hom_jacobi", "_multiplicative")
 
     def __init__(self, sc: StructureConstants3, alpha: MatrixQ):
@@ -230,6 +231,22 @@ def brackets(alg: Hom3Lie) -> PairRows:
         half[(i, j)][k] = half[(j, k)][i] = vec
         half[(i, k)][j] = sv_scale(vec, -1)
     return PairRows(n, half)
+
+
+@stored_on("_by_index")
+def by_index(alg: Hom3Lie) -> list:
+    """The table by basis index, kept with the algebra: entry m maps
+    each pair i < j that a stored or missing triple puts with m to
+    (vector, sign), with [e_m, e_i, e_j] = sign * vector, or to None
+    where the triple is missing.  [e_m, e_i, e_j] is zero at every
+    other pair."""
+    view = [{} for _ in range(alg.n)]
+    for i, j, k in alg.sc.missing:
+        view[i][(j, k)] = view[j][(i, k)] = view[k][(i, j)] = None
+    for (i, j, k), vec in alg.sc.table.items():
+        view[i][(j, k)] = view[k][(i, j)] = (vec, 1)
+        view[j][(i, k)] = (vec, -1)
+    return view
 
 
 def _alpha_rows(alg: Hom3Lie, br: PairRows) -> dict:

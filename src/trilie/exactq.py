@@ -381,27 +381,56 @@ def _strong_components(succ: list) -> list[list[int]]:
     return comps
 
 
-def _divisors(n: int) -> list[int]:
-    # positive divisors by trial division; n >= 1
+def _divisors(n: int, limit: int) -> list[int]:
+    # positive divisors of n >= 1 up to limit, by trial division
     out = []
     i = 1
-    while i * i <= n:
+    while i <= limit and i * i <= n:
         if n % i == 0:
             out.append(i)
-            if i != n // i:
+            if i * i != n and n // i <= limit:
                 out.append(n // i)
         i += 1
     out.sort()
     return out
 
 
+def _root_bound(ints: list) -> int:
+    """An integer R with |z| <= R at every complex root z of the integer
+    polynomial with descending coefficients ints: Fujiwara's bound
+    2 max_k |a_(d-k) / a_d|^(1/k), the constant term halved, with each
+    k-th root rounded up to an integer."""
+    d = len(ints) - 1
+    lead = abs(ints[0])
+    best = 0
+    for k in range(1, d + 1):
+        num = abs(ints[k])
+        den = 2 * lead if k == d else lead
+        if num <= best ** k * den:
+            continue
+        # the least t with t^k * den >= num, between lo and hi
+        lo, hi = best, max(2 * best, 1)
+        while hi ** k * den < num:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if mid ** k * den >= num:
+                hi = mid
+            else:
+                lo = mid
+        best = hi
+    return 2 * best
+
+
 def rational_roots(coeffs: Sequence) -> dict:
     """All rational roots (with multiplicity) of a polynomial over Q.
 
     Coefficients descending, leading coefficient nonzero. Complete: a root
-    p/q in lowest terms of an integer polynomial has p | constant term and
-    q | leading coefficient, and every candidate is verified by exact Horner
-    with deflation for multiplicities.
+    p/q in lowest terms of an integer polynomial has p | constant term,
+    q | leading coefficient and |p/q| <= R, the root bound of
+    `_root_bound`, so only the divisors p <= R q are listed; every
+    candidate is verified by exact Horner with deflation for
+    multiplicities.
     """
     cs = [qnorm(c) for c in coeffs]
     if not cs or cs[0] == 0:
@@ -422,14 +451,16 @@ def rational_roots(coeffs: Sequence) -> dict:
         g = gcd(g, c)
     if g > 1:
         ints = [c // g for c in ints]
-    lead_divs = _divisors(abs(ints[0]))
-    const_divs = _divisors(abs(ints[-1]))
+    bound = _root_bound(ints)
+    lead = abs(ints[0])
+    lead_divs = _divisors(lead, lead)
     cands = set()
-    for p in const_divs:
+    for p in _divisors(abs(ints[-1]), bound * lead):
         for q in lead_divs:
-            cand = qnorm(Fraction(p, q))
-            cands.add(cand)
-            cands.add(-cand)
+            if p <= bound * q:
+                cand = qnorm(Fraction(p, q))
+                cands.add(cand)
+                cands.add(-cand)
     cur: list = list(ints)
     for cand in sorted(cands, key=lambda x: (Fraction(x).denominator, abs(x), x < 0)):
         while len(cur) > 1:

@@ -33,6 +33,7 @@ from .exactq import (
 from .core3lie import (
     Hom3Lie,
     brackets,
+    by_index,
     check_hom_jacobi,
     check_multiplicative,
     sort3,
@@ -1200,7 +1201,13 @@ def check_identity_suite(B: RinehartBundle) -> SuiteReport:
 def centers(B: RinehartBundle) -> dict:
     """Z_L(A), the annihilator of L in A, and Z_rho(L), the x with
     [x, L, L] = 0 and rho(x, L) = 0, each on the data the window
-    determines, with the number of pairs Z_rho(L) leaves out."""
+    determines.
+
+    The bracket rows of Z_rho(L) are read from `core3lie.by_index`:
+    only the pairs i < j that a stored triple touches give rows, and a
+    pair that a missing triple touches is left out.  An anchor operator
+    rho(., e_j) that the window leaves undetermined leaves out its j.
+    """
     n, m = B.L.n, B.A.dim
     act = B.act
 
@@ -1216,26 +1223,22 @@ def centers(B: RinehartBundle) -> dict:
             rows.append(tuple(c.get(r, 0) for c in cols))
     z_l_a = SubspaceQ(m, kernel_basis(rows, m))
 
-    # x with [x, L, L] = 0 and rho(x, L) = 0, on window-usable data
-    sc = B.L.sc
+    # x with [x, L, L] = 0 and rho(x, L) = 0, on window-usable data;
+    # the row of pair (i, j) at output r holds [e_x, e_i, e_j]_r at x
+    at_pair: dict = {}
+    for x, entries in enumerate(by_index(B.L)):
+        for pq, entry in entries.items():
+            at_pair.setdefault(pq, {})[x] = entry
     rows_l = []
-    excluded_pairs = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            cols = []
-            ok = True
-            for x in range(n):
-                vec, sign = sc.lookup(x, i, j)
-                if vec is None:
-                    ok = False
-                    break
-                cols.append(vec if sign == 1 else sv_scale(vec, sign))
-            if not ok:
-                excluded_pairs += 1
-                continue
-            support = sorted({r for c in cols for r in c})
-            for r in support:
-                rows_l.append(tuple(c.get(r, 0) for c in cols))
+    for pq in sorted(at_pair):
+        entries = at_pair[pq]
+        if None in entries.values():
+            continue
+        by_r: dict = {}
+        for x, (vec, sign) in entries.items():
+            for r, c in vec.items():
+                by_r.setdefault(r, [0] * n)[x] = c if sign == 1 else -c
+        rows_l.extend(tuple(by_r[r]) for r in sorted(by_r))
     for j in range(n):
         cols = []
         ok = True
@@ -1252,15 +1255,10 @@ def centers(B: RinehartBundle) -> dict:
                 break
             cols.append(merged)
         if not ok:
-            excluded_pairs += 1
             continue
         support = sorted({k for c in cols for k in c})
         for k in support:
             rows_l.append(tuple(c.get(k, 0) for c in cols))
     z_rho_l = SubspaceQ(n, kernel_basis(rows_l, n))
 
-    return {
-        "Z_L_A": z_l_a,
-        "Z_rho_L": z_rho_l,
-        "excluded_L_pairs": excluded_pairs,
-    }
+    return {"Z_L_A": z_l_a, "Z_rho_L": z_rho_l}

@@ -9,9 +9,13 @@ rho(h1,h2) a = lambda(h1,h2) phi(a) on A, so one engine, `_grade`,
 builds both from a side: the pair operator (ad or rho), the twist
 (alpha or phi) and the window messages.  On top of the decomposition
 this module implements the connection-of-roots equivalence, class
-ideals with their closure and orthogonality laws, the two direct-sum
-theorems, and the weight-side mirror.  Connections walk pullback
-orbits, which close within `_orbit_bound(dim H)` steps or never.
+ideals with their closure, orthogonality and ideal laws, the two
+direct-sum theorems, and the weight-side mirror.  The ideal law and
+the center Z_rho(L) read the bracket table by basis index
+(`core3lie.by_index`), so they visit only the basis brackets that a
+stored or missing triple touches; the others are zero.  Connections
+walk pullback orbits, which close within `_orbit_bound(dim H)` steps
+or never.
 
 All arithmetic is exact.  Failure to split over Q is reported, never
 patched: the decomposition either exhausts the space with rational
@@ -31,7 +35,7 @@ from itertools import (combinations, combinations_with_replacement,
                        product, starmap)
 from math import lcm
 
-from .core3lie import ad_columns
+from .core3lie import ad_columns, by_index
 from .exactq import (
     MatrixQ,
     SubspaceQ,
@@ -40,6 +44,7 @@ from .exactq import (
     mat_from_columns_sv,
     qstr,
     rational_spectrum,
+    sv_axpy,
     sv_from_seq,
     sv_to_tuple,
     vadd,
@@ -773,7 +778,12 @@ def check_class_ideal_laws(B: RinehartBundle, dec: Decomposition,
 
     Returns (suite, ideals).  Closure: [I,I,I] in I, alpha(I) in I,
     A I in I.  Orthogonality: brackets with generators from two (and
-    three) distinct classes vanish.  Ideal law: [I,L,L] in I.
+    three) distinct classes vanish.  These are evaluated on every
+    instance of generators.  Ideal law: [x, e_i, e_j] in I for each
+    generator x of I and each pair i <= j.  It is evaluated, in
+    ascending (i, j) order, only at the k pairs that a stored or
+    missing triple puts with an index of the support of x; the other
+    n(n+1)/2 - k brackets are zero, in I, and counted as checked.
 
     The stronger anchor absorption rho(I,L)(A) L in I is deliberately
     not required here: it only follows from the bracket laws when the
@@ -817,11 +827,23 @@ def check_class_ideal_laws(B: RinehartBundle, dec: Decomposition,
              {"classes": [i, j, k]})
 
     ideal_law = suite.add(CheckReport("three-lie-ideal"))
+    view = by_index(B.L)
+    pairs = n * (n + 1) // 2
     for idx, (ci, g) in enumerate(zip(ideals, gens)):
         for x in g:
-            for i, j in combinations_with_replacement(range(n), 2):
-                _law(ideal_law, ci.space, [bracket(x, {i: 1}, {j: 1})],
-                     {"class": idx, "pair": [i, j]})
+            values: dict = {}
+            for m, c in x.items():
+                for pq, entry in view[m].items():
+                    if entry is None:
+                        values[pq] = None
+                        continue
+                    acc = values.setdefault(pq, {})
+                    if acc is not None:
+                        sv_axpy(acc, c * entry[1], entry[0])
+            ideal_law.tick(pairs - len(values))
+            for pq in sorted(values):
+                _law(ideal_law, ci.space, [values[pq]],
+                     {"class": idx, "pair": list(pq)})
 
     return suite, ideals
 

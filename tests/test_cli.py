@@ -15,12 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from trilie import cli, construct, corpus, repmod, rinehart, split
+from trilie import cli, construct, core3lie, corpus, repmod, rinehart, split
 from trilie.bundleio import dumps_bundle, load_bundle
 from trilie.cli import main
+from trilie.core3lie import StructureConstants3
 from trilie.corpus import d4_bundle, toy_split, two_block
 from trilie.exactq import MatrixQ
-from trilie.report import stored_on
+from trilie.report import SuiteReport, stored_on
 from trilie.rinehart import CommAlgebra, ModuleAction, RinehartBundle
 
 
@@ -880,6 +881,124 @@ def test_decompose_computes_the_centers_once(tmp_path, capsys,
     code, _, err = run(capsys, "decompose", path, "--report", "json")
     assert code == 0, err
     assert runs == [7, 15]
+
+
+def test_decompose_reads_the_bracket_table_by_index(tmp_path, capsys,
+                                                    monkeypatch):
+    """On two-block w3 (n = 28) the per-index view of the bracket table
+    (`core3lie.by_index`) is built once, for the three-lie-ideal law,
+    and read again by centers.  Neither looks up a triple of its own:
+    centers makes no `lookup` call, and the law no `trilinear` call,
+    which the closure and orthogonality laws before it still make.  A
+    phase names the stage that is running: the class-ideal laws until
+    the three-lie-ideal report is added, then the law until they
+    return, and centers."""
+    path = corpus_file(tmp_path, capsys, "two-block", "--window", "3")
+    phase = [None]
+    calls = Counter()
+    builds = []
+
+    def during(name, body):
+        def spied(*args):
+            phase[0] = name
+            try:
+                return body(*args)
+            finally:
+                phase[0] = None
+        return spied
+
+    def counted(name, body):
+        def spied(self, *args):
+            calls[name, phase[0]] += 1
+            return body(self, *args)
+        return spied
+
+    def add(self, check, body=SuiteReport.add):
+        if phase[0] == "classes" and check.name == "three-lie-ideal":
+            phase[0] = "law"
+        return body(self, check)
+
+    def by_index(alg, body=core3lie.by_index):
+        builds.append(getattr(alg, "_by_index", None) is None)
+        return body(alg)
+
+    monkeypatch.setattr(cli, "check_class_ideal_laws",
+                        during("classes", split.check_class_ideal_laws))
+    monkeypatch.setattr(split, "centers", during("centers", rinehart.centers))
+    monkeypatch.setattr(SuiteReport, "add", add)
+    for module in (split, rinehart):
+        monkeypatch.setattr(module, "by_index", by_index)
+    for name in ("lookup", "trilinear"):
+        monkeypatch.setattr(StructureConstants3, name,
+                            counted(name, getattr(StructureConstants3, name)))
+    code, _, err = run(capsys, "decompose", path, "--report", "json")
+    assert code == 0, err
+    assert builds == [True, False]
+    assert calls["trilinear", "classes"] > 0
+    assert calls["trilinear", "law"] == calls["lookup", "law"] == 0
+    assert calls["lookup", "centers"] == 0
+
+
+# The split invariants of `decompose --report json` at the widest
+# window of the corpus, on files without flags: exit code, root and
+# weight counts, class sizes, and per check (status, checked, skipped,
+# failures).
+WIDE_SPLIT_PINS = {
+    "two-block": (0, 24, 24, [12, 12], [12, 12], [
+        ("thm1.phi-moves-weights", "pass", 120, 0, 0),
+        ("thm1.alpha-moves-roots", "pass", 120, 0, 0),
+        ("thm1.bracket-adds-roots", "pass", 19472, 1328, 0),
+        ("thm1.product-adds-weights", "pass", 252, 48, 0),
+        ("thm1.action-adds-grading", "pass", 984, 168, 0),
+        ("thm1.anchor-adds-grading", "pass", 27440, 1360, 0),
+        ("class-ideals.closure-bracket", "pass", 5264, 1288, 0),
+        ("class-ideals.closure-twist", "pass", 52, 0, 0),
+        ("class-ideals.closure-action", "pass", 1184, 168, 0),
+        ("class-ideals.orthogonality", "pass", 18252, 0, 0),
+        ("class-ideals.three-lie-ideal", "pass", 67792, 3864, 0),
+        ("direct-sum.center-trivial", "pass", 1, 0, 0),
+        ("direct-sum.H-generated", "pass", 1, 0, 0),
+        ("direct-sum.ideal-direct-sum", "pass", 1, 0, 0),
+        ("weight-classes.zero-parts-in-A0", "pass", 2, 0, 0),
+        ("weight-classes.classes-annihilate", "pass", 169, 0, 0),
+        ("weight-classes.A-direct-sum", "pass", 1, 0, 0)]),
+    "tprime-split": (0, 12, 12, [12], [12], [
+        ("thm1.phi-moves-weights", "pass", 60, 0, 0),
+        ("thm1.alpha-moves-roots", "pass", 60, 0, 0),
+        ("thm1.bracket-adds-roots", "pass", 2248, 664, 0),
+        ("thm1.product-adds-weights", "pass", 54, 24, 0),
+        ("thm1.action-adds-grading", "pass", 204, 84, 0),
+        ("thm1.anchor-adds-grading", "pass", 3064, 680, 0),
+        ("class-ideals.closure-bracket", "pass", 2632, 644, 0),
+        ("class-ideals.closure-twist", "pass", 26, 0, 0),
+        ("class-ideals.closure-action", "pass", 254, 84, 0),
+        ("class-ideals.orthogonality", "pass", 0, 0, 0),
+        ("class-ideals.three-lie-ideal", "pass", 7896, 1932, 0),
+        ("direct-sum.center-trivial", "fail", 1, 0, 1),
+        ("direct-sum.H-generated", "fail", 1, 0, 1),
+        ("direct-sum.ideal-direct-sum", "blocked", 0, 0, 0),
+        ("weight-classes.zero-parts-in-A0", "pass", 1, 0, 0),
+        ("weight-classes.classes-annihilate", "pass", 0, 0, 0),
+        ("weight-classes.A-direct-sum", "pass", 1, 0, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_SPLIT_PINS))
+def test_decompose_at_window_6_keeps_its_split_invariants(tmp_path, capsys,
+                                                          name):
+    B = corpus.generate(name, window=6)
+    B.meta.pop("flags")
+    path = tmp_path / f"{name}-w6.json"
+    path.write_text(dumps_bundle(B))
+    code, out, _ = run(capsys, "decompose", str(path), "--report", "json")
+    obj = json.loads(out)
+    got = (code, len(obj["roots"]), len(obj["weights"]),
+           sorted(len(c) for c in obj["root_classes"]),
+           sorted(len(c) for c in obj["weight_classes"]),
+           [(f"{s['suite']}.{c['name']}", c["status"], c["checked"],
+             c["skipped"], c["failures"])
+            for s in obj["sections"] for c in s["checks"]])
+    assert got == WIDE_SPLIT_PINS[name]
 
 
 def test_construct_twist_from_maps_file(tmp_path, capsys):

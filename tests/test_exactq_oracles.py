@@ -238,3 +238,39 @@ def test_rational_roots_match_sympy(coeffs):
     want = {from_sympy(root): mult
             for root, mult in sympy.roots(poly, filter="Q").items()}
     assert rational_roots(coeffs) == want
+
+
+def _expanded(*factors):
+    """Descending coefficients of a product of factors in t."""
+    t = sympy.Symbol("t")
+    poly = sympy.Poly(sympy.Mul(*factors), t)
+    return [from_sympy(c) for c in poly.all_coeffs()]
+
+
+_T = sympy.Symbol("t")
+LARGE_CONSTANTS = {
+    # the characteristic polynomial of the nonzero root operators on
+    # two-block and tprime-split at window 6, whose constant 720^4 =
+    # 268,738,560,000 has 765 divisors, with the t^3 of tprime-split
+    "root-operators-w6": _expanded(
+        _T ** 3, *[(_T ** 2 - k * k) ** 2 for k in range(1, 7)]),
+    # no rational root and a prime constant
+    "t^2 - p": _expanded(_T ** 2 - 1000000007),
+    # a root at its bound's scale, next to a small one
+    "large root": _expanded(_T - 999983, _T + 1),
+    # non-monic, with fractional roots and a large irreducible factor
+    "non-monic": _expanded(3 * _T - 2, 2 * _T + 5, _T - 7,
+                           _T ** 2 + 1000000007),
+    "non-monic, large fraction": _expanded(7 * _T - 600011, _T ** 2 - 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_CONSTANTS))
+def test_rational_roots_with_large_constants_match_sympy(name):
+    coeffs = LARGE_CONSTANTS[name]
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in map(Fraction, coeffs)], _T)
+    want = {from_sympy(root): mult
+            for root, mult in sympy.roots(poly, filter="Q").items()}
+    assert rational_roots(coeffs) == want
+    assert want or name == "t^2 - p"
