@@ -239,13 +239,15 @@ def by_index(alg: Hom3Lie) -> list:
     each pair i < j that a stored or missing triple puts with m to
     (vector, sign), with [e_m, e_i, e_j] = sign * vector, or to None
     where the triple is missing.  [e_m, e_i, e_j] is zero at every
-    other pair."""
+    other pair.  The entries share one key object per pair."""
+    pairs = {pq: pq for pq in combinations(range(alg.n), 2)}
     view = [{} for _ in range(alg.n)]
     for i, j, k in alg.sc.missing:
-        view[i][(j, k)] = view[j][(i, k)] = view[k][(i, j)] = None
+        view[i][pairs[j, k]] = view[j][pairs[i, k]] = None
+        view[k][pairs[i, j]] = None
     for (i, j, k), vec in alg.sc.table.items():
-        view[i][(j, k)] = view[k][(i, j)] = (vec, 1)
-        view[j][(i, k)] = (vec, -1)
+        view[i][pairs[j, k]] = view[k][pairs[i, j]] = (vec, 1)
+        view[j][pairs[i, k]] = (vec, -1)
     return view
 
 
