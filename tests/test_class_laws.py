@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_split import h_space, unit
 from trilie.construct import bundle_direct_sum, change_basis
 from trilie.core3lie import Hom3Lie, StructureConstants3
 from trilie.corpus import (
@@ -135,14 +136,6 @@ def assert_matches_references(B, dec, wdec, partition) -> CheckReport:
     for key in ("Z_L_A", "Z_rho_L"):
         assert got[key].basis == want[key].basis, key
     return law
-
-
-def h_space(B):
-    return SubspaceQ(B.L.n, [tuple(r) for r in B.meta["H"]])
-
-
-def unit(n, i):
-    return tuple(1 if c == i else 0 for c in range(n))
 
 
 def decomposed(B, H):
